@@ -1,16 +1,16 @@
-// Sharded out-of-core selection at production pool sizes.
+// Streamed out-of-core selection at production pool sizes.
 //
 // The monolithic Algorithm 1 materializes the n x m sensitivity matrix and
 // an n x n Gram; at n = 1M that is hundreds of GB and out of reach.  This
 // bench drives core::select_paths_sharded over a generator-backed
 // FunctionPanelSource — rows are synthesized on demand from
 // util::Rng::stream(seed, path_id), so the full matrix never exists — and
-// reports wall time, the peak resident panel footprint against a memory
-// budget, and shard/repair telemetry.  A side run at a monolithically
-// feasible size checks eps_r parity between the sharded pipeline (both
-// shard policies) and the monolithic greedy sweep, plus bit-identity of the
-// sharded result across thread counts.  validate_bench_json.py gates the
-// memory ceiling and the parity flag.
+// reports wall time, streamed passes and the peak leased footprint against
+// a memory budget.  A side run at a monolithically feasible size checks
+// that the streamed kernel returns exactly the monolithic greedy sweep's
+// set and eps_r, plus bit-identity across thread counts.
+// validate_bench_json.py gates the memory ceiling, exactness and
+// invariance.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -46,7 +46,7 @@ Matrix base_directions(std::size_t k, std::size_t m, std::uint64_t seed) {
 
 // Deterministic per-path row: a pure function of (seed, id), independent of
 // which block materializes it — the property that makes the out-of-core
-// pipeline bit-reproducible.  Writes every cell of `row`; allocates nothing.
+// kernel bit-reproducible.  Writes every cell of `row`; allocates nothing.
 void synth_row(const Matrix& base, double noise, std::uint64_t seed, int id,
                std::span<double> row) {
   repro::util::Rng rng =
@@ -57,13 +57,6 @@ void synth_row(const Matrix& base, double noise, std::uint64_t seed, int id,
     repro::linalg::axpy(w, base.row(d), row);
   }
   for (double& v : row) v += noise * rng.normal();
-}
-
-// Synthetic gate count in [8, 48) for the gate-balanced policy.
-double synth_gate_weight(std::uint64_t seed, int id) {
-  repro::util::Rng rng =
-      repro::util::Rng::stream(seed + 1, static_cast<std::uint64_t>(id));
-  return static_cast<double>(8 + rng.uniform_index(40));
 }
 
 double span_total_ms(const char* name) {
@@ -100,26 +93,22 @@ int main(int argc, char** argv) {
   const double epsilon = 1e-3;  // tight enough for a nontrivial selection
   const std::uint64_t seed = 20260808;
 
-  std::printf("=== Sharded out-of-core selection scale run ===\n");
+  std::printf("=== Streamed out-of-core selection scale run ===\n");
   std::printf("pool: n = %zu paths x m = %zu parameters (%zu directions)\n",
               n, m, k);
 
   const Matrix base = base_directions(k, m, seed);
   const core::FunctionPanelSource source(
-      n, m,
-      [&](int id, std::span<double> row) {
+      n, m, [&](int id, std::span<double> row) {
         synth_row(base, noise, seed, id, row);
-      },
-      [&](int id) { return synth_gate_weight(seed, id); });
+      });
 
   // Memory ceiling: the dense n x m sensitivity matrix is what the
   // monolithic route would materialize before even forming its Gram; the
-  // sharded pipeline must stay under a quarter of it (with a 64 MiB floor so
+  // streamed kernel must stay under a quarter of it (with a 64 MiB floor so
   // the FAST smoke, whose dense baseline is tiny, gates against a fixed
-  // absolute ceiling instead).  The same figure is handed to the pipeline as
-  // its SELECT-phase wave cap, so the gate holds on any worker count — an
-  // uncapped run's peak scales with the number of concurrently selecting
-  // shards.
+  // absolute ceiling instead).  The same figure is handed to the kernel as
+  // its memory cap, so the gate holds on any worker count.
   const std::size_t dense_bytes = n * m * sizeof(double);
   const std::size_t mem_budget_bytes =
       std::max<std::size_t>(64u << 20, dense_bytes / 4);
@@ -127,7 +116,6 @@ int main(int argc, char** argv) {
   core::ShardedSelectionOptions opt;
   opt.selection.epsilon = epsilon;
   opt.selection.strategy = core::SelectionStrategy::kGreedySweep;
-  opt.seed = seed;
   opt.memory_cap_bytes = mem_budget_bytes;
 
   util::Stopwatch sw;
@@ -136,114 +124,83 @@ int main(int argc, char** argv) {
     return core::select_paths_sharded(source, t_cons, opt);
   }();
   const double wall_s = sw.seconds();
+  const double t_pass_ms = span_total_ms("core.shard.pass");
 
   const bool mem_ok = big.peak_panel_bytes <= mem_budget_bytes;
 
-  std::printf("wall: %.1f s | shards: %zu | levels: %zu | union: %zu\n",
-              wall_s, big.shards, big.levels, big.union_paths);
-  std::printf(
-      "selected r = %zu, eps_r = %.3g (tolerance %s), repair: %zu "
-      "promotions in %zu rounds\n",
-      big.representatives.size(), big.eps_r,
-      big.tolerance_met ? "met" : "NOT MET", big.repair_promotions,
-      big.repair_rounds);
+  std::printf("wall: %.1f s | passes: %zu | candidate rows: %zu\n", wall_s,
+              big.passes, big.union_paths);
+  std::printf("selected r = %zu, eps_r = %.3g (tolerance %s)\n",
+              big.representatives.size(), big.eps_r,
+              big.tolerance_met ? "met" : "NOT MET");
   std::printf("peak panel bytes: %.1f MiB (budget %.1f MiB, dense %.1f MiB)\n",
               big.peak_panel_bytes / 1048576.0, mem_budget_bytes / 1048576.0,
               dense_bytes / 1048576.0);
 
-  // Parity probe at a monolithically feasible size: same generator, pool
-  // small enough for the dense route; the sharded pipeline (both policies)
-  // must land within the pinned factor of the monolithic greedy sweep.
-  const double parity_factor = 2.0;
+  // Exactness probe at a monolithically feasible size: same generator, pool
+  // small enough for the dense route.  The streamed kernel, with a cache
+  // small enough to need several passes, must return the monolithic greedy
+  // sweep's set and eps_r.
   Matrix a_small(n_small, m);
-  std::vector<double> gates(n_small);
   for (std::size_t i = 0; i < n_small; ++i) {
     synth_row(base, noise, seed, static_cast<int>(i), a_small.row(i));
-    gates[i] = synth_gate_weight(seed, static_cast<int>(i));
   }
-  core::PathSelectionOptions mono_opt = opt.selection;
   const core::PathSelectionResult mono =
-      core::select_representative_paths(a_small, t_cons, mono_opt);
+      core::select_representative_paths(a_small, t_cons, opt.selection);
+  std::vector<int> mono_set = mono.representatives;
+  std::sort(mono_set.begin(), mono_set.end());
 
-  const core::MatrixPanelSource small_source(a_small, gates);
-  double parity_ratio_path = 0.0, parity_ratio_gate = 0.0;
-  bool parity_ok = true;
-  for (const core::ShardPolicy policy :
-       {core::ShardPolicy::kPathBalanced, core::ShardPolicy::kGateBalanced}) {
-    core::ShardedSelectionOptions small_opt = opt;
-    small_opt.policy = policy;
-    small_opt.num_shards = 4;
-    const core::ShardedSelectionResult s =
-        core::select_paths_sharded(small_source, t_cons, small_opt);
-    // Monolithic eps can sit at a rank cliff near zero, so the parity bound
-    // is relative to max(eps_mono, epsilon) and the ratio reported against
-    // the same floor.
-    const double floor = std::max(mono.eps_r, epsilon);
-    const double ratio = s.eps_r / floor;
-    parity_ok = parity_ok && s.tolerance_met &&
-                s.eps_r <= parity_factor * floor &&
-                s.representatives.size() <=
-                    static_cast<std::size_t>(
-                        parity_factor *
-                        static_cast<double>(mono.representatives.size())) +
-                        1;
-    if (policy == core::ShardPolicy::kPathBalanced) {
-      parity_ratio_path = ratio;
-    } else {
-      parity_ratio_gate = ratio;
-    }
-  }
+  const core::MatrixPanelSource small_source(a_small);
+  core::ShardedSelectionOptions small_opt = opt;
+  small_opt.block_rows = 256;
+  const core::ShardedSelectionResult small =
+      core::select_paths_sharded(small_source, t_cons, small_opt);
+  const bool parity_exact =
+      small.representatives == mono_set &&
+      std::abs(small.eps_r - mono.eps_r) <= 1e-9 * mono.eps_r;
   std::printf(
-      "parity @ n = %zu: mono r = %zu eps = %.3g | ratio path = %.3f, "
-      "gate = %.3f -> %s\n",
-      n_small, mono.representatives.size(), mono.eps_r, parity_ratio_path,
-      parity_ratio_gate, parity_ok ? "ok" : "VIOLATED");
+      "parity @ n = %zu: mono r = %zu eps = %.6g | streamed r = %zu "
+      "eps = %.6g in %zu passes -> %s\n",
+      n_small, mono.representatives.size(), mono.eps_r,
+      small.representatives.size(), small.eps_r, small.passes,
+      parity_exact ? "exact" : "MISMATCH");
 
-  // Thread-count invariance of the sharded result (fixed plan, 1 vs 4
-  // threads) — the out-of-core pipeline inherits the repo-wide determinism
-  // guarantee.
+  // Thread-count invariance of the streamed result (1 vs 4 threads) — the
+  // out-of-core kernel inherits the repo-wide determinism guarantee.
   const std::size_t saved_threads = util::thread_count();
-  core::ShardedSelectionOptions inv_opt = opt;
-  inv_opt.num_shards = 4;
   util::set_threads(1);
   const core::ShardedSelectionResult inv1 =
-      core::select_paths_sharded(small_source, t_cons, inv_opt);
+      core::select_paths_sharded(small_source, t_cons, small_opt);
   util::set_threads(4);
   const core::ShardedSelectionResult inv4 =
-      core::select_paths_sharded(small_source, t_cons, inv_opt);
+      core::select_paths_sharded(small_source, t_cons, small_opt);
   util::set_threads(saved_threads);
   const bool thread_invariant = inv1.representatives == inv4.representatives &&
                                 inv1.eps_r == inv4.eps_r &&
-                                inv1.union_paths == inv4.union_paths;
+                                inv1.passes == inv4.passes;
   std::printf("thread invariance (1 vs 4 threads): %s\n",
               thread_invariant ? "bit-identical" : "MISMATCH");
 
   h.metric("n_paths", n);
   h.metric("m_params", m);
   h.metric("wall_s", wall_s);
-  h.metric("shards", big.shards);
-  h.metric("levels", big.levels);
+  h.metric("passes", big.passes);
   h.metric("union_paths", big.union_paths);
   h.metric("selected_r", big.representatives.size());
   h.metric("eps_r", big.eps_r);
   h.metric("tolerance_met", big.tolerance_met);
   h.metric("repair_promotions", big.repair_promotions);
-  h.metric("repair_rounds", big.repair_rounds);
   h.metric("peak_panel_bytes", big.peak_panel_bytes);
   h.metric("mem_budget_bytes", mem_budget_bytes);
   h.metric("dense_bytes", dense_bytes);
   h.metric("mem_ok", mem_ok);
-  h.metric("t_select_ms", span_total_ms("core.shard.select"));
-  h.metric("t_verify_ms", span_total_ms("core.shard.verify"));
+  h.metric("t_pass_ms", t_pass_ms);
   h.metric("parity_n", n_small);
-  h.metric("parity_factor", parity_factor);
-  h.metric("parity_ratio_path", parity_ratio_path);
-  h.metric("parity_ratio_gate", parity_ratio_gate);
-  h.metric("parity_ok", parity_ok);
+  h.metric("parity_exact", parity_exact);
   h.metric("thread_invariant", thread_invariant);
   h.metric("kernel_tier",
            linalg::simd::tier_name(linalg::simd::active_tier()));
 
-  return h.finish(big.tolerance_met && mem_ok && parity_ok &&
+  return h.finish(big.tolerance_met && mem_ok && parity_exact &&
                   thread_invariant);
 }

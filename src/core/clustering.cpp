@@ -99,42 +99,6 @@ std::vector<int> cluster_rows_spherical(const linalg::Matrix& a,
   return assign;
 }
 
-linalg::Matrix spherical_centers(const linalg::Matrix& a,
-                                 const std::vector<int>& assign,
-                                 std::size_t k) {
-  REPRO_CHECK_DIM(assign.size(), a.rows(),
-                  "spherical_centers: assignment vs rows");
-  if (k == 0) throw std::invalid_argument("spherical_centers: k == 0");
-  linalg::Matrix sums(k, a.cols());
-  std::vector<std::size_t> count(k, 0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const int c = assign[i];
-    if (c < 0 || static_cast<std::size_t>(c) >= k) {
-      throw std::out_of_range("spherical_centers: cluster index");
-    }
-    // Accumulate unit directions so large rows don't dominate the mean.
-    const double nrm = linalg::norm2(a.row(i));
-    if (nrm > 0.0) {
-      linalg::axpy(1.0 / nrm, a.row(i), sums.row(static_cast<std::size_t>(c)));
-    }
-    ++count[static_cast<std::size_t>(c)];
-  }
-  std::size_t nonempty = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    if (count[c] > 0) ++nonempty;
-  }
-  linalg::Matrix centers(std::max<std::size_t>(nonempty, 1), a.cols());
-  std::size_t out = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    if (count[c] == 0) continue;
-    const double nrm = linalg::norm2(sums.row(c));
-    centers.set_row(out, sums.row(c));
-    if (nrm > 0.0) linalg::scale(centers.row(out), 1.0 / nrm);
-    ++out;
-  }
-  return centers;
-}
-
 ClusteredSelectionResult select_paths_clustered(
     const linalg::Matrix& a, double t_cons,
     const ClusteredSelectionOptions& options) {

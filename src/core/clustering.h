@@ -45,14 +45,4 @@ std::vector<int> cluster_rows_spherical(const linalg::Matrix& a,
                                         std::size_t k, int iterations,
                                         std::uint64_t seed);
 
-// Unit-length mean directions of the clusters in `assign` (values in
-// [0, k)), with empty clusters dropped — the result has one row per
-// non-empty cluster, in ascending cluster order.  Dropping empties matters
-// for streamed assignment: a zero center has similarity 0 to everything and
-// would capture every row whose best cosine is negative.  Used by the
-// sharded pipeline to carry a k-means run on a sample out to the full pool.
-linalg::Matrix spherical_centers(const linalg::Matrix& a,
-                                 const std::vector<int>& assign,
-                                 std::size_t k);
-
 }  // namespace repro::core

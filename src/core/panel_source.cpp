@@ -7,17 +7,6 @@
 
 namespace repro::core {
 
-double PathPanelSource::path_weight(int) const { return 1.0; }
-
-MatrixPanelSource::MatrixPanelSource(const linalg::Matrix& a,
-                                     std::span<const double> weights)
-    : a_(&a), weights_(weights) {
-  if (!weights_.empty() && weights_.size() != a.rows()) {
-    throw std::invalid_argument(
-        "MatrixPanelSource: weights size must match matrix rows");
-  }
-}
-
 void MatrixPanelSource::fill_rows(std::span<const int> ids,
                                   linalg::Matrix& out) const {
   REPRO_CHECK_DIM(out.rows(), ids.size(),
@@ -36,18 +25,9 @@ void MatrixPanelSource::fill_rows(std::span<const int> ids,
   }
 }
 
-double MatrixPanelSource::path_weight(int id) const {
-  if (weights_.empty()) return 1.0;
-  if (id < 0 || static_cast<std::size_t>(id) >= weights_.size()) {
-    throw std::out_of_range("MatrixPanelSource::path_weight: path id");
-  }
-  return weights_[static_cast<std::size_t>(id)];
-}
-
 FunctionPanelSource::FunctionPanelSource(std::size_t paths, std::size_t params,
-                                         RowFn row, WeightFn weight)
-    : paths_(paths), params_(params), row_(std::move(row)),
-      weight_(std::move(weight)) {
+                                         RowFn row)
+    : paths_(paths), params_(params), row_(std::move(row)) {
   if (paths_ == 0 || params_ == 0) {
     throw std::invalid_argument(
         "FunctionPanelSource: pool dimensions must be positive");
@@ -70,13 +50,6 @@ void FunctionPanelSource::fill_rows(std::span<const int> ids,
     }
     row_(id, out.row(k));
   }
-}
-
-double FunctionPanelSource::path_weight(int id) const {
-  if (id < 0 || static_cast<std::size_t>(id) >= paths_) {
-    throw std::out_of_range("FunctionPanelSource::path_weight: path id");
-  }
-  return weight_ ? weight_(id) : 1.0;
 }
 
 }  // namespace repro::core

@@ -2,8 +2,8 @@
 //
 // Algorithm 1 at paper scale holds the full n x m sensitivity matrix A in
 // one address space, which caps the pool at tens of thousands of paths.  The
-// sharded pipeline (core/sharded_selection.h) never touches the full matrix:
-// every consumer asks a PathPanelSource to materialize just the rows it
+// streamed selection kernel (core/sharded_selection.h) never touches the
+// full matrix: it asks a PathPanelSource to materialize just the rows it
 // needs into a caller-owned panel whose size is bounded by the streaming
 // block configuration.  The source abstracts where rows come from — an
 // in-memory matrix (tests, server sessions), a deterministic generator (the
@@ -13,7 +13,7 @@
 //
 // Contract for fill_rows implementations: `out` is pre-sized by the caller
 // to ids.size() x params(); the implementation writes every cell and MUST
-// NOT allocate (these are the per-shard inner loops; repro_lint's
+// NOT allocate (they are the streamed pass's inner loop; repro_lint's
 // hot-path-alloc check is pointed at them, see tools/repro_lint/lint.h).
 #pragma once
 
@@ -21,16 +21,15 @@
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "linalg/matrix.h"
 
 namespace repro::core {
 
 // Tracks the bytes of all currently materialized panels plus the running
-// peak.  Thread-safe: shard tasks lease panels concurrently from inside
+// peak.  Thread-safe: block tasks lease panels concurrently from inside
 // parallel_for bodies (plain atomics, no telemetry calls in hot regions —
-// the orchestrator publishes the peak as a gauge after each phase).
+// the caller publishes the peak as a gauge afterwards).
 class PanelBudget {
  public:
   void add(std::size_t bytes) {
@@ -114,56 +113,43 @@ class PathPanelSource {
   // see the file comment.
   virtual void fill_rows(std::span<const int> ids,
                          linalg::Matrix& out) const = 0;
-
-  // Per-path weight for gate-balanced sharding (e.g. the path's gate
-  // count).  Defaults to 1.0, which makes gate-balanced collapse to
-  // path-balanced.
-  virtual double path_weight(int id) const;
 };
 
 // In-memory source: wraps an existing sensitivity matrix (tests, server
-// sessions, pools that do fit).  Optional per-path weights back the
-// gate-balanced policy.  The matrix and weights are borrowed, not copied —
-// they must outlive the source.
+// sessions, pools that do fit).  The matrix is borrowed, not copied — it
+// must outlive the source.
 class MatrixPanelSource final : public PathPanelSource {
  public:
-  explicit MatrixPanelSource(const linalg::Matrix& a,
-                             std::span<const double> weights = {});
+  explicit MatrixPanelSource(const linalg::Matrix& a) : a_(&a) {}
 
   std::size_t paths() const override { return a_->rows(); }
   std::size_t params() const override { return a_->cols(); }
   void fill_rows(std::span<const int> ids,
                  linalg::Matrix& out) const override;
-  double path_weight(int id) const override;
 
  private:
   const linalg::Matrix* a_;
-  std::span<const double> weights_;
 };
 
 // Generator-backed source: row i is produced on demand by a deterministic
 // function of the path id (the synthetic scale bench derives each row from
 // util::Rng::stream(seed, id), so a row's bits never depend on which block
-// materializes it).  The callbacks themselves must not allocate.
+// materializes it).  The callback itself must not allocate.
 class FunctionPanelSource final : public PathPanelSource {
  public:
   using RowFn = std::function<void(int id, std::span<double> row)>;
-  using WeightFn = std::function<double(int id)>;
 
-  FunctionPanelSource(std::size_t paths, std::size_t params, RowFn row,
-                      WeightFn weight = {});
+  FunctionPanelSource(std::size_t paths, std::size_t params, RowFn row);
 
   std::size_t paths() const override { return paths_; }
   std::size_t params() const override { return params_; }
   void fill_rows(std::span<const int> ids,
                  linalg::Matrix& out) const override;
-  double path_weight(int id) const override;
 
  private:
   std::size_t paths_ = 0;
   std::size_t params_ = 0;
   RowFn row_;
-  WeightFn weight_;
 };
 
 }  // namespace repro::core

@@ -1,287 +1,174 @@
 #include "core/sharded_selection.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "core/clustering.h"
-#include "core/subset_select.h"
-#include "linalg/cholesky.h"
-#include "linalg/gemm.h"
-#include "linalg/trsm.h"
-#include "util/contracts.h"
-#include "util/stopwatch.h"
+#include "linalg/simd/kernels.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace repro::core {
 namespace {
 
-double policy_weight(const PathPanelSource& source,
-                     const ShardedSelectionOptions& options, int id) {
-  return options.policy == ShardPolicy::kGateBalanced ? source.path_weight(id)
-                                                      : 1.0;
+// Per-path state bits.  kCached: materialized as a candidate at least once;
+// kInCache: in the current cache, so its d_i is already current.
+constexpr unsigned char kSelected = 1;
+constexpr unsigned char kCached = 2;
+constexpr unsigned char kInCache = 4;
+
+using Candidate = std::pair<double, int>;  // (residual, path id)
+
+// The greedy order: larger residual first, ties to the lowest id.
+bool better(const Candidate& a, const Candidate& b) {
+  return a.first > b.first || (a.first == b.first && a.second < b.second);
 }
 
-std::size_t desired_shards(std::size_t pool, std::size_t explicit_shards,
-                           std::size_t target) {
-  std::size_t s = explicit_shards;
-  if (s == 0) s = (pool + target - 1) / std::max<std::size_t>(target, 1);
-  return std::min(std::max<std::size_t>(s, 1), pool);
-}
-
-// Materializes the panel for `ids` under a budget lease and returns it.
-linalg::Matrix leased_panel(const PathPanelSource& source,
-                            std::span<const int> ids, PanelBudget* budget,
-                            PanelLease& lease) {
-  lease = PanelLease(budget, panel_bytes(ids.size(), source.params()));
-  linalg::Matrix panel(ids.size(), source.params());
-  source.fill_rows(ids, panel);
-  return panel;
-}
-
-struct ShardSelection {
-  std::vector<int> representatives;  // global ids
-  ShardStats stats;
-};
-
-// Algorithm 1 on one shard: shard-local panel + SYRK Gram, greedy-sweep
-// driver at the tightened tolerance, representatives mapped back to global
-// ids.  Runs inside the shard-level parallel_for — no telemetry calls here;
-// stats are flushed by the orchestrator after the parallel region.
-ShardSelection select_one_shard(const PathPanelSource& source,
-                                const std::vector<int>& members, double weight,
-                                double t_cons,
-                                const PathSelectionOptions& shard_opts,
-                                PanelBudget* budget) {
-  util::Stopwatch timer;
-  ShardSelection out;
-  out.stats.paths = members.size();
-  out.stats.weight = weight;
-  if (members.size() == 1) {
-    out.representatives = members;
-    out.stats.representatives = 1;
-    out.stats.seconds = timer.seconds();
-    return out;
-  }
-  PanelLease panel_lease;
-  const linalg::Matrix a_s = leased_panel(source, members, budget, panel_lease);
-  PanelLease gram_lease(budget, panel_bytes(a_s.rows(), a_s.rows()));
-  const linalg::Matrix w = linalg::gram(a_s);
-  // Direct Gram-route construction: shard panels are tall (paths >> params),
-  // so make_subset_selector would pick the SVD route; the greedy-sweep
-  // driver only needs the pivoted-Cholesky machinery the Gram route carries.
-  const SubsetSelector selector(a_s, w);
-  const PathSelectionResult sel =
-      select_representative_paths(selector, w, t_cons, shard_opts);
-  out.representatives.reserve(sel.representatives.size());
-  for (int local : sel.representatives) {
-    out.representatives.push_back(members[static_cast<std::size_t>(local)]);
-  }
-  std::sort(out.representatives.begin(), out.representatives.end());
-  out.stats.representatives = out.representatives.size();
-  out.stats.seconds = timer.seconds();
-  return out;
-}
-
-struct VerifyOutcome {
-  double eps_r = 0.0;
-  std::vector<std::pair<double, int>> violators;  // (eps, global id)
-  std::size_t blocks = 0;
-};
-
-// Streamed global verification: prices the current selection against every
-// path of the pool without materializing more than one block panel at a
-// time.  Var(Delta_i) = ||a_i||^2 - ||L^{-1} A_R a_i||^2 with S = A_R A_R^T
-// = L L^T; per block that is one panel fill, one cross GEMM and one
-// multi-RHS trsm.  Serial over blocks — the kernels inside are
-// thread-count-invariant, so the outcome is too.
-VerifyOutcome verify_selection(const PathPanelSource& source,
-                               const std::vector<int>& reps, double t_cons,
-                               double kappa, double epsilon,
-                               std::size_t block_rows, PanelBudget* budget) {
-  const std::size_t n = source.paths();
-  const std::size_t m = source.params();
-  const std::size_t r = reps.size();
-
-  PanelLease rep_lease;
-  const linalg::Matrix a_r = leased_panel(source, reps, budget, rep_lease);
-  const linalg::RegularizedChol chol = [&] {
-    PanelLease gram_lease(budget, panel_bytes(r, r));
-    return linalg::chol_factor_regularized(linalg::gram(a_r));
-  }();
-  if (!chol.factors.ok) {
-    throw std::runtime_error(
-        "select_paths_sharded: representative Gram not factorizable");
+// The orthonormal basis of the picked rows, one row of m doubles per pick,
+// with room for `capacity` rows leased up front.
+class Basis {
+ public:
+  Basis(std::size_t m, std::size_t capacity, PanelBudget* budget)
+      : m_(m), ops_(linalg::simd::ops()),
+        lease_(budget, panel_bytes(capacity, m)) {
+    q_.reserve(capacity * m);
   }
 
-  VerifyOutcome out;
-  const std::size_t block = std::max<std::size_t>(block_rows, 1);
-  std::vector<int> ids(std::min(block, n));
-  linalg::Matrix panel(ids.size(), m);
-  PanelLease block_lease(budget, panel_bytes(ids.size(), m));
-  for (std::size_t start = 0; start < n; start += block) {
-    const std::size_t stop = std::min(n, start + block);
-    const std::size_t b = stop - start;
-    ids.resize(b);
-    for (std::size_t j = 0; j < b; ++j) {
-      ids[j] = static_cast<int>(start + j);
+  std::size_t size() const { return q_.size() / m_; }
+  const double* row(std::size_t k) const { return q_.data() + k * m_; }
+  double norm_sq(const double* a) const { return ops_.dot(m_, a, a); }
+
+  // d -= (q_k . a)^2 for k in [from, to).  Every residual update, streamed
+  // or cached, goes through here in basis order, so a path's residual has
+  // the same bits whichever route refreshed it.
+  void fold(std::size_t from, std::size_t to, const double* a,
+            double& d) const {
+    for (std::size_t k = from; k < to; ++k) {
+      const double c = ops_.dot(m_, row(k), a);
+      d -= c * c;
     }
-    if (panel.rows() != b) panel = linalg::Matrix(b, m);
-    source.fill_rows(ids, panel);
-    // cross(i, j) = <rep row i, pool row start+j>; after the solve, column j
-    // holds L^{-1} w_j.
-    PanelLease cross_lease(budget, panel_bytes(r, b));
-    linalg::Matrix cross = linalg::multiply_bt(a_r, panel);
-    linalg::trsm_lower_inplace(chol.factors.l, cross);
-    for (std::size_t j = 0; j < b; ++j) {
-      const int id = ids[j];
-      if (std::binary_search(reps.begin(), reps.end(), id)) continue;
-      double var = linalg::dot(panel.row(j), panel.row(j));
-      for (std::size_t i = 0; i < r; ++i) {
-        var -= cross(i, j) * cross(i, j);
+  }
+
+  // Appends the component of `a` orthogonal to the basis, normalized
+  // (two-pass modified Gram-Schmidt).  The caller guarantees a residual
+  // above the rank floor.
+  void add(std::span<const double> a) {
+    const std::size_t r = size();
+    q_.insert(q_.end(), a.begin(), a.end());
+    double* v = q_.data() + r * m_;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t k = 0; k < r; ++k) {
+        ops_.axpy(m_, -ops_.dot(m_, row(k), v), row(k), v);
       }
-      const double eps = kappa * std::sqrt(std::max(var, 0.0)) / t_cons;
-      out.eps_r = std::max(out.eps_r, eps);
-      if (eps > epsilon) out.violators.emplace_back(eps, id);
     }
-    ++out.blocks;
+    const double inv = 1.0 / std::sqrt(norm_sq(v));
+    for (std::size_t j = 0; j < m_; ++j) v[j] *= inv;
   }
-  return out;
+
+ private:
+  std::size_t m_;
+  const linalg::simd::KernelOps& ops_;
+  PanelLease lease_;
+  std::vector<double> q_;
+};
+
+struct Cache {
+  std::vector<int> ids;  // ascending
+  linalg::Matrix rows;   // rows(s) is path ids[s]
+  double bound_out = 0;  // largest residual outside the cache (-inf if none)
+};
+
+// Streams every block of the pool once, refreshing each unselected d_i:
+// ||a_i||^2 on the first pass, else the basis rows [from, to) folded in.
+// Blocks are pulled from a shared counter by at most `workers` tasks, each
+// with one leased panel; rows are independent, so the result does not
+// depend on which task ran which block.
+void stream_pass(const PathPanelSource& source, const Basis& basis,
+                 std::size_t from, std::size_t to, bool first,
+                 std::size_t block, std::size_t workers,
+                 std::vector<double>& d,
+                 const std::vector<unsigned char>& state,
+                 PanelBudget* budget) {
+  const std::size_t n = d.size();
+  const std::size_t m = source.params();
+  const std::size_t nblocks = (n + block - 1) / block;
+  std::atomic<std::size_t> next{0};
+  util::parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
+    PanelLease lease;
+    std::vector<int> ids;
+    linalg::Matrix panel;
+    for (std::size_t b = next++; b < nblocks; b = next++) {
+      const std::size_t start = b * block;
+      const std::size_t rows = std::min(block, n - start);
+      if (panel.rows() != rows) {
+        lease = PanelLease(budget, panel_bytes(rows, m) + rows * sizeof(int));
+        panel = linalg::Matrix(rows, m);
+        ids.resize(rows);
+      }
+      for (std::size_t j = 0; j < rows; ++j) {
+        ids[j] = static_cast<int>(start + j);
+      }
+      source.fill_rows(ids, panel);
+      for (std::size_t j = 0; j < rows; ++j) {
+        if (state[start + j] & (kSelected | kInCache)) continue;
+        const double* a = panel.row(j).data();
+        if (first) {
+          d[start + j] = basis.norm_sq(a);
+        } else {
+          basis.fold(from, to, a, d[start + j]);
+        }
+      }
+    }
+  });
+}
+
+// Refills `cache` with the `capacity` unselected paths of largest residual
+// (greedy order) and materializes their rows.  Returns how many of them
+// were never cached before.
+std::size_t refill_cache(const PathPanelSource& source,
+                         const std::vector<double>& d,
+                         std::vector<unsigned char>& state,
+                         std::size_t capacity, Cache& cache) {
+  for (int id : cache.ids) state[static_cast<std::size_t>(id)] &= ~kInCache;
+  // Bounded heap whose front is the worst kept candidate.
+  std::vector<Candidate> heap;
+  heap.reserve(capacity);
+  cache.bound_out = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    if (state[i] & kSelected) continue;
+    const Candidate c{d[i], static_cast<int>(i)};
+    if (heap.size() < capacity) {
+      heap.push_back(c);
+      std::push_heap(heap.begin(), heap.end(), better);
+    } else if (better(c, heap.front())) {
+      cache.bound_out = std::max(cache.bound_out, heap.front().first);
+      std::pop_heap(heap.begin(), heap.end(), better);
+      heap.back() = c;
+      std::push_heap(heap.begin(), heap.end(), better);
+    } else {
+      cache.bound_out = std::max(cache.bound_out, c.first);
+    }
+  }
+  cache.ids.resize(heap.size());
+  for (std::size_t s = 0; s < heap.size(); ++s) cache.ids[s] = heap[s].second;
+  std::sort(cache.ids.begin(), cache.ids.end());
+  if (cache.rows.rows() != cache.ids.size()) {
+    cache.rows = linalg::Matrix(cache.ids.size(), source.params());
+  }
+  source.fill_rows(cache.ids, cache.rows);
+  std::size_t fresh = 0;
+  for (int id : cache.ids) {
+    unsigned char& s = state[static_cast<std::size_t>(id)];
+    if (!(s & kCached)) ++fresh;
+    s |= kCached | kInCache;
+  }
+  return fresh;
 }
 
 }  // namespace
-// The panel-source parameters carry their own fill contracts; pool and
-// option validation below is unconditional in every build.
-// repro-lint: allow(contracts)
-ShardPlan plan_shards(const PathPanelSource& source,
-                      std::span<const int> pool_ids,
-                      const ShardedSelectionOptions& options,
-                      PanelBudget* budget) {
-  const std::size_t n = pool_ids.size();
-  if (n == 0) throw std::invalid_argument("plan_shards: empty pool");
-  const std::size_t m = source.params();
-  const std::size_t shards =
-      desired_shards(n, options.num_shards, options.target_shard_paths);
-
-  ShardPlan plan;
-  if (shards <= 1) {
-    plan.members.emplace_back(pool_ids.begin(), pool_ids.end());
-    plan.weight.push_back(0.0);
-    for (int id : pool_ids) {
-      plan.weight[0] += policy_weight(source, options, id);
-    }
-    plan.clusters_used = 1;
-    return plan;
-  }
-
-  // 1. Deterministic evenly-spaced sample of the pool; spherical k-means on
-  //    the sample discovers the direction structure without touching every
-  //    row.
-  const std::size_t sample =
-      std::min(n, std::max<std::size_t>(options.sample_paths, shards));
-  std::vector<int> sample_ids(sample);
-  for (std::size_t j = 0; j < sample; ++j) {
-    sample_ids[j] = pool_ids[(j * n) / sample];
-  }
-  linalg::Matrix centers;
-  {
-    PanelLease lease;
-    const linalg::Matrix sample_panel =
-        leased_panel(source, sample_ids, budget, lease);
-    const std::size_t k = std::min(sample, shards);
-    const std::vector<int> assign = cluster_rows_spherical(
-        sample_panel, k, options.kmeans_iterations, options.seed);
-    centers = spherical_centers(sample_panel, assign, k);
-  }
-  plan.clusters_used = centers.rows();
-
-  // 2. Streamed assignment of the full pool to the nearest center (cosine;
-  //    centers are unit length, so argmax over plain dot products — the row
-  //    norm is a positive per-row constant).  Ties break to the lowest
-  //    center index; zero rows land on center 0.  Serial over blocks.
-  std::vector<std::vector<int>> cluster_members(centers.rows());
-  std::vector<std::vector<double>> cluster_weights(centers.rows());
-  {
-    const std::size_t block = std::max<std::size_t>(options.block_rows, 1);
-    std::vector<int> ids(std::min(block, n));
-    linalg::Matrix panel(ids.size(), m);
-    PanelLease block_lease(budget, panel_bytes(ids.size(), m));
-    for (std::size_t start = 0; start < n; start += block) {
-      const std::size_t stop = std::min(n, start + block);
-      const std::size_t b = stop - start;
-      ids.resize(b);
-      for (std::size_t j = 0; j < b; ++j) ids[j] = pool_ids[start + j];
-      if (panel.rows() != b) panel = linalg::Matrix(b, m);
-      source.fill_rows(ids, panel);
-      PanelLease sims_lease(budget, panel_bytes(b, centers.rows()));
-      const linalg::Matrix sims = linalg::multiply_bt(panel, centers);
-      for (std::size_t j = 0; j < b; ++j) {
-        std::size_t arg = 0;
-        double best = sims(j, 0);
-        for (std::size_t c = 1; c < centers.rows(); ++c) {
-          if (sims(j, c) > best) {
-            best = sims(j, c);
-            arg = c;
-          }
-        }
-        cluster_members[arg].push_back(ids[j]);
-        cluster_weights[arg].push_back(
-            policy_weight(source, options, ids[j]));
-      }
-    }
-  }
-
-  // 3. Split oversized clusters into consecutive runs near the target size
-  //    (cluster members are ascending, so runs stay direction-coherent),
-  //    then pack runs onto the least-loaded shard by policy weight.
-  struct Chunk {
-    std::vector<int> ids;
-    double weight = 0.0;
-  };
-  std::vector<Chunk> chunks;
-  const std::size_t target = std::max<std::size_t>(1, (n + shards - 1) / shards);
-  for (std::size_t c = 0; c < cluster_members.size(); ++c) {
-    const std::vector<int>& ids = cluster_members[c];
-    if (ids.empty()) continue;
-    const std::size_t pieces = (ids.size() + target - 1) / target;
-    const std::size_t per = (ids.size() + pieces - 1) / pieces;
-    for (std::size_t start = 0; start < ids.size(); start += per) {
-      const std::size_t stop = std::min(ids.size(), start + per);
-      Chunk chunk;
-      chunk.ids.assign(ids.begin() + static_cast<std::ptrdiff_t>(start),
-                       ids.begin() + static_cast<std::ptrdiff_t>(stop));
-      for (std::size_t j = start; j < stop; ++j) {
-        chunk.weight += cluster_weights[c][j];
-      }
-      chunks.push_back(std::move(chunk));
-    }
-  }
-  // Heaviest-first greedy packing; all ties break on the first member id /
-  // lowest shard index, so the plan is a deterministic function of its
-  // inputs.
-  std::sort(chunks.begin(), chunks.end(), [](const Chunk& a, const Chunk& b) {
-    if (a.weight != b.weight) return a.weight > b.weight;
-    return a.ids.front() < b.ids.front();
-  });
-  const std::size_t bins = std::min(shards, chunks.size());
-  plan.members.resize(bins);
-  plan.weight.assign(bins, 0.0);
-  for (Chunk& chunk : chunks) {
-    std::size_t lightest = 0;
-    for (std::size_t s = 1; s < bins; ++s) {
-      if (plan.weight[s] < plan.weight[lightest]) lightest = s;
-    }
-    plan.weight[lightest] += chunk.weight;
-    plan.members[lightest].insert(plan.members[lightest].end(),
-                                  chunk.ids.begin(), chunk.ids.end());
-  }
-  for (std::vector<int>& members : plan.members) {
-    std::sort(members.begin(), members.end());
-  }
-  return plan;
-}
 
 // Pool and tolerance validation below is unconditional in every build; the
 // matrix-shaped preconditions live on the panel source's fill contract.
@@ -294,161 +181,103 @@ ShardedSelectionResult select_paths_sharded(
         "select_paths_sharded: t_cons must be positive");
   }
   const std::size_t n = source.paths();
+  const std::size_t m = source.params();
   if (n == 0) throw std::invalid_argument("select_paths_sharded: empty pool");
+  const double kappa = options.selection.kappa;
+  const double epsilon = options.selection.epsilon;
+  const std::size_t min_r = std::max<std::size_t>(options.selection.min_r, 1);
+  const std::size_t block = std::max<std::size_t>(options.block_rows, 1);
+  const std::size_t capacity = std::min(block, n);
 
   PanelBudget budget;
   ShardedSelectionResult result;
-  result.shards = 1;
+  std::vector<double> d(n);
+  std::vector<unsigned char> state(n, 0);
+  const PanelLease state_lease(&budget, n * (sizeof(double) + 1));
+  const std::size_t cache_bytes =
+      panel_bytes(capacity, m) + capacity * (sizeof(Candidate) + sizeof(int));
+  const PanelLease cache_lease(&budget, cache_bytes);
+  Basis basis(m, std::min(n, m), &budget);  // rank(A) <= min(n, m)
 
-  PathSelectionOptions shard_opts = options.selection;
-  shard_opts.strategy = SelectionStrategy::kGreedySweep;
-  shard_opts.epsilon =
-      options.selection.epsilon * std::min(options.merge_epsilon_scale, 1.0);
+  // Blocks in flight: one per worker, fewer if the cap says so (floor 1).
+  std::size_t workers = util::thread_count();
+  if (options.memory_cap_bytes > 0) {
+    const std::size_t fixed = budget.current();
+    const std::size_t per_block = panel_bytes(block, m) + block * sizeof(int);
+    const std::size_t fit = options.memory_cap_bytes > fixed
+                                ? (options.memory_cap_bytes - fixed) / per_block
+                                : 0;
+    workers = std::clamp<std::size_t>(fit, 1, workers);
+  }
 
-  std::vector<int> pool(n);
-  for (std::size_t i = 0; i < n; ++i) pool[i] = static_cast<int>(i);
-
-  // PLAN + SELECT + recursive MERGE: shrink the pool level by level until it
-  // fits the monolithic cap.
-  std::size_t level = 0;
-  while (true) {
-    ShardedSelectionOptions level_opts = options;
-    if (level > 0) level_opts.num_shards = 0;  // explicit count is level-0 only
-    const std::size_t shards = desired_shards(
-        pool.size(), level_opts.num_shards, level_opts.target_shard_paths);
-    const bool must_shrink = pool.size() > options.merge_pool_cap;
-    if (shards <= 1 || (!must_shrink && level > 0) ||
-        (!must_shrink && options.num_shards <= 1)) {
-      break;
-    }
-
-    ShardPlan plan;
+  Cache cache;
+  std::size_t folded = 0;  // basis rows already folded into every d_i
+  double floor_tol = 0.0;  // rank floor, as pivoted_cholesky sets it
+  double max_residual = 0.0;
+  bool done = false;
+  while (!done) {
     {
-      util::telemetry::Span span("core.shard.plan");
-      plan = plan_shards(source, pool, level_opts, &budget);
+      util::telemetry::Span span("core.shard.pass");
+      stream_pass(source, basis, folded, basis.size(), result.passes == 0,
+                  block, workers, d, state, &budget);
     }
-    std::vector<ShardSelection> slots(plan.members.size());
-    {
-      util::telemetry::Span span("core.shard.select");
-      // Memory cap: each in-flight shard leases its fill panel plus its
-      // Gram, so unbounded parallelism makes the peak scale with the
-      // worker count.  Process shards in waves sized so the widest
-      // possible wave of working sets fits memory_cap_bytes (floor: one
-      // shard).  Slots are indexed, so waves do not affect the result.
-      std::size_t wave = plan.members.size();
-      if (options.memory_cap_bytes > 0) {
-        std::size_t max_ws = 1;
-        for (const std::vector<int>& members : plan.members) {
-          const std::size_t ws =
-              panel_bytes(members.size(), source.params()) +
-              panel_bytes(members.size(), members.size());
-          max_ws = std::max(max_ws, ws);
+    folded = basis.size();
+    if (result.passes++ == 0) {
+      const double max_d0 = *std::max_element(d.begin(), d.end());
+      if (!(max_d0 > 0.0)) {
+        throw std::invalid_argument("select_paths_sharded: all-zero pool");
+      }
+      floor_tol = max_d0 * static_cast<double>(std::max(n, m)) *
+                  std::numeric_limits<double>::epsilon() * 16.0;
+    }
+    result.union_paths += refill_cache(source, d, state, capacity, cache);
+
+    // Exact greedy on the cache.  Right after a pass every d_i is exact;
+    // later, a cached residual is the pool maximum only while it beats the
+    // stale bounds outside the cache.
+    for (bool fresh = true;; fresh = false) {
+      std::size_t best = cache.ids.size();
+      for (std::size_t s = 0; s < cache.ids.size(); ++s) {
+        const auto id = static_cast<std::size_t>(cache.ids[s]);
+        if (state[id] & kSelected) continue;
+        if (best == cache.ids.size() ||
+            d[id] > d[static_cast<std::size_t>(cache.ids[best])]) {
+          best = s;
         }
-        wave = std::max<std::size_t>(1, options.memory_cap_bytes / max_ws);
       }
-      for (std::size_t start = 0; start < plan.members.size(); start += wave) {
-        const std::size_t stop =
-            std::min(start + wave, plan.members.size());
-        util::parallel_for(
-            start, stop, 1, [&](std::size_t lo, std::size_t hi) {
-              for (std::size_t s = lo; s < hi; ++s) {
-                slots[s] = select_one_shard(source, plan.members[s],
-                                            plan.weight[s], t_cons,
-                                            shard_opts, &budget);
-              }
-            });
-      }
-    }
-    if (level == 0) {
-      result.shards = plan.members.size();
-      result.shard_stats.reserve(slots.size());
-      for (const ShardSelection& slot : slots) {
-        result.shard_stats.push_back(slot.stats);
-      }
-    }
-    std::vector<int> merged;
-    for (const ShardSelection& slot : slots) {
-      merged.insert(merged.end(), slot.representatives.begin(),
-                    slot.representatives.end());
-    }
-    std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    ++level;
-    const bool shrank = merged.size() < pool.size();
-    pool = std::move(merged);
-    if (!shrank) break;  // selection saturated; recursing again cannot help
-    if (pool.size() <= options.merge_pool_cap) break;
-  }
-  result.levels = level;
-  result.union_paths = pool.size();
-
-  // Final monolithic selection over the (now small) pool at full tolerance.
-  {
-    util::telemetry::Span span("core.shard.merge");
-    if (pool.size() == 1) {
-      result.representatives = pool;
-    } else {
-      PanelLease lease;
-      const linalg::Matrix a_u = leased_panel(source, pool, &budget, lease);
-      PanelLease gram_lease(&budget, panel_bytes(a_u.rows(), a_u.rows()));
-      const linalg::Matrix w = linalg::gram(a_u);
-      const SubsetSelector selector(a_u, w);
-      const PathSelectionResult sel =
-          select_representative_paths(selector, w, t_cons, options.selection);
-      result.representatives.reserve(sel.representatives.size());
-      for (int local : sel.representatives) {
-        result.representatives.push_back(pool[static_cast<std::size_t>(local)]);
-      }
-      std::sort(result.representatives.begin(), result.representatives.end());
-    }
-  }
-
-  // VERIFY + batched repair against the full pool.
-  {
-    util::telemetry::Span span("core.shard.verify");
-    std::size_t blocks = 0;
-    for (std::size_t round = 0;; ++round) {
-      VerifyOutcome verdict = verify_selection(
-          source, result.representatives, t_cons, options.selection.kappa,
-          options.selection.epsilon, options.block_rows, &budget);
-      blocks += verdict.blocks;
-      result.eps_r = verdict.eps_r;
-      if (verdict.violators.empty()) {
-        result.tolerance_met = true;
+      if (best == cache.ids.size()) {
+        // Nothing left to price: every path is selected.
+        done = cache.bound_out == -std::numeric_limits<double>::infinity();
+        max_residual = 0.0;
         break;
       }
-      if (round >= options.max_repair_rounds ||
-          result.representatives.size() >= n) {
-        result.tolerance_met = false;
+      const auto id = static_cast<std::size_t>(cache.ids[best]);
+      if (!fresh && !(d[id] > cache.bound_out)) break;  // needs a pass
+      max_residual = std::max(d[id], 0.0);
+      const double eps = kappa * std::sqrt(max_residual) / t_cons;
+      if ((result.representatives.size() >= min_r && eps <= epsilon) ||
+          d[id] <= floor_tol) {
+        done = true;
         break;
       }
-      // Promote the worst offenders (error-descending, id tie-break) in one
-      // batch; the next round re-verifies with them included.
-      std::sort(verdict.violators.begin(), verdict.violators.end(),
-                [](const std::pair<double, int>& a,
-                   const std::pair<double, int>& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-      const std::size_t take =
-          std::min<std::size_t>(options.max_promotions_per_round,
-                                verdict.violators.size());
-      for (std::size_t j = 0; j < take; ++j) {
-        result.representatives.push_back(verdict.violators[j].second);
+      basis.add(cache.rows.row(best));
+      state[id] |= kSelected;
+      result.representatives.push_back(static_cast<int>(id));
+      const std::size_t k = basis.size() - 1;
+      for (std::size_t s = 0; s < cache.ids.size(); ++s) {
+        const auto other = static_cast<std::size_t>(cache.ids[s]);
+        if (state[other] & kSelected) continue;
+        basis.fold(k, k + 1, cache.rows.row(s).data(), d[other]);
       }
-      std::sort(result.representatives.begin(), result.representatives.end());
-      result.repair_promotions += take;
-      ++result.repair_rounds;
     }
-    util::telemetry::count("core.shard.blocks_streamed", blocks);
   }
 
+  std::sort(result.representatives.begin(), result.representatives.end());
+  result.eps_r = kappa * std::sqrt(max_residual) / t_cons;
+  result.tolerance_met = result.eps_r <= epsilon;
   result.peak_panel_bytes = budget.peak();
-  util::telemetry::count("core.shard.shards", result.shards);
+  util::telemetry::count("core.shard.passes", result.passes);
   util::telemetry::count("core.shard.union_paths", result.union_paths);
-  util::telemetry::count("core.shard.levels", result.levels);
-  util::telemetry::count("core.shard.repair_promotions",
-                         result.repair_promotions);
   util::telemetry::set_gauge("core.shard.peak_panel_bytes",
                              static_cast<double>(result.peak_panel_bytes));
   util::telemetry::set_gauge("core.shard.eps_r", result.eps_r);

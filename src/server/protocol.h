@@ -88,9 +88,11 @@ struct SessionConfig {
   std::uint32_t max_target_paths = 0;
   std::uint32_t max_candidates = 0;
   std::uint32_t yield_samples = 0;
-  // > 1 routes selection through the sharded out-of-core pipeline
-  // (core::select_paths_sharded) with this level-0 shard count; 0/1 = the
-  // monolithic route.  Bounded by ServerOptions::max_shards.
+  // > 1 routes selection through the streamed greedy kernel
+  // (core::select_paths_sharded); 0/1 = the monolithic route.  The kernel
+  // partitions nothing, so the count itself is unused: the field, its place
+  // in the cache key and the ServerOptions::max_shards admission check stay
+  // for protocol compatibility.
   std::uint32_t num_shards = 0;
 
   std::string cache_key() const;

@@ -144,13 +144,9 @@ std::shared_ptr<Session> build_session(const SessionConfig& cfg,
   opt.strategy = static_cast<core::SelectionStrategy>(cfg.strategy);
   opt.min_r = cfg.min_r;
   if (cfg.num_shards > 1) {
-    // Sharded out-of-core route (DESIGN.md §14): partition the pool, select
-    // per shard, verify/repair globally.  The pool here is in memory
-    // already, so this is the service's capacity escape hatch for configs
-    // whose dense Gram would not fit — and the protocol surface for
-    // operating the pipeline remotely.
+    // Streamed route (DESIGN.md §14): the exact greedy kernel, which needs
+    // no Gram of its own.  The shard count only selects this route.
     core::ShardedSelectionOptions sopt;
-    sopt.num_shards = cfg.num_shards;
     sopt.selection = opt;
     const core::MatrixPanelSource source(a);
     const core::ShardedSelectionResult sharded = core::select_paths_sharded(

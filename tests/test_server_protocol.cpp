@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/path_selection.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "util/json.h"
@@ -225,6 +226,23 @@ TEST(ServerLimits, OversizedOpensRejectedStructurallyAndShardedRouteWorks) {
   std::vector<double> predicted;
   EXPECT_TRUE(client.predict(info.session, measured, predicted));
   EXPECT_EQ(predicted.size(), info.n_rem);
+
+  // The sharded route runs the exact streamed greedy kernel, so under the
+  // greedy-sweep strategy it measures the monolithic session's paths.
+  SessionConfig greedy = small_config();
+  greedy.strategy =
+      static_cast<std::uint8_t>(core::SelectionStrategy::kGreedySweep);
+  SessionInfo greedy_mono;
+  ASSERT_TRUE(client.open_session(greedy, greedy_mono)) <<
+      client.last_error_message();
+  greedy.num_shards = 3;
+  SessionInfo greedy_sharded;
+  ASSERT_TRUE(client.open_session(greedy, greedy_sharded)) <<
+      client.last_error_message();
+  EXPECT_NE(greedy_sharded.session, greedy_mono.session);
+  std::vector<std::int32_t> expected = greedy_mono.representatives;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(greedy_sharded.representatives, expected);
 
   server.stop();
 }

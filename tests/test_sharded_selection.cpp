@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/error_model.h"
@@ -16,6 +16,8 @@
 
 namespace repro::core {
 namespace {
+
+constexpr double kTcons = 2000.0;
 
 linalg::Matrix random_matrix(std::size_t r, std::size_t c,
                              std::uint64_t seed) {
@@ -44,13 +46,16 @@ linalg::Matrix correlated_rows(std::size_t n, std::size_t m, std::size_t k,
   return a;
 }
 
-std::vector<double> synthetic_gate_counts(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<double> w(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    w[i] = static_cast<double>(8 + rng.uniform_index(40));
-  }
-  return w;
+ShardedSelectionOptions greedy_options(double epsilon) {
+  ShardedSelectionOptions opt;
+  opt.selection.epsilon = epsilon;
+  opt.selection.strategy = SelectionStrategy::kGreedySweep;
+  return opt;
+}
+
+std::vector<int> ascending(std::vector<int> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 TEST(PanelSource, MatrixSourceFillsRequestedRows) {
@@ -67,40 +72,24 @@ TEST(PanelSource, MatrixSourceFillsRequestedRows) {
       EXPECT_EQ(panel(k, j), a(static_cast<std::size_t>(ids[k]), j));
     }
   }
-  EXPECT_EQ(source.path_weight(3), 1.0);
 
   const std::vector<int> bad = {10};
   linalg::Matrix one(1, 4);
   EXPECT_THROW(source.fill_rows(bad, one), std::out_of_range);
 }
 
-TEST(PanelSource, MatrixSourceWeightsBackGatePolicy) {
-  const linalg::Matrix a = random_matrix(5, 3, 9);
-  const std::vector<double> weights = {1, 2, 3, 4, 5};
-  const MatrixPanelSource source(a, weights);
-  EXPECT_EQ(source.path_weight(0), 1.0);
-  EXPECT_EQ(source.path_weight(4), 5.0);
-  EXPECT_THROW(source.path_weight(5), std::out_of_range);
-  EXPECT_THROW(MatrixPanelSource(a, std::vector<double>(3, 1.0)),
-               std::invalid_argument);
-}
-
 TEST(PanelSource, FunctionSourceGeneratesRowsOnDemand) {
   const linalg::Matrix a = random_matrix(12, 5, 11);
-  const FunctionPanelSource source(
-      12, 5,
-      [&](int id, std::span<double> row) {
-        const auto src = a.row(static_cast<std::size_t>(id));
-        std::copy(src.begin(), src.end(), row.begin());
-      },
-      [](int id) { return 1.0 + id; });
+  const FunctionPanelSource source(12, 5, [&](int id, std::span<double> row) {
+    const auto src = a.row(static_cast<std::size_t>(id));
+    std::copy(src.begin(), src.end(), row.begin());
+  });
 
   const std::vector<int> ids = {11, 2};
   linalg::Matrix panel(2, 5);
   source.fill_rows(ids, panel);
   EXPECT_EQ(panel(0, 0), a(11, 0));
   EXPECT_EQ(panel(1, 4), a(2, 4));
-  EXPECT_EQ(source.path_weight(3), 4.0);
 
   linalg::Matrix wrong(2, 4);
   if (util::contracts_enabled()) {
@@ -125,238 +114,138 @@ TEST(PanelSource, BudgetTracksPeakAcrossLeases) {
   EXPECT_EQ(budget.peak(), 150u);
 }
 
-TEST(ShardPlan, PartitionsPoolExactlyOnce) {
-  const linalg::Matrix a = correlated_rows(600, 24, 6, 0.1, 31);
-  const MatrixPanelSource source(a);
-  std::vector<int> pool(a.rows());
-  std::iota(pool.begin(), pool.end(), 0);
-
-  ShardedSelectionOptions opt;
-  opt.num_shards = 5;
-  const ShardPlan plan = plan_shards(source, pool, opt);
-  EXPECT_EQ(plan.members.size(), 5u);
-  EXPECT_GE(plan.clusters_used, 1u);
-
-  std::vector<int> covered;
-  for (const auto& shard : plan.members) {
-    EXPECT_FALSE(shard.empty());
-    EXPECT_TRUE(std::is_sorted(shard.begin(), shard.end()));
-    covered.insert(covered.end(), shard.begin(), shard.end());
+// The streamed kernel is the monolithic greedy sweep, not an approximation
+// of it: the same set and the same eps_r, on tall pools and on a wide one.
+TEST(ShardedSelection, ExactParityWithMonolithicGreedySweep) {
+  struct Pool {
+    linalg::Matrix a;
+    double epsilon;
+  };
+  std::vector<Pool> pools;
+  for (const std::uint64_t seed : {101u, 202u, 303u}) {
+    pools.push_back({correlated_rows(1200, 40, 10, 0.05, seed), 2e-3});
   }
-  std::sort(covered.begin(), covered.end());
-  EXPECT_EQ(covered, pool);
+  pools.push_back({correlated_rows(150, 200, 12, 0.05, 404), 4e-3});  // m > n
+
+  for (const Pool& pool : pools) {
+    SCOPED_TRACE(pool.a.shape_string());
+    ShardedSelectionOptions opt = greedy_options(pool.epsilon);
+    opt.block_rows = 256;  // several passes on every pool
+    const PathSelectionResult mono =
+        select_representative_paths(pool.a, kTcons, opt.selection);
+    const ShardedSelectionResult streamed =
+        select_paths_sharded(MatrixPanelSource(pool.a), kTcons, opt);
+
+    EXPECT_GT(streamed.representatives.size(), 1u);
+    EXPECT_EQ(streamed.representatives, ascending(mono.representatives));
+    EXPECT_NEAR(streamed.eps_r, mono.eps_r, 1e-9 * mono.eps_r);
+    EXPECT_TRUE(streamed.tolerance_met);
+    EXPECT_EQ(streamed.repair_promotions, 0u);
+  }
 }
 
-TEST(ShardPlan, DeterministicFromSeedAndIndependentOfThreads) {
-  const linalg::Matrix a = correlated_rows(500, 20, 5, 0.1, 37);
+// Lazy greedy is exact, so neither the worker count nor the cache size
+// (block_rows) can change a single bit of the result.
+TEST(ShardedSelection, BitIdenticalAcrossThreadsAndBlockRows) {
+  const linalg::Matrix a = correlated_rows(3000, 24, 8, 0.05, 61);
   const MatrixPanelSource source(a);
-  std::vector<int> pool(a.rows());
-  std::iota(pool.begin(), pool.end(), 0);
+  ShardedSelectionOptions opt = greedy_options(2e-3);
 
-  ShardedSelectionOptions opt;
-  opt.num_shards = 4;
   const std::size_t saved = util::thread_count();
   util::set_threads(1);
-  const ShardPlan p1 = plan_shards(source, pool, opt);
-  util::set_threads(4);
-  const ShardPlan p2 = plan_shards(source, pool, opt);
-  util::set_threads(saved);
-  EXPECT_EQ(p1.members, p2.members);
-  EXPECT_EQ(p1.weight, p2.weight);
-
-  ShardedSelectionOptions other = opt;
-  other.seed = opt.seed + 1;
-  const ShardPlan p3 = plan_shards(source, pool, other);
-  EXPECT_NE(p1.members, p3.members);  // different seed, different k-means
-}
-
-TEST(ShardPlan, GateBalancedPolicyBalancesWeightNotCount) {
-  const std::size_t n = 800;
-  const linalg::Matrix a = correlated_rows(n, 24, 6, 0.1, 41);
-  const std::vector<double> gates = synthetic_gate_counts(n, 42);
-  const MatrixPanelSource source(a, gates);
-  std::vector<int> pool(n);
-  std::iota(pool.begin(), pool.end(), 0);
-
-  ShardedSelectionOptions opt;
-  opt.num_shards = 6;
-  opt.policy = ShardPolicy::kGateBalanced;
-  const ShardPlan plan = plan_shards(source, pool, opt);
-  ASSERT_EQ(plan.members.size(), 6u);
-
-  // Greedy heaviest-first packing bounds the spread by the largest chunk
-  // weight; with ~133-path chunks and weights in [8, 47] the shard weights
-  // must stay comfortably balanced.
-  const auto [lo, hi] =
-      std::minmax_element(plan.weight.begin(), plan.weight.end());
-  EXPECT_GT(*lo, 0.0);
-  EXPECT_LT(*hi / *lo, 2.0);
-  for (std::size_t s = 0; s < plan.members.size(); ++s) {
-    double sum = 0.0;
-    for (int id : plan.members[s]) sum += gates[static_cast<std::size_t>(id)];
-    EXPECT_DOUBLE_EQ(sum, plan.weight[s]);
+  opt.block_rows = 8192;
+  const ShardedSelectionResult ref = select_paths_sharded(source, kTcons, opt);
+  EXPECT_EQ(ref.passes, 1u);  // the cache holds the whole pool
+  for (const std::size_t threads : {1u, 4u}) {
+    util::set_threads(threads);
+    for (const std::size_t block : {64u, 512u, 8192u}) {
+      opt.block_rows = block;
+      const ShardedSelectionResult r = select_paths_sharded(source, kTcons, opt);
+      EXPECT_EQ(r.representatives, ref.representatives)
+          << threads << " threads, block_rows " << block;
+      EXPECT_EQ(r.eps_r, ref.eps_r)  // bitwise, not approximate
+          << threads << " threads, block_rows " << block;
+    }
   }
+  util::set_threads(saved);
 }
 
-TEST(ShardedSelection, MeetsGlobalToleranceOnCorrelatedPool) {
+TEST(ShardedSelection, EpsAgreesWithSelectionErrors) {
   const linalg::Matrix a = correlated_rows(900, 32, 8, 0.05, 51);
-  const MatrixPanelSource source(a);
+  ShardedSelectionOptions opt = greedy_options(2e-3);
+  opt.block_rows = 128;
+  const ShardedSelectionResult r =
+      select_paths_sharded(MatrixPanelSource(a), kTcons, opt);
 
-  ShardedSelectionOptions opt;
-  opt.num_shards = 4;
-  opt.selection.epsilon = 0.05;
-  opt.selection.strategy = SelectionStrategy::kGreedySweep;
-  const double t_cons = 2000.0;
-  const ShardedSelectionResult r = select_paths_sharded(source, t_cons, opt);
-
+  EXPECT_GT(r.passes, 1u);
   EXPECT_TRUE(r.tolerance_met);
   EXPECT_LE(r.eps_r, opt.selection.epsilon);
-  EXPECT_EQ(r.shards, 4u);
-  EXPECT_EQ(r.shard_stats.size(), 4u);
   EXPECT_GE(r.union_paths, r.representatives.size());
-  EXPECT_GT(r.peak_panel_bytes, 0u);
   EXPECT_TRUE(std::is_sorted(r.representatives.begin(),
                              r.representatives.end()));
   EXPECT_EQ(std::adjacent_find(r.representatives.begin(),
                                r.representatives.end()),
             r.representatives.end());
 
-  // The streamed verifier must agree with the reference error model.
   const SelectionErrors check =
-      selection_errors(a, r.representatives, t_cons, opt.selection.kappa);
-  EXPECT_NEAR(r.eps_r, check.eps_r, 1e-8 + 1e-6 * check.eps_r);
+      selection_errors(a, r.representatives, kTcons, opt.selection.kappa);
+  EXPECT_NEAR(r.eps_r, check.eps_r, 1e-9 * check.eps_r);
 }
 
-TEST(ShardedSelection, BitIdenticalAcrossThreadCounts) {
-  const linalg::Matrix a = correlated_rows(700, 28, 6, 0.08, 61);
-  const MatrixPanelSource source(a);
+TEST(ShardedSelection, HonorsMinR) {
+  const linalg::Matrix a = correlated_rows(600, 24, 6, 0.05, 71);
+  ShardedSelectionOptions opt = greedy_options(0.05);
+  const ShardedSelectionResult loose =
+      select_paths_sharded(MatrixPanelSource(a), kTcons, opt);
 
-  ShardedSelectionOptions opt;
-  opt.num_shards = 5;
-  opt.selection.epsilon = 0.04;
-  const std::size_t saved = util::thread_count();
-  util::set_threads(1);
-  const ShardedSelectionResult r1 = select_paths_sharded(source, 2000.0, opt);
-  util::set_threads(4);
-  const ShardedSelectionResult r4 = select_paths_sharded(source, 2000.0, opt);
-  util::set_threads(saved);
-
-  EXPECT_EQ(r1.representatives, r4.representatives);
-  EXPECT_EQ(r1.eps_r, r4.eps_r);  // bitwise, not approximate
-  EXPECT_EQ(r1.union_paths, r4.union_paths);
-  EXPECT_EQ(r1.repair_promotions, r4.repair_promotions);
-  EXPECT_EQ(r1.shards, r4.shards);
+  opt.selection.min_r = loose.representatives.size() + 5;
+  const ShardedSelectionResult forced =
+      select_paths_sharded(MatrixPanelSource(a), kTcons, opt);
+  EXPECT_EQ(forced.representatives.size(), opt.selection.min_r);
+  EXPECT_LE(forced.eps_r, loose.eps_r);
+  const PathSelectionResult mono =
+      select_representative_paths(a, kTcons, opt.selection);
+  EXPECT_EQ(forced.representatives, ascending(mono.representatives));
 }
 
-TEST(ShardedSelection, RecursiveMergeBoundsPanelMemory) {
-  // Pool big enough to force at least one recursive merge level with a
-  // small cap; peak resident panel bytes must stay far below the dense
-  // matrix the monolithic route would build (n^2 Gram).
-  const std::size_t n = 3000;
-  const linalg::Matrix a = correlated_rows(n, 24, 6, 0.05, 71);
-  const MatrixPanelSource source(a);
-
-  ShardedSelectionOptions opt;
-  opt.target_shard_paths = 500;
-  opt.merge_pool_cap = 600;
-  opt.block_rows = 512;
-  opt.selection.epsilon = 0.05;
-  const ShardedSelectionResult r = select_paths_sharded(source, 2000.0, opt);
-
-  EXPECT_TRUE(r.tolerance_met);
-  EXPECT_GE(r.levels, 1u);
-  EXPECT_LE(r.union_paths, opt.merge_pool_cap);
-  const std::size_t dense_gram_bytes = n * n * sizeof(double);
-  EXPECT_LT(r.peak_panel_bytes, dense_gram_bytes / 4);
-}
-
-TEST(ShardedSelection, MemoryCapBoundsConcurrentShardLeases) {
-  // Without a cap, every pool worker leases a shard working set (fill panel
-  // + Gram) at once, so the peak scales with the thread count.  With
-  // memory_cap_bytes set, the SELECT phase runs in waves and the peak must
-  // stay near one wave's worth regardless of workers — and the result must
-  // be bitwise unchanged (waves only sequence the indexed slots).
-  const std::size_t n = 2000;
+// Every allocation that grows with n or with the blocks in flight is leased,
+// and memory_cap_bytes bounds the blocks in flight without changing the
+// answer.
+TEST(ShardedSelection, LeasesCoverResidualsAndStayUnderCap) {
+  const std::size_t n = 20000;
   const std::size_t m = 16;
+  const std::size_t block = 512;
   const linalg::Matrix a = correlated_rows(n, m, 6, 0.05, 81);
   const MatrixPanelSource source(a);
-
-  ShardedSelectionOptions opt;
-  opt.num_shards = 4;  // explicit: the pool fits merge_pool_cap on its own
-  opt.block_rows = 512;
-  opt.selection.epsilon = 0.05;
-  const std::size_t shard_ws =
-      panel_bytes(500, m) + panel_bytes(500, 500);  // one working set
+  ShardedSelectionOptions opt = greedy_options(2e-3);
+  opt.block_rows = block;
 
   const std::size_t saved = util::thread_count();
   util::set_threads(4);
-  const ShardedSelectionResult loose = select_paths_sharded(source, 2000.0, opt);
-  opt.memory_cap_bytes = shard_ws + shard_ws / 2;  // room for exactly one
+  const ShardedSelectionResult loose = select_paths_sharded(source, kTcons, opt);
+  // The residual state plus four block panels: after the candidate cache
+  // (about one panel) only two blocks fit in flight, not four.
+  opt.memory_cap_bytes =
+      n * (sizeof(double) + 1) + 4 * (panel_bytes(block, m) + block * 4);
   const ShardedSelectionResult capped =
-      select_paths_sharded(source, 2000.0, opt);
+      select_paths_sharded(source, kTcons, opt);
   util::set_threads(saved);
 
   EXPECT_EQ(capped.representatives, loose.representatives);
   EXPECT_EQ(capped.eps_r, loose.eps_r);  // bitwise
-  EXPECT_EQ(capped.shards, loose.shards);
-  // One shard working set plus the serial plan/verify streaming overhead
-  // (sample panel, assignment blocks, representative panel + cross blocks).
-  const std::size_t stream_slack = panel_bytes(n, m) + (1u << 20);
-  EXPECT_LE(capped.peak_panel_bytes, shard_ws + stream_slack);
+  EXPECT_GE(capped.peak_panel_bytes, n * sizeof(double));
+  EXPECT_LE(capped.peak_panel_bytes, opt.memory_cap_bytes);
   EXPECT_GE(loose.peak_panel_bytes, capped.peak_panel_bytes);
-}
-
-// Satellite: sharded-then-repaired quality must stay within a pinned factor
-// of the monolithic greedy sweep, across seeds and both shard policies.
-TEST(ShardedSelection, QualityParityWithMonolithicAcrossSeedsAndPolicies) {
-  constexpr double kSizeFactor = 2.0;  // pinned parity factor
-  const double t_cons = 2000.0;
-  for (const std::uint64_t seed : {101u, 202u, 303u}) {
-    const std::size_t n = 1200;
-    const linalg::Matrix a = correlated_rows(n, 40, 10, 0.05, seed);
-    const std::vector<double> gates = synthetic_gate_counts(n, seed + 7);
-
-    PathSelectionOptions mono_opt;
-    mono_opt.strategy = SelectionStrategy::kGreedySweep;
-    mono_opt.epsilon = 0.05;
-    const PathSelectionResult mono =
-        select_representative_paths(a, t_cons, mono_opt);
-    EXPECT_LE(mono.eps_r, mono_opt.epsilon);
-
-    for (const ShardPolicy policy :
-         {ShardPolicy::kPathBalanced, ShardPolicy::kGateBalanced}) {
-      const MatrixPanelSource source(a, gates);
-      ShardedSelectionOptions opt;
-      opt.policy = policy;
-      opt.num_shards = 4;
-      opt.selection = mono_opt;
-      const ShardedSelectionResult sharded =
-          select_paths_sharded(source, t_cons, opt);
-
-      EXPECT_TRUE(sharded.tolerance_met)
-          << "seed " << seed << " policy " << static_cast<int>(policy);
-      // eps parity: the repaired global error may not exceed the pinned
-      // factor of the monolithic error (or the tolerance itself, whichever
-      // is larger — monolithic eps can sit at a rank cliff near zero).
-      EXPECT_LE(sharded.eps_r,
-                std::max(kSizeFactor * mono.eps_r, mono_opt.epsilon));
-      // size parity: sharding may buy its memory bound with extra
-      // representatives, but only up to the pinned factor.
-      EXPECT_LE(sharded.representatives.size(),
-                static_cast<std::size_t>(
-                    kSizeFactor *
-                    static_cast<double>(mono.representatives.size())) +
-                    1);
-    }
-  }
 }
 
 TEST(ShardedSelection, RejectsDegenerateInputs) {
   const linalg::Matrix a = random_matrix(4, 3, 5);
   const MatrixPanelSource source(a);
   EXPECT_THROW(select_paths_sharded(source, 0.0, {}), std::invalid_argument);
-  std::vector<int> empty;
-  EXPECT_THROW(plan_shards(source, empty, {}), std::invalid_argument);
+  EXPECT_THROW(select_paths_sharded(source, -1.0, {}), std::invalid_argument);
+  const linalg::Matrix zeros(6, 3);
+  EXPECT_THROW(select_paths_sharded(MatrixPanelSource(zeros), kTcons, {}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -94,9 +94,9 @@ struct Options {
   std::vector<std::string> simd_dirs = {"src/linalg/simd/"};
   // `hot-path-alloc` scope: files under these substrings, plus functions
   // whose simple or qualified name matches an entry below.  The panel-source
-  // fill_rows implementations are the per-shard inner loops of the sharded
-  // selection pipeline (core/panel_source.h documents the no-allocation
-  // contract); listing them here makes a silent allocation a lint failure.
+  // fill_rows implementations are the inner loop of the streamed selection
+  // pass (core/panel_source.h documents the no-allocation contract);
+  // listing them here makes a silent allocation a lint failure.
   std::vector<std::string> hot_alloc_dirs = {"src/linalg/simd/"};
   std::vector<std::string> hot_alloc_functions = {
       "gemm_packed", "MatrixPanelSource::fill_rows",
