@@ -8,6 +8,7 @@
 // route aims the pivots at the dominant subspace; the greedy route is
 // factorization-cheap but slightly less targeted at small r.
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/benchmarks.h"
@@ -38,11 +39,13 @@ int main(int argc, char** argv) {
     const linalg::Matrix gram = linalg::gram(a);
     const core::SubsetSelector selector(a, gram);  // Gram route: both methods
     const std::size_t rank = selector.rank();
+    const std::vector<int>& order = selector.greedy_order(gram);
     for (double frac : {0.02, 0.05, 0.1, 0.2, 0.4}) {
       const std::size_t r = std::max<std::size_t>(
           1, static_cast<std::size_t>(frac * static_cast<double>(rank)));
       const auto alg2 = selector.select(r);
-      const auto greedy = selector.select_greedy(r);
+      const std::vector<int> greedy(
+          order.begin(), order.begin() + static_cast<std::ptrdiff_t>(r));
       const core::SelectionErrors e2 = core::selection_errors_from_gram(
           gram, alg2, e.t_cons_ps(), 3.0);
       const core::SelectionErrors eg = core::selection_errors_from_gram(

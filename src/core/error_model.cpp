@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -22,22 +21,21 @@ namespace {
 // reduction pattern).
 constexpr std::size_t kChunk = 512;
 
-// Validates rep/order indices against an n-path Gram and returns the
-// is-member mask.  Shared by the single-selection and sweep entry points.
-std::vector<char> member_mask(std::size_t n, const std::vector<int>& rep,
-                              const char* what) {
+// Validates rep indices against an n-path Gram and returns the is-member
+// mask.
+std::vector<char> member_mask(std::size_t n, const std::vector<int>& rep) {
   std::vector<char> mask(n, 0);
   for (int i : rep) {
     if (i < 0 || static_cast<std::size_t>(i) >= n) {
-      throw std::out_of_range(std::string(what) + ": rep index");
+      throw std::out_of_range("selection_errors: rep index");
     }
     // A duplicate representative makes S = W[rep, rep] exactly singular;
     // the regularized Cholesky would absorb that silently and return wrong
     // per-path sigmas, so reject it up front.
     if (mask[static_cast<std::size_t>(i)]) {
-      throw std::invalid_argument(std::string(what) +
-                                  ": duplicate representative index " +
-                                  std::to_string(i));
+      throw std::invalid_argument(
+          "selection_errors: duplicate representative index " +
+          std::to_string(i));
     }
     mask[static_cast<std::size_t>(i)] = 1;
   }
@@ -55,7 +53,7 @@ SelectionErrors selection_errors_from_gram(const linalg::Matrix& gram,
   const util::telemetry::Span span("core.error_model");
   const std::size_t n = gram.rows();
   SelectionErrors out;
-  const std::vector<char> is_rep = member_mask(n, rep, "selection_errors");
+  const std::vector<char> is_rep = member_mask(n, rep);
   for (std::size_t i = 0; i < n; ++i) {
     if (!is_rep[i]) out.remaining.push_back(static_cast<int>(i));
   }
@@ -126,97 +124,6 @@ SelectionErrors selection_errors_from_gram(const linalg::Matrix& gram,
   // counted after the parallel region per the parallel-telemetry lint.
   util::telemetry::count("core.error_model.calls");
   util::telemetry::count("core.error_model.panel_allocs");
-  return out;
-}
-
-SelectionErrorSweep selection_error_sweep(const linalg::Matrix& gram,
-                                          const std::vector<int>& order,
-                                          double t_cons, double kappa,
-                                          std::size_t max_r) {
-  REPRO_CHECK_DIM(gram.rows(), gram.cols(),
-                  "selection_error_sweep: square Gram matrix");
-  if (gram.rows() != gram.cols()) {
-    throw std::invalid_argument("selection_error_sweep: Gram " +
-                                gram.shape_string() + " not square");
-  }
-  if (t_cons <= 0.0) {
-    throw std::invalid_argument("selection_error_sweep: t_cons");
-  }
-  const std::size_t n = gram.rows();
-  member_mask(n, order, "selection_error_sweep");  // validate, mask unused
-  const std::size_t steps =
-      (max_r == 0) ? order.size() : std::min(order.size(), max_r);
-
-  const util::telemetry::Span span("core.error_model.sweep");
-  SelectionErrorSweep out;
-  out.steps = steps;
-  out.max_wc.resize(steps);
-  out.eps_r.resize(steps);
-  if (steps == 0) return out;
-
-  // Left-looking Cholesky along the fixed order: d holds the running
-  // Schur-complement diagonal (the per-path residual variances), lfac row i
-  // holds path i's elimination coefficients.  Pivots whose residual diagonal
-  // has fallen below the rank floor (same floor as pivoted_cholesky's
-  // default stop) contribute no elimination column — the selection gains a
-  // numerically redundant representative, which changes no variance.
-  linalg::Vector d(n);
-  double maxdiag0 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    d[i] = gram(i, i);
-    maxdiag0 = std::max(maxdiag0, std::abs(d[i]));
-  }
-  const double floor_tol = maxdiag0 * static_cast<double>(n) *
-                           std::numeric_limits<double>::epsilon() * 16.0;
-  linalg::Matrix lfac(n, steps);
-  std::vector<char> in_prefix(n, 0);
-  const std::size_t nchunks = (n + kChunk - 1) / kChunk;
-  std::vector<double> part_max(nchunks);
-
-  for (std::size_t k = 0; k < steps; ++k) {
-    const auto p = static_cast<std::size_t>(order[k]);
-    const bool extend = d[p] > floor_tol;
-    const double ljj = extend ? std::sqrt(d[p]) : 0.0;
-    in_prefix[p] = 1;
-    // One fused pass per chunk: elimination-column entry, diagonal
-    // downdate, and the local residual max.  Each path's arithmetic is
-    // independent and each chunk writes disjoint state plus its own max
-    // slot, so the sweep is bit-identical for any thread count.
-    const double* lp = lfac.row(p).data();
-    const auto step_chunks = [&](std::size_t cb, std::size_t ce) {
-      for (std::size_t ci = cb; ci < ce; ++ci) {
-        const std::size_t ie = std::min(n, (ci + 1) * kChunk);
-        double local_max = 0.0;
-        for (std::size_t i = ci * kChunk; i < ie; ++i) {
-          if (extend) {
-            const double* li = lfac.row(i).data();
-            double v = gram(i, p);
-            for (std::size_t t = 0; t < k; ++t) v -= li[t] * lp[t];
-            const double lik = v / ljj;
-            lfac(i, k) = lik;
-            d[i] -= lik * lik;
-          }
-          if (!in_prefix[i]) {
-            local_max = std::max(local_max, std::max(d[i], 0.0));
-          }
-        }
-        part_max[ci] = local_max;
-      }
-    };
-    if (util::thread_count() <= 1 || nchunks <= 1 || n * (k + 1) < 65536) {
-      step_chunks(0, nchunks);
-    } else {
-      util::parallel_for(0, nchunks, 1, step_chunks);
-    }
-    double var_max = 0.0;
-    for (std::size_t ci = 0; ci < nchunks; ++ci) {
-      var_max = std::max(var_max, part_max[ci]);
-    }
-    out.max_wc[k] = kappa * std::sqrt(var_max);
-    out.eps_r[k] = out.max_wc[k] / t_cons;
-  }
-  util::telemetry::count("core.error_model.sweep.calls");
-  util::telemetry::count("core.error_model.sweep.steps", steps);
   return out;
 }
 

@@ -17,13 +17,9 @@
 // variance reduction is a chunked deterministic parallel_for (bit-identical
 // for any thread count).  Algorithm 1 evaluates dozens of candidate r
 // values; this identity is what makes that loop fast at the paper's scale.
-//
-// For a FIXED nested selection order (the greedy pivoted-Cholesky route),
-// selection_error_sweep goes further: it extends one Cholesky factor
-// row-by-row along the order and reads every prefix's residual variances off
-// the running Schur-complement diagonal, producing eps_r for ALL r in
-// [1, rank] in a single O(n * rank^2) pass — the same total cost as
-// evaluating just the single largest candidate the old way.
+// (The greedy route needs none of it to choose r: its pivoted Cholesky
+// already holds every prefix's worst residual, see
+// SubsetSelector::greedy_sigma.)
 #pragma once
 
 #include <vector>
@@ -50,31 +46,6 @@ SelectionErrors selection_errors_from_gram(const linalg::Matrix& gram,
 SelectionErrors selection_errors(const linalg::Matrix& a,
                                  const std::vector<int>& rep, double t_cons,
                                  double kappa);
-
-// Selection errors for every prefix of a fixed selection order.
-// max_wc[k] / eps_r[k] describe the selection {order[0], ..., order[k]},
-// i.e. r = k + 1 representatives.
-struct SelectionErrorSweep {
-  std::vector<double> max_wc;  // per-prefix max_i kappa * sigma_i (ps)
-  std::vector<double> eps_r;   // per-prefix max_wc / Tcons
-  std::size_t steps = 0;       // prefixes evaluated (== eps_r.size())
-};
-
-// Prefix-sweep evaluator: one left-looking Cholesky pass of `gram` along the
-// fixed pivot `order` (no re-pivoting).  After k elimination steps the
-// Schur-complement diagonal entry d_i is exactly Var(Delta_i) for the
-// k-representative selection, so each step costs O(n * k) and the whole
-// sweep costs O(n * steps^2) — versus O(steps * n * r^2) for re-factoring
-// every prefix from scratch.  A step whose pivot's residual diagonal falls
-// below the rank floor (gram numerically rank-deficient along the order)
-// adds no elimination column; the prefix still gets its error recorded.
-// `max_r` truncates the sweep (0 = all of `order`).  Throws
-// std::invalid_argument / std::out_of_range on the same conditions as
-// selection_errors_from_gram.
-SelectionErrorSweep selection_error_sweep(const linalg::Matrix& gram,
-                                          const std::vector<int>& order,
-                                          double t_cons, double kappa,
-                                          std::size_t max_r = 0);
 
 // Worst-case value of a Gaussian(mean, sigma): |mean| + kappa * sigma.  Used
 // wherever the error has a nonzero mean (hybrid segment modeling).

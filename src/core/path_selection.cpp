@@ -63,19 +63,20 @@ PathSelectionResult select_representative_paths(
       --r;
     }
   } else if (options.strategy == SelectionStrategy::kGreedySweep) {
-    // Nested greedy route: every candidate r is a prefix of one fixed
-    // pivoted-Cholesky order, so a single sweep prices all of them at the
-    // cost of evaluating just the largest one the per-candidate way.
+    // Greedy pivoting adds the path with the largest residual variance, so
+    // the prefix of r pivots leaves pivot r's residual as its worst path:
+    // eps_r = kappa * sigma[r] / Tcons.  Residuals only shrink as pivots are
+    // added, so sigma is non-increasing and the first prefix that meets
+    // epsilon is also Algorithm 1's decrement answer.  Prefixes at or past
+    // the pivoted rank leave only sub-tolerance residuals: exact selections
+    // (Theorem 1), feasible without pricing.
     const std::vector<int>& order = selector.greedy_order(gram);
-    const std::size_t effective = std::min(rank, order.size());
-    const SelectionErrorSweep sweep =
-        selection_error_sweep(gram, order, t_cons, options.kappa, effective);
-    // Smallest prefix in [min_r, effective] within tolerance, scanning from
-    // the near-exact full-rank prefix downward (Algorithm 1's decrement,
-    // with every probe already priced).  sweep.eps_r[r - 2] is the error of
-    // the (r-1)-prefix.
-    std::size_t r = effective;
-    while (r > min_r && sweep.eps_r[r - 2] <= options.epsilon) --r;
+    const linalg::Vector& sigma = selector.greedy_sigma(gram);
+    std::size_t r = min_r;
+    while (r < std::min(rank, sigma.size()) &&
+           options.kappa * sigma[r] / t_cons > options.epsilon) {
+      ++r;
+    }
     best.rep.assign(order.begin(),
                     order.begin() + static_cast<std::ptrdiff_t>(r));
     // Re-price the chosen prefix through the panel evaluator so the result
@@ -83,8 +84,7 @@ PathSelectionResult select_representative_paths(
     best.errors =
         selection_errors_from_gram(gram, best.rep, t_cons, options.kappa);
     have_best = true;
-    out.candidates_evaluated = sweep.steps;
-    util::telemetry::count("core.select.sweep_steps", sweep.steps);
+    out.candidates_evaluated = r - min_r + 1;
   } else {
     // Bisection on the smallest feasible r in [min_r, rank].  r = rank is
     // feasible by Theorem 1 without evaluation, so the search only ever

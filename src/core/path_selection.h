@@ -7,11 +7,11 @@
 // Three drivers are provided: the paper-verbatim linear decrement, a
 // bisection driver exploiting that eps_r is (numerically) non-increasing in
 // r (O(log rank) candidates instead of O(rank) — the default for large
-// instances), and a greedy prefix sweep that swaps Algorithm 2's QRCP
-// selection for the nested pivoted-Cholesky order, which makes every
-// candidate r a prefix of one fixed order and prices ALL of them in a
-// single O(n^2 rank) pass (see selection_error_sweep).  All share one SVD
-// and one Gram matrix.
+// instances), and a greedy driver that swaps Algorithm 2's QRCP selection
+// for the greedy pivoted-Cholesky order.  Greedy pivoting always adds the
+// worst-predicted path, so the factor's diagonal already prices every
+// prefix and the driver reads the answer off it (see
+// SubsetSelector::greedy_sigma).  All share one SVD and one Gram matrix.
 #pragma once
 
 #include <cstddef>
@@ -26,9 +26,8 @@ namespace repro::core {
 enum class SelectionStrategy {
   kLinearDecrement,  // paper Algorithm 1, verbatim
   kBisection,        // same result up to error-monotonicity noise, much faster
-  kGreedySweep,      // nested greedy order + one prefix sweep over all r;
-                     // representatives may differ from the QRCP route (it is
-                     // the select_greedy heuristic made end-to-end cheap)
+  kGreedySweep,      // first greedy pivot prefix that meets epsilon;
+                     // representatives may differ from the QRCP route
 };
 
 struct PathSelectionOptions {

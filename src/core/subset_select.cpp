@@ -56,13 +56,9 @@ SubsetSelector::SubsetSelector(const linalg::Matrix& a,
   gram_ = gram;
   have_gram_ = true;
   if (n > 512) {
-    // Lazy route: rank from pivoted Cholesky (O(n rank^2)); eigenpairs are
-    // captured on demand by ensure_captured().
-    const double tol = gram_rank_rel_tol(rows_, cols_);
-    const linalg::PivotedChol pc =
-        linalg::pivoted_cholesky(gram_, tol * tol);  // eigenvalue-scale tol
-    rank_ = pc.rank;
-    greedy_order_ = pc.perm;
+    // Lazy route: rank from the greedy pivoted Cholesky (O(n rank^2));
+    // eigenpairs are captured on demand by ensure_captured().
+    rank_ = greedy_sigma(gram_).size();
     lazy_ = true;
     return;
   }
@@ -135,18 +131,6 @@ std::vector<int> SubsetSelector::select(std::size_t r) const {
   return select_memo_.emplace(r, std::move(rows)).first->second;
 }
 
-std::vector<int> SubsetSelector::select_greedy(std::size_t r) const {
-  if (!have_gram_) {
-    throw std::logic_error(
-        "SubsetSelector::select_greedy needs the Gram-route constructor");
-  }
-  if (r == 0 || r > rank_ || r > rows_) {
-    throw std::invalid_argument("SubsetSelector::select_greedy: bad r");
-  }
-  const std::vector<int>& order = greedy_order(gram_);
-  return {order.begin(), order.begin() + static_cast<std::ptrdiff_t>(r)};
-}
-
 const std::vector<int>& SubsetSelector::greedy_order(
     const linalg::Matrix& gram) const {
   REPRO_CHECK_DIM(gram.rows(), gram.cols(),
@@ -160,9 +144,21 @@ const std::vector<int>& SubsetSelector::greedy_order(
           "SubsetSelector::greedy_order: Gram order vs path count");
     }
     const double tol = gram_rank_rel_tol(rows_, cols_);
-    greedy_order_ = linalg::pivoted_cholesky(w, tol * tol).perm;
+    linalg::PivotedChol pc =
+        linalg::pivoted_cholesky(w, tol * tol);  // eigenvalue-scale tol
+    greedy_sigma_.resize(pc.rank);
+    for (std::size_t k = 0; k < pc.rank; ++k) greedy_sigma_[k] = pc.l(k, k);
+    greedy_order_ = std::move(pc.perm);
   }
   return greedy_order_;
+}
+
+const linalg::Vector& SubsetSelector::greedy_sigma(
+    const linalg::Matrix& gram) const {
+  REPRO_CHECK_DIM(gram.rows(), gram.cols(),
+                  "SubsetSelector::greedy_sigma: square Gram");
+  (void)greedy_order(gram);
+  return greedy_sigma_;
 }
 
 }  // namespace repro::core

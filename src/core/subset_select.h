@@ -52,20 +52,22 @@ class SubsetSelector {
   // r, so each distinct r pays for exactly one factorization.
   std::vector<int> select(std::size_t r) const;
 
-  // Alternative heuristic: greedy residual-variance selection = the pivot
-  // order of a rank-revealing Cholesky of W = A A^T (equivalently, QR with
-  // column pivoting on A^T directly, without the SVD truncation of
-  // Algorithm 2).  One factorization serves every r; the ablation bench
-  // compares the two.  Requires the Gram-route constructor.
-  std::vector<int> select_greedy(std::size_t r) const;
-
-  // Full greedy pivot order (pivoted Cholesky of W = A A^T), computed once
-  // and cached.  On the Gram route the retained Gram is used; otherwise the
-  // caller-supplied `gram` backs the factorization — this is what lets the
-  // prefix-sweep evaluator run on SVD-route selectors too.  Only the first
-  // rank() entries are meaningful pivots; the tail lists the never-chosen
-  // indices.
+  // Greedy residual-variance selection: the pivot order of a rank-revealing
+  // Cholesky of W = A A^T (equivalently, QR with column pivoting on A^T,
+  // without the SVD truncation of Algorithm 2).  Every prefix is a
+  // selection, so one factorization serves every r.  Computed once and
+  // cached; on the Gram route the retained Gram is used, otherwise the
+  // caller-supplied `gram` backs the factorization.  Only the first
+  // greedy_sigma(gram).size() entries are pivots; the tail lists the
+  // never-chosen indices.
   const std::vector<int>& greedy_order(const linalg::Matrix& gram) const;
+
+  // Residual standard deviation of each greedy pivot when it was chosen
+  // (the factor's diagonal).  Pivoting takes the largest residual, so
+  // entry k is max_i sqrt(Var(Delta_i)) over the paths outside the first
+  // k pivots: the worst-case error of that prefix is kappa * sigma[k].  The
+  // entries are non-increasing; the size is the pivoted rank.
+  const linalg::Vector& greedy_sigma(const linalg::Matrix& gram) const;
 
  private:
   void ensure_captured(std::size_t k) const;
@@ -78,6 +80,7 @@ class SubsetSelector {
   bool lazy_ = false;
   bool have_gram_ = false;
   mutable std::vector<int> greedy_order_;  // pivoted-Cholesky order, lazy
+  mutable linalg::Vector greedy_sigma_;    // its diagonal, same lifetime
   // Memoized select(r) results (selector is logically const; probes repeat).
   mutable std::map<std::size_t, std::vector<int>> select_memo_;
 };

@@ -232,86 +232,5 @@ TEST(ErrorModel, BatchedBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(e1.eps_r, e4.eps_r);
 }
 
-TEST(ErrorModel, SweepMatchesPerCandidateForEveryPrefix) {
-  const linalg::Matrix w = linalg::gram(random_matrix(36, 44, 15));
-  const linalg::PivotedChol pc = linalg::pivoted_cholesky(w);
-  const std::vector<int> order(
-      pc.perm.begin(), pc.perm.begin() + static_cast<std::ptrdiff_t>(pc.rank));
-  const SelectionErrorSweep sweep =
-      selection_error_sweep(w, order, 750.0, 3.0);
-  ASSERT_EQ(sweep.steps, pc.rank);
-  for (std::size_t r = 1; r <= pc.rank; ++r) {
-    const std::vector<int> rep(
-        order.begin(), order.begin() + static_cast<std::ptrdiff_t>(r));
-    const SelectionErrors ref = selection_errors_from_gram(w, rep, 750.0, 3.0);
-    EXPECT_NEAR(sweep.eps_r[r - 1], ref.eps_r, 1e-10 * (1.0 + ref.eps_r))
-        << "prefix r = " << r;
-    EXPECT_NEAR(sweep.max_wc[r - 1], ref.max_wc, 1e-10 * (1.0 + ref.max_wc));
-  }
-}
-
-TEST(ErrorModel, SweepHandlesRankDeficientOrder) {
-  // Sweeping past the numerical rank must neither throw nor produce junk:
-  // redundant pivots add no elimination column, so the error curve stays
-  // finite and (numerically) non-increasing.
-  const linalg::Matrix a =
-      linalg::multiply(random_matrix(24, 5, 16), random_matrix(5, 18, 17));
-  const linalg::Matrix w = linalg::gram(a);
-  std::vector<int> order(24);
-  std::iota(order.begin(), order.end(), 0);
-  const SelectionErrorSweep sweep = selection_error_sweep(w, order, 500.0, 3.0);
-  ASSERT_EQ(sweep.steps, 24u);
-  double prev = 1e300;
-  for (std::size_t k = 0; k < sweep.steps; ++k) {
-    EXPECT_TRUE(std::isfinite(sweep.eps_r[k]));
-    EXPECT_LE(sweep.eps_r[k], prev + 1e-9);
-    prev = sweep.eps_r[k];
-  }
-  // Beyond rank the remaining residual variance is numerically zero.
-  EXPECT_NEAR(sweep.eps_r[sweep.steps - 1], 0.0, 1e-6);
-}
-
-TEST(ErrorModel, SweepBitIdenticalAcrossThreadCounts) {
-  // n * k must clear the sweep's serial threshold for later steps so the
-  // pool genuinely splits the column updates.
-  const linalg::Matrix w = linalg::gram(random_matrix(620, 200, 18));
-  std::vector<int> order(150);
-  std::iota(order.begin(), order.end(), 0);
-  const std::size_t saved_threads = util::thread_count();
-  util::set_threads(1);
-  const SelectionErrorSweep s1 = selection_error_sweep(w, order, 800.0, 3.0);
-  util::set_threads(4);
-  const SelectionErrorSweep s4 = selection_error_sweep(w, order, 800.0, 3.0);
-  util::set_threads(saved_threads);
-  ASSERT_EQ(s1.steps, s4.steps);
-  for (std::size_t k = 0; k < s1.steps; ++k) {
-    EXPECT_EQ(s1.eps_r[k], s4.eps_r[k]) << "step " << k;
-    EXPECT_EQ(s1.max_wc[k], s4.max_wc[k]);
-  }
-}
-
-TEST(ErrorModel, SweepTruncatesAtMaxR) {
-  const linalg::Matrix w = linalg::gram(random_matrix(20, 24, 19));
-  std::vector<int> order(12);
-  std::iota(order.begin(), order.end(), 0);
-  const SelectionErrorSweep sweep =
-      selection_error_sweep(w, order, 500.0, 3.0, 5);
-  EXPECT_EQ(sweep.steps, 5u);
-  EXPECT_EQ(sweep.eps_r.size(), 5u);
-}
-
-TEST(ErrorModel, SweepInvalidInputsThrow) {
-  const linalg::Matrix w = linalg::gram(random_matrix(8, 10, 20));
-  EXPECT_THROW((void)selection_error_sweep(w, {0, 1}, 0.0, 3.0),
-               std::invalid_argument);
-  EXPECT_THROW((void)selection_error_sweep(w, {0, 9}, 100.0, 3.0),
-               std::out_of_range);
-  EXPECT_THROW((void)selection_error_sweep(w, {3, 3}, 100.0, 3.0),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)selection_error_sweep(linalg::Matrix(3, 4), {0}, 100.0, 3.0),
-      std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace repro::core

@@ -194,7 +194,7 @@ TEST(PathSelection, PinnedGoldenSelection) {
 }
 
 TEST(PathSelection, GreedySweepMatchesManualDecrement) {
-  // The sweep driver must pick exactly the prefix a per-candidate linear
+  // The greedy driver must pick exactly the prefix a per-candidate linear
   // decrement over the same greedy order would pick, with the same errors.
   const linalg::Matrix a = correlated_rows(56, 60, 5, 0.05, 21);  // gram route
   const linalg::Matrix w = linalg::gram(a);
@@ -221,8 +221,32 @@ TEST(PathSelection, GreedySweepMatchesManualDecrement) {
   EXPECT_DOUBLE_EQ(
       got.eps_r, selection_errors_from_gram(w, want, 2000.0, opt.kappa).eps_r);
   EXPECT_LE(got.eps_r, opt.epsilon);
-  // One sweep prices every candidate in [1, rank].
-  EXPECT_EQ(got.candidates_evaluated, selector.rank());
+  // The pivot diagonal is read from prefix min_r = 1 up to the answer.
+  EXPECT_EQ(got.candidates_evaluated, want.size());
+}
+
+TEST(PathSelection, GreedySweepStopsAtFirstFeasiblePrefix) {
+  // Lazy Gram route (n > 512): the answer is the first prefix whose pivot
+  // sigma meets epsilon, and every shorter prefix violates it.
+  const linalg::Matrix a = correlated_rows(600, 40, 6, 0.05, 25);
+  const linalg::Matrix w = linalg::gram(a);
+  const SubsetSelector selector(a, w);
+  const linalg::Vector& sigma = selector.greedy_sigma(w);
+  ASSERT_GT(sigma.size(), 5u);
+  PathSelectionOptions opt;
+  // Between the errors of the 3- and 4-path prefixes.
+  opt.epsilon = opt.kappa * 0.5 * (sigma[3] + sigma[4]) / 2000.0;
+  opt.strategy = SelectionStrategy::kGreedySweep;
+  const auto got = select_representative_paths(selector, w, 2000.0, opt);
+  const std::size_t r = got.representatives.size();
+  ASSERT_EQ(r, 4u);
+  const std::vector<int>& order = selector.greedy_order(w);
+  const std::vector<int> shorter(
+      order.begin(), order.begin() + static_cast<std::ptrdiff_t>(r - 1));
+  EXPECT_GT(selection_errors_from_gram(w, shorter, 2000.0, opt.kappa).eps_r,
+            opt.epsilon);
+  EXPECT_LE(got.eps_r, opt.epsilon);
+  EXPECT_NEAR(got.eps_r, opt.kappa * sigma[r] / 2000.0, 1e-9 * got.eps_r);
 }
 
 TEST(PathSelection, GreedySweepRespectsEpsilonAndMinR) {

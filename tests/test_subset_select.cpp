@@ -143,26 +143,47 @@ TEST(SubsetSelect, GramRouteSelectionSpansSameError) {
   }
 }
 
-TEST(SubsetSelect, GreedySelectValidAndDistinct) {
+std::vector<int> prefix(const std::vector<int>& order, std::size_t r) {
+  return {order.begin(), order.begin() + static_cast<std::ptrdiff_t>(r)};
+}
+
+TEST(SubsetSelect, GreedyOrderIsPermutation) {
   const linalg::Matrix a = random_matrix(30, 18, 25);
-  const SubsetSelector sel(a, linalg::gram(a));
-  const auto rep = sel.select_greedy(10);
-  EXPECT_EQ(rep.size(), 10u);
-  std::set<int> uniq(rep.begin(), rep.end());
-  EXPECT_EQ(uniq.size(), 10u);
+  const linalg::Matrix w = linalg::gram(a);
+  const SubsetSelector sel(a, w);
+  std::vector<int> sorted = sel.greedy_order(w);
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(sorted[i], static_cast<int>(i));
+  }
+  EXPECT_EQ(sorted.size(), 30u);
 }
 
-TEST(SubsetSelect, GreedyPrefixesNested) {
-  const linalg::Matrix a = random_matrix(25, 15, 26);
-  const SubsetSelector sel(a, linalg::gram(a));
-  const auto r5 = sel.select_greedy(5);
-  const auto r9 = sel.select_greedy(9);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(r5[i], r9[i]);
+TEST(SubsetSelect, GreedySigmaPricesEveryPrefix) {
+  // The pivot diagonal is the worst residual left by each prefix: it must
+  // agree with pricing that prefix from scratch, and never increase.
+  const linalg::Matrix a = random_matrix(36, 44, 15);
+  const linalg::Matrix w = linalg::gram(a);
+  const SubsetSelector sel(a, w);
+  const std::vector<int>& order = sel.greedy_order(w);
+  const linalg::Vector& sigma = sel.greedy_sigma(w);
+  ASSERT_EQ(sigma.size(), 36u);
+  for (std::size_t r = 1; r < sigma.size(); ++r) {
+    const SelectionErrors ref =
+        selection_errors_from_gram(w, prefix(order, r), 750.0, 3.0);
+    EXPECT_NEAR(3.0 * sigma[r], ref.max_wc, 1e-10 * (1.0 + ref.max_wc))
+        << "prefix r = " << r;
+    EXPECT_LE(sigma[r], sigma[r - 1]);
+  }
 }
 
-TEST(SubsetSelect, GreedyNeedsGramRoute) {
-  const SubsetSelector sel(random_matrix(10, 6, 27));
-  EXPECT_THROW((void)sel.select_greedy(3), std::logic_error);
+TEST(SubsetSelect, GreedySigmaSizeIsLazyRouteRank) {
+  // Above 512 paths the Gram route takes rank(A) from the greedy factor.
+  const linalg::Matrix a = low_rank(600, 20, 8, 27);
+  const linalg::Matrix w = linalg::gram(a);
+  const SubsetSelector sel(a, w);
+  EXPECT_EQ(sel.rank(), 8u);
+  EXPECT_EQ(sel.greedy_sigma(w).size(), sel.rank());
 }
 
 TEST(SubsetSelect, GreedyErrorComparableToAlg2) {
@@ -170,11 +191,12 @@ TEST(SubsetSelect, GreedyErrorComparableToAlg2) {
   const linalg::Matrix a = low_rank(60, 40, 10, 28);
   const linalg::Matrix w = linalg::gram(a);
   const SubsetSelector sel(a, w);
+  const std::vector<int>& order = sel.greedy_order(w);
   for (std::size_t r : {4u, 8u}) {
     const auto e_alg2 =
         selection_errors_from_gram(w, sel.select(r), 1000.0, 3.0);
     const auto e_greedy =
-        selection_errors_from_gram(w, sel.select_greedy(r), 1000.0, 3.0);
+        selection_errors_from_gram(w, prefix(order, r), 1000.0, 3.0);
     EXPECT_LT(e_greedy.eps_r, 5.0 * e_alg2.eps_r + 1e-6);
   }
 }
