@@ -1,12 +1,11 @@
 #include "core/guardband.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/gemm.h"
 #include "util/contracts.h"
-#include "util/rng.h"
 
 namespace repro::core {
 
@@ -28,73 +27,42 @@ GuardbandReport guardband_analysis(const variation::VariationModel& model,
     rep.avg_guardband += e;
     rep.max_guardband = std::max(rep.max_guardband, e);
   }
-  if (n_rem > 0) rep.avg_guardband /= static_cast<double>(n_rem);
+  rep.observations = options.samples * n_rem;
+  rep.mc.samples = options.samples;
+  if (n_rem == 0) return rep;
+  rep.avg_guardband /= static_cast<double>(n_rem);
 
-  const std::size_t m = model.num_params();
-  const std::size_t n_meas = predictor.mu_meas.size();
-  util::Rng rng(options.seed);
-
-  linalg::Matrix meas_rows(n_meas, m);
-  {
-    std::size_t row = 0;
-    for (int i : predictor.measured_paths) {
-      meas_rows.set_row(row++, model.a().row(static_cast<std::size_t>(i)));
-    }
-    for (int s : predictor.measured_segments) {
-      meas_rows.set_row(row++, model.sigma().row(static_cast<std::size_t>(s)));
-    }
-  }
-  const linalg::Matrix a_rem_rows = model.a().select_rows(predictor.remaining);
-
-  // Accumulate MC metrics inline (shares samples with the detection counts).
-  rep.mc.eps_max.assign(n_rem, 0.0);
-  rep.mc.eps_mean.assign(n_rem, 0.0);
-
-  std::size_t done = 0;
-  while (done < options.samples) {
-    const std::size_t c = std::min(options.chunk, options.samples - done);
-    // Sample-major fill keeps results chunk-size invariant (see
-    // monte_carlo.cpp).
-    linalg::Matrix x(m, c);
-    for (std::size_t j = 0; j < c; ++j) {
-      for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
-    }
-    const linalg::Matrix d_true = linalg::multiply(a_rem_rows, x);
-    const linalg::Matrix y = linalg::multiply(meas_rows, x);
-    const linalg::Matrix pred = linalg::multiply(predictor.coef, y);
-
+  // Confusion counts ride on evaluate_predictor's own dies.  Integer sums
+  // are exact, so the tally is independent of which thread scores a chunk.
+  std::atomic<std::size_t> true_fails{0}, flagged{0}, missed{0},
+      false_alarms{0};
+  const auto tally = [&](const linalg::Matrix& pred,
+                         const linalg::Matrix& truth) {
+    std::size_t fails_c = 0, flagged_c = 0, missed_c = 0, alarms_c = 0;
     for (std::size_t i = 0; i < n_rem; ++i) {
       const double mu_i = predictor.mu_rem[i];
       const double guard = 1.0 - per_path_eps[i];
-      for (std::size_t j = 0; j < c; ++j) {
-        const double t = mu_i + d_true(i, j);
+      for (std::size_t j = 0; j < pred.cols(); ++j) {
+        const double t = mu_i + truth(i, j);
         const double p = mu_i + pred(i, j);
-        const double rel = std::abs(p - t) / std::abs(t);
-        rep.mc.eps_max[i] = std::max(rep.mc.eps_max[i], rel);
-        rep.mc.eps_mean[i] += rel;
-
         const bool fails = t > t_cons;
         const bool flag = (guard > 0.0) ? (p / guard > t_cons) : true;
-        if (fails) ++rep.true_fails;
-        if (flag) ++rep.flagged;
-        if (fails && !flag) ++rep.missed;
-        if (flag && !fails) ++rep.false_alarms;
+        fails_c += fails;
+        flagged_c += flag;
+        missed_c += fails && !flag;
+        alarms_c += flag && !fails;
       }
     }
-    done += c;
-  }
-  rep.observations = options.samples * n_rem;
-  for (std::size_t i = 0; i < n_rem; ++i) {
-    rep.mc.eps_mean[i] /= static_cast<double>(options.samples);
-    rep.mc.e1 += rep.mc.eps_max[i];
-    rep.mc.e2 += rep.mc.eps_mean[i];
-    rep.mc.worst_eps = std::max(rep.mc.worst_eps, rep.mc.eps_max[i]);
-  }
-  if (n_rem > 0) {
-    rep.mc.e1 /= static_cast<double>(n_rem);
-    rep.mc.e2 /= static_cast<double>(n_rem);
-  }
-  rep.mc.samples = options.samples;
+    true_fails += fails_c;
+    flagged += flagged_c;
+    missed += missed_c;
+    false_alarms += alarms_c;
+  };
+  rep.mc = evaluate_predictor(model, predictor, options, tally);
+  rep.true_fails = true_fails;
+  rep.flagged = flagged;
+  rep.missed = missed;
+  rep.false_alarms = false_alarms;
   return rep;
 }
 

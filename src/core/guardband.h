@@ -33,7 +33,10 @@ struct GuardbandReport {
 
 // `per_path_eps` must align with predictor.remaining (analytic worst-case
 // relative errors, e.g. SelectionErrors::per_path_eps or
-// kappa * predictor.error_sigmas() / t_cons).
+// kappa * predictor.error_sigmas() / t_cons).  The counts are taken on
+// evaluate_predictor's dies: `mc` equals evaluate_predictor(model,
+// predictor, options) bit for bit, and the counts are the same for any
+// thread count.
 GuardbandReport guardband_analysis(const variation::VariationModel& model,
                                    const LinearPredictor& predictor,
                                    const linalg::Vector& per_path_eps,

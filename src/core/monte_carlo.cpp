@@ -11,24 +11,181 @@
 #include "util/thread_pool.h"
 
 namespace repro::core {
+namespace {
+
+// Per remaining path, the max and the running sum of the relative error
+// |pred - true| / |true| over the dies folded in so far.
+struct ErrorAcc {
+  std::vector<double> max, sum;
+
+  explicit ErrorAcc(std::size_t n) : max(n, 0.0), sum(n, 0.0) {}
+  void add(std::size_t i, double pred, double truth) {
+    const double rel = std::abs(pred - truth) / std::abs(truth);
+    max[i] = std::max(max[i], rel);
+    sum[i] += rel;
+  }
+  void merge(const ErrorAcc& part) {
+    for (std::size_t i = 0; i < max.size(); ++i) {
+      max[i] = std::max(max[i], part.max[i]);
+      sum[i] += part.sum[i];
+    }
+  }
+};
+
+// The paper's e1/e2 reduction (Section 6): per-path mean, then the averages
+// of the per-path max and mean over the remaining paths.
+McMetrics finalize(ErrorAcc acc, std::size_t samples) {
+  McMetrics out;
+  out.eps_max = std::move(acc.max);
+  out.eps_mean = std::move(acc.sum);
+  const std::size_t n = out.eps_max.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    out.eps_mean[i] /= static_cast<double>(samples);
+    out.e1 += out.eps_max[i];
+    out.e2 += out.eps_mean[i];
+    out.worst_eps = std::max(out.worst_eps, out.eps_max[i]);
+  }
+  if (n > 0) {
+    out.e1 /= static_cast<double>(n);
+    out.e2 /= static_cast<double>(n);
+  }
+  out.samples = samples;
+  return out;
+}
+
+// One chunk of dies [first, first + c): the centered true delays of the
+// remaining paths and the centered measured quantities.  The model means
+// enter both sides additively (d = mu + A x), so every policy adds them back
+// only where it needs absolute delays.
+struct DieChunk {
+  std::size_t first = 0;
+  linalg::Matrix truth;  // A_rem x,  n_rem x c
+  linalg::Matrix meas;   // A_meas x, n_meas x c
+};
+
+// The die-block engine every evaluator runs on.  Die k draws its parameter
+// sample from its own indexed RNG stream (seed, k), so its values depend on
+// k alone; dies are grouped into fixed chunks [ci * chunk, (ci + 1) * chunk)
+// whose GEMM shapes depend only on the chunk size.  Neither the thread count
+// nor the generation wave of for_each_in_order changes a bit.
+class DieStream {
+ public:
+  DieStream(std::size_t num_params, const linalg::Matrix& a_rem,
+            const linalg::Matrix& a_meas, const McOptions& options)
+      : m_(num_params),
+        a_rem_(a_rem),
+        a_meas_(a_meas),
+        samples_(options.samples),
+        chunk_(std::max<std::size_t>(1, options.chunk)),
+        seed_(options.seed) {}
+
+  std::size_t num_chunks() const { return (samples_ + chunk_ - 1) / chunk_; }
+
+  DieChunk draw(std::size_t ci) const {
+    const std::size_t first = ci * chunk_;
+    const std::size_t c = std::min(chunk_, samples_ - first);
+    linalg::Matrix x(m_, c);
+    for (std::size_t j = 0; j < c; ++j) {
+      util::Rng rng = util::Rng::stream(seed_, first + j);
+      for (std::size_t i = 0; i < m_; ++i) x(i, j) = rng.normal();
+    }
+    return {first, linalg::multiply(a_rem_, x), linalg::multiply(a_meas_, x)};
+  }
+
+  // Parallel policy: score(chunk, slot) runs on any pool thread, one slot per
+  // chunk.  The slots come back in chunk order, so a caller that reduces
+  // them front to back keeps a fixed floating-point summation order.
+  template <class Slot, class Score>
+  std::vector<Slot> map(const Slot& init, Score&& score) const {
+    std::vector<Slot> slots(num_chunks(), init);
+    util::parallel_for(0, slots.size(), 1, [&](std::size_t cb, std::size_t ce) {
+      for (std::size_t ci = cb; ci < ce; ++ci) score(draw(ci), slots[ci]);
+    });
+    return slots;
+  }
+
+  // Ordered policy: consume(chunk) sees every chunk in die order on the
+  // calling thread.  Chunks are generated in parallel waves of at least
+  // kMinWaveChunks; the wave bounds the staged dies and nothing else.
+  template <class Consume>
+  void for_each_in_order(Consume&& consume) const {
+    constexpr std::size_t kMinWaveChunks = 4;
+    const std::size_t n = num_chunks();
+    const std::size_t wave =
+        std::max<std::size_t>(kMinWaveChunks, util::thread_count());
+    std::vector<DieChunk> staged;
+    for (std::size_t w0 = 0; w0 < n; w0 += wave) {
+      staged.resize(std::min(wave, n - w0));
+      util::parallel_for(0, staged.size(), 1,
+                         [&](std::size_t cb, std::size_t ce) {
+                           for (std::size_t k = cb; k < ce; ++k) {
+                             staged[k] = draw(w0 + k);
+                           }
+                         });
+      for (const DieChunk& ch : staged) consume(ch);
+    }
+  }
+
+ private:
+  std::size_t m_;
+  const linalg::Matrix& a_rem_;
+  const linalg::Matrix& a_meas_;
+  std::size_t samples_;
+  std::size_t chunk_;
+  std::uint64_t seed_;
+};
+
+// Per-chunk fault tallies of the faulty policy (see FaultyMcMetrics).
+struct FaultCounters {
+  std::size_t failed = 0;
+  std::size_t ok = 0;
+  std::size_t degraded = 0;
+  std::size_t screened = 0;
+  std::size_t missing = 0;
+  std::size_t outliers = 0;
+  std::size_t screened_outlier = 0;
+  std::size_t screened_noise = 0;
+  std::size_t dead = 0;
+  std::size_t dropout = 0;
+
+  void merge(const FaultCounters& o) {
+    failed += o.failed;
+    ok += o.ok;
+    degraded += o.degraded;
+    screened += o.screened;
+    missing += o.missing;
+    outliers += o.outliers;
+    screened_outlier += o.screened_outlier;
+    screened_noise += o.screened_noise;
+    dead += o.dead;
+    dropout += o.dropout;
+  }
+};
+
+struct FaultSlot {
+  ErrorAcc err;
+  FaultCounters cnt;
+};
+
+}  // namespace
 
 McMetrics evaluate_predictor(const variation::VariationModel& model,
                              const LinearPredictor& predictor,
                              const McOptions& options) {
-  const std::size_t m = model.num_params();
+  return evaluate_predictor(model, predictor, options, nullptr);
+}
+
+McMetrics evaluate_predictor(const variation::VariationModel& model,
+                             const LinearPredictor& predictor,
+                             const McOptions& options, const ChunkTap& tap) {
   const std::size_t n_rem = predictor.remaining.size();
-  const std::size_t n_meas = predictor.mu_meas.size();
   if (n_rem == 0) throw std::invalid_argument("evaluate_predictor: no paths");
   const util::telemetry::Span span("core.mc.evaluate");
   util::telemetry::count("core.mc.samples", options.samples);
 
-  McMetrics out;
-  out.eps_max.assign(n_rem, 0.0);
-  out.eps_mean.assign(n_rem, 0.0);
-
   // Measurement sensitivity rows stacked once (paths first, then segments,
   // matching LinearPredictor's mu_meas layout).
-  linalg::Matrix meas_rows(n_meas, m);
+  linalg::Matrix meas_rows(predictor.mu_meas.size(), model.num_params());
   {
     std::size_t row = 0;
     for (int i : predictor.measured_paths) {
@@ -39,76 +196,28 @@ McMetrics evaluate_predictor(const variation::VariationModel& model,
     }
   }
   const linalg::Matrix a_rem_rows = model.a().select_rows(predictor.remaining);
+  const DieStream dies(model.num_params(), a_rem_rows, meas_rows, options);
 
-  // Batch-parallel sampling over fixed-size chunks.  Sample j draws its
-  // normals from util::Rng::stream(seed, j) — a stream that depends only on
-  // the global sample index — so the sampled values are independent of both
-  // the chunk size (a GEMM batching detail) and the thread count.  Each
-  // chunk accumulates into its own slot and the partials are reduced in
-  // chunk order afterwards, which keeps the floating-point summation order
-  // fixed: eps_max / eps_mean / e1 / e2 are bit-identical for 1..N threads.
-  const std::size_t chunk = std::max<std::size_t>(1, options.chunk);
-  const std::size_t nchunks = (options.samples + chunk - 1) / chunk;
-  std::vector<std::vector<double>> part_max(nchunks), part_sum(nchunks);
-  util::parallel_for(0, nchunks, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t ci = cb; ci < ce; ++ci) {
-      const std::size_t s0 = ci * chunk;
-      const std::size_t c = std::min(chunk, options.samples - s0);
-      // Parameter samples for this chunk: m x c, one RNG stream per sample.
-      linalg::Matrix x(m, c);
-      for (std::size_t j = 0; j < c; ++j) {
-        util::Rng rng = util::Rng::stream(options.seed, s0 + j);
-        for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
-      }
-      // True delays of the remaining paths and measured quantities.
-      const linalg::Matrix d_true =
-          linalg::multiply(a_rem_rows, x);                        // n_rem x c
-      const linalg::Matrix y = linalg::multiply(meas_rows, x);    // n_meas x c
-      // Predictions: coef * y_centered; y here is already centered because
-      // the model means enter both sides additively (d = mu + A x), so
-      // pred_centered = coef * (A_meas x) and error = pred - true uses only
-      // centered values; the relative error denominator needs the full delay.
-      const linalg::Matrix pred = linalg::multiply(predictor.coef, y);
-
-      std::vector<double>& pmax = part_max[ci];
-      std::vector<double>& psum = part_sum[ci];
-      pmax.assign(n_rem, 0.0);
-      psum.assign(n_rem, 0.0);
-      for (std::size_t i = 0; i < n_rem; ++i) {
-        const double mu_i = predictor.mu_rem[i];
-        for (std::size_t j = 0; j < c; ++j) {
-          const double t = mu_i + d_true(i, j);
-          const double p = mu_i + pred(i, j);
-          const double rel = std::abs(p - t) / std::abs(t);
-          pmax[i] = std::max(pmax[i], rel);
-          psum[i] += rel;
+  // Clean policy: one coef x y GEMM per chunk gives the centered predictions.
+  const std::vector<ErrorAcc> slots =
+      dies.map(ErrorAcc(n_rem), [&](const DieChunk& ch, ErrorAcc& acc) {
+        const linalg::Matrix pred = linalg::multiply(predictor.coef, ch.meas);
+        for (std::size_t i = 0; i < n_rem; ++i) {
+          const double mu_i = predictor.mu_rem[i];
+          for (std::size_t j = 0; j < pred.cols(); ++j) {
+            acc.add(i, mu_i + pred(i, j), mu_i + ch.truth(i, j));
+          }
         }
-      }
-    }
-  });
-  for (std::size_t ci = 0; ci < nchunks; ++ci) {
-    for (std::size_t i = 0; i < n_rem; ++i) {
-      out.eps_max[i] = std::max(out.eps_max[i], part_max[ci][i]);
-      out.eps_mean[i] += part_sum[ci][i];
-    }
-  }
-
-  for (std::size_t i = 0; i < n_rem; ++i) {
-    out.eps_mean[i] /= static_cast<double>(options.samples);
-    out.e1 += out.eps_max[i];
-    out.e2 += out.eps_mean[i];
-    out.worst_eps = std::max(out.worst_eps, out.eps_max[i]);
-  }
-  out.e1 /= static_cast<double>(n_rem);
-  out.e2 /= static_cast<double>(n_rem);
-  out.samples = options.samples;
-  return out;
+        if (tap) tap(pred, ch.truth);
+      });
+  ErrorAcc err(n_rem);
+  for (const ErrorAcc& s : slots) err.merge(s);
+  return finalize(std::move(err), options.samples);
 }
 
 FaultyMcMetrics evaluate_predictor_under_faults(
     const variation::VariationModel& model, const RobustPredictor& predictor,
     const FaultyMcOptions& options) {
-  const std::size_t m = model.num_params();
   const std::size_t n_rem = predictor.base.remaining.size();
   const std::size_t n_meas = predictor.base.mu_meas.size();
   const util::telemetry::Span span("core.mc.evaluate_faulty");
@@ -126,158 +235,93 @@ FaultyMcMetrics evaluate_predictor_under_faults(
   }
   if (options.mc.samples == 0 || n_rem == 0) return out;
 
-  // Same chunked-deterministic scheme as evaluate_predictor: per-die streams
-  // for both the parameter sample and the fault schedule, per-chunk partial
-  // slots reduced in fixed chunk order.
-  const std::size_t chunk = std::max<std::size_t>(1, options.mc.chunk);
-  const std::size_t nchunks = (options.mc.samples + chunk - 1) / chunk;
-  std::vector<std::vector<double>> part_max(nchunks), part_sum(nchunks);
-  struct Counters {
-    std::size_t failed = 0;
-    std::size_t ok = 0;
-    std::size_t degraded = 0;
-    std::size_t screened = 0;
-    std::size_t missing = 0;
-    std::size_t outliers = 0;
-    // Per-fault-mode attribution (see FaultyMcMetrics).
-    std::size_t screened_outlier = 0;
-    std::size_t screened_noise = 0;
-    std::size_t dead = 0;
-    std::size_t dropout = 0;
-  };
-  std::vector<Counters> part_cnt(nchunks);
-  util::parallel_for(0, nchunks, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t ci = cb; ci < ce; ++ci) {
-      const std::size_t s0 = ci * chunk;
-      const std::size_t c = std::min(chunk, options.mc.samples - s0);
-      linalg::Matrix x(m, c);
-      for (std::size_t j = 0; j < c; ++j) {
-        util::Rng rng = util::Rng::stream(options.mc.seed, s0 + j);
-        for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
-      }
-      const linalg::Matrix d_true =
-          linalg::multiply(predictor.a_rem, x);                    // n_rem x c
-      const linalg::Matrix y = linalg::multiply(predictor.a_meas, x);
-
-      std::vector<double>& pmax = part_max[ci];
-      std::vector<double>& psum = part_sum[ci];
-      Counters& cnt = part_cnt[ci];
-      pmax.assign(n_rem, 0.0);
-      psum.assign(n_rem, 0.0);
-      linalg::Vector clean(n_meas), pred(n_rem);
-      for (std::size_t j = 0; j < c; ++j) {
-        for (std::size_t i = 0; i < n_meas; ++i) {
-          clean[i] = predictor.base.mu_meas[i] + y(i, j);
-        }
-        const NoisyMeasurements noisy = apply_faults(
-            clean, predictor.base.mu_meas, options.faults, s0 + j);
-        cnt.outliers += static_cast<std::size_t>(noisy.outliers);
-        cnt.missing += static_cast<std::size_t>(noisy.dropped);
-        cnt.dead += static_cast<std::size_t>(noisy.dead);
-        cnt.dropout += static_cast<std::size_t>(noisy.dropout);
-        if (options.naive) {
-          // Plain linear map on the faulty values; invalid slots sit at
-          // their nominal delay, i.e. a centered value of zero.
-          linalg::Vector centered(n_meas, 0.0);
+  // Faulty policy: die k's fault schedule comes from stream(faults.seed, k)
+  // inside apply_faults, then a robust or naive predict per die.
+  const DieStream dies(model.num_params(), predictor.a_rem, predictor.a_meas,
+                       options.mc);
+  const std::vector<FaultSlot> slots = dies.map(
+      FaultSlot{ErrorAcc(n_rem), {}},
+      [&](const DieChunk& ch, FaultSlot& slot) {
+        FaultCounters& cnt = slot.cnt;
+        linalg::Vector clean(n_meas), pred(n_rem);
+        for (std::size_t j = 0; j < ch.meas.cols(); ++j) {
           for (std::size_t i = 0; i < n_meas; ++i) {
-            if (noisy.valid[i]) {
-              centered[i] = noisy.values[i] - predictor.base.mu_meas[i];
-            }
+            clean[i] = predictor.base.mu_meas[i] + ch.meas(i, j);
           }
-          pred = linalg::matvec(predictor.base.coef, centered);
-          for (std::size_t i = 0; i < n_rem; ++i) {
-            pred[i] += predictor.base.mu_rem[i];
-          }
-        } else {
-          RobustPrediction rp = predictor.predict(noisy.values, noisy.valid);
-          cnt.screened += rp.screened.size();
-          // Attribute each screened slot to the fault that produced it: an
-          // injected heavy-tail outlier vs. plain sensor noise (the outlier
-          // list per die is short, so a linear scan beats a mask rebuild).
-          for (int s : rp.screened) {
-            bool injected = false;
-            for (int o : noisy.outlier_slots) {
-              if (o == s) {
-                injected = true;
-                break;
+          const NoisyMeasurements noisy = apply_faults(
+              clean, predictor.base.mu_meas, options.faults, ch.first + j);
+          cnt.outliers += static_cast<std::size_t>(noisy.outliers);
+          cnt.missing += static_cast<std::size_t>(noisy.dropped);
+          cnt.dead += static_cast<std::size_t>(noisy.dead);
+          cnt.dropout += static_cast<std::size_t>(noisy.dropout);
+          if (options.naive) {
+            // Plain linear map on the faulty values; invalid slots sit at
+            // their nominal delay, i.e. a centered value of zero.
+            linalg::Vector centered(n_meas, 0.0);
+            for (std::size_t i = 0; i < n_meas; ++i) {
+              if (noisy.valid[i]) {
+                centered[i] = noisy.values[i] - predictor.base.mu_meas[i];
               }
             }
-            if (injected) {
-              ++cnt.screened_outlier;
-            } else {
-              ++cnt.screened_noise;
+            pred = linalg::matvec(predictor.base.coef, centered);
+            for (std::size_t i = 0; i < n_rem; ++i) {
+              pred[i] += predictor.base.mu_rem[i];
             }
+          } else {
+            RobustPrediction rp = predictor.predict(noisy.values, noisy.valid);
+            cnt.screened += rp.screened.size();
+            // Attribute each screened slot to the fault that produced it: an
+            // injected heavy-tail outlier vs. plain sensor noise (the
+            // outlier list per die is short, so a linear scan beats a mask
+            // rebuild).
+            for (int s : rp.screened) {
+              const bool injected =
+                  std::find(noisy.outlier_slots.begin(),
+                            noisy.outlier_slots.end(),
+                            s) != noisy.outlier_slots.end();
+              ++(injected ? cnt.screened_outlier : cnt.screened_noise);
+            }
+            switch (rp.health) {
+              case PredictorHealth::kOk: ++cnt.ok; break;
+              case PredictorHealth::kDegraded: ++cnt.degraded; break;
+              case PredictorHealth::kFailed: ++cnt.failed; break;
+            }
+            pred = std::move(rp.values);
           }
-          switch (rp.health) {
-            case PredictorHealth::kOk: ++cnt.ok; break;
-            case PredictorHealth::kDegraded: ++cnt.degraded; break;
-            case PredictorHealth::kFailed: ++cnt.failed; break;
+          for (std::size_t i = 0; i < n_rem; ++i) {
+            slot.err.add(i, pred[i], predictor.base.mu_rem[i] + ch.truth(i, j));
           }
-          pred = std::move(rp.values);
         }
-        for (std::size_t i = 0; i < n_rem; ++i) {
-          const double t = predictor.base.mu_rem[i] + d_true(i, j);
-          const double rel = std::abs(pred[i] - t) / std::abs(t);
-          pmax[i] = std::max(pmax[i], rel);
-          psum[i] += rel;
-        }
-      }
-    }
-  });
-  for (std::size_t ci = 0; ci < nchunks; ++ci) {
-    for (std::size_t i = 0; i < n_rem; ++i) {
-      out.metrics.eps_max[i] = std::max(out.metrics.eps_max[i], part_max[ci][i]);
-      out.metrics.eps_mean[i] += part_sum[ci][i];
-    }
-    out.failed_dies += part_cnt[ci].failed;
-    out.mean_screened += static_cast<double>(part_cnt[ci].screened);
-    out.mean_missing += static_cast<double>(part_cnt[ci].missing);
-    out.mean_outliers += static_cast<double>(part_cnt[ci].outliers);
-    out.mean_screened_outlier +=
-        static_cast<double>(part_cnt[ci].screened_outlier);
-    out.mean_screened_noise += static_cast<double>(part_cnt[ci].screened_noise);
-    out.mean_dead += static_cast<double>(part_cnt[ci].dead);
-    out.mean_dropout += static_cast<double>(part_cnt[ci].dropout);
+      });
+
+  ErrorAcc err(n_rem);
+  FaultCounters cnt;
+  for (const FaultSlot& s : slots) {
+    err.merge(s.err);
+    cnt.merge(s.cnt);
   }
-  {
-    // Per-die PredictorStatus tallies, reduced once per evaluation so the
-    // hot loop never touches the registry.  Rejections are broken down per
-    // fault mode so drift diagnosis can tell tester faults from model drift.
-    std::size_t ok = 0, degraded = 0;
-    std::size_t rej_outlier = 0, rej_noise = 0, dead = 0, dropout = 0;
-    for (const Counters& c : part_cnt) {
-      ok += c.ok;
-      degraded += c.degraded;
-      rej_outlier += c.screened_outlier;
-      rej_noise += c.screened_noise;
-      dead += c.dead;
-      dropout += c.dropout;
-    }
-    util::telemetry::count("core.mc.dies_ok", ok);
-    util::telemetry::count("core.mc.dies_degraded", degraded);
-    util::telemetry::count("core.mc.dies_failed", out.failed_dies);
-    util::telemetry::count("core.mc.reject_outlier", rej_outlier);
-    util::telemetry::count("core.mc.reject_noise", rej_noise);
-    util::telemetry::count("core.mc.slots_dead", dead);
-    util::telemetry::count("core.mc.slots_dropout", dropout);
-  }
+  // Per-die PredictorStatus tallies, reported once per evaluation so the hot
+  // loop never touches the registry.  Rejections are broken down per fault
+  // mode so drift diagnosis can tell tester faults from model drift.
+  util::telemetry::count("core.mc.dies_ok", cnt.ok);
+  util::telemetry::count("core.mc.dies_degraded", cnt.degraded);
+  util::telemetry::count("core.mc.dies_failed", cnt.failed);
+  util::telemetry::count("core.mc.reject_outlier", cnt.screened_outlier);
+  util::telemetry::count("core.mc.reject_noise", cnt.screened_noise);
+  util::telemetry::count("core.mc.slots_dead", cnt.dead);
+  util::telemetry::count("core.mc.slots_dropout", cnt.dropout);
+
+  out.metrics = finalize(std::move(err), options.mc.samples);
   const auto samples = static_cast<double>(options.mc.samples);
-  for (std::size_t i = 0; i < n_rem; ++i) {
-    out.metrics.eps_mean[i] /= samples;
-    out.metrics.e1 += out.metrics.eps_max[i];
-    out.metrics.e2 += out.metrics.eps_mean[i];
-    out.metrics.worst_eps = std::max(out.metrics.worst_eps,
-                                     out.metrics.eps_max[i]);
-  }
-  out.metrics.e1 /= static_cast<double>(n_rem);
-  out.metrics.e2 /= static_cast<double>(n_rem);
-  out.mean_screened /= samples;
-  out.mean_missing /= samples;
-  out.mean_outliers /= samples;
-  out.mean_screened_outlier /= samples;
-  out.mean_screened_noise /= samples;
-  out.mean_dead /= samples;
-  out.mean_dropout /= samples;
+  out.failed_dies = cnt.failed;
+  out.mean_screened = static_cast<double>(cnt.screened) / samples;
+  out.mean_missing = static_cast<double>(cnt.missing) / samples;
+  out.mean_outliers = static_cast<double>(cnt.outliers) / samples;
+  out.mean_screened_outlier =
+      static_cast<double>(cnt.screened_outlier) / samples;
+  out.mean_screened_noise = static_cast<double>(cnt.screened_noise) / samples;
+  out.mean_dead = static_cast<double>(cnt.dead) / samples;
+  out.mean_dropout = static_cast<double>(cnt.dropout) / samples;
   return out;
 }
 
@@ -332,83 +376,43 @@ StreamingMcMetrics evaluate_predictor_streaming(
     drift_rem = linalg::matvec(predictor.a_rem, delta);
   }
 
-  if (options.record_trajectory) {
-    out.guardband_trajectory.reserve(options.mc.samples);
-    out.drift_trajectory.reserve(options.mc.samples);
-  }
+  out.guardband_trajectory.reserve(options.mc.samples);
+  out.drift_trajectory.reserve(options.mc.samples);
 
-  // Block-parallel generation, sequential calibration.  The staging buffers
-  // are die-indexed and each die's sample comes from its own RNG stream, so
-  // the generated values are independent of both chunking and thread count;
-  // the calibrator pass then runs in strict die order.
-  const std::size_t block = std::max<std::size_t>(1, options.block);
-  const std::size_t chunk = std::max<std::size_t>(1, options.mc.chunk);
+  // Streaming policy: the calibrator recursion is order-dependent, so it
+  // consumes dies in strict index order into one die-ordered accumulator.
+  const DieStream dies(m, predictor.a_rem, predictor.a_meas, options.mc);
+  ErrorAcc err(n_rem);
   double prev_guard = out.initial_guardband;
   linalg::Vector clean(n_meas);
-  for (std::size_t b0 = 0; b0 < options.mc.samples; b0 += block) {
-    const std::size_t bc = std::min(block, options.mc.samples - b0);
-    linalg::Matrix d_true(n_rem, bc);
-    linalg::Matrix y(n_meas, bc);
-    const std::size_t nchunks = (bc + chunk - 1) / chunk;
-    util::parallel_for(0, nchunks, 1, [&](std::size_t cb, std::size_t ce) {
-      for (std::size_t ci = cb; ci < ce; ++ci) {
-        const std::size_t s0 = ci * chunk;
-        const std::size_t c = std::min(chunk, bc - s0);
-        linalg::Matrix x(m, c);
-        for (std::size_t j = 0; j < c; ++j) {
-          util::Rng rng = util::Rng::stream(options.mc.seed, b0 + s0 + j);
-          for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
-        }
-        const linalg::Matrix dt = linalg::multiply(predictor.a_rem, x);
-        const linalg::Matrix yy = linalg::multiply(predictor.a_meas, x);
-        for (std::size_t i = 0; i < n_rem; ++i) {
-          for (std::size_t j = 0; j < c; ++j) d_true(i, s0 + j) = dt(i, j);
-        }
-        for (std::size_t i = 0; i < n_meas; ++i) {
-          for (std::size_t j = 0; j < c; ++j) y(i, s0 + j) = yy(i, j);
-        }
-      }
-    });
-    for (std::size_t j = 0; j < bc; ++j) {
-      const std::size_t die = b0 + j;
+  dies.for_each_in_order([&](const DieChunk& ch) {
+    for (std::size_t j = 0; j < ch.meas.cols(); ++j) {
+      const std::size_t die = ch.first + j;
       const bool drifted = has_drift && die >= options.drift.start_die;
       for (std::size_t i = 0; i < n_meas; ++i) {
-        clean[i] = predictor.base.mu_meas[i] + y(i, j) +
+        clean[i] = predictor.base.mu_meas[i] + ch.meas(i, j) +
                    (drifted ? drift_meas[i] : 0.0);
       }
       const NoisyMeasurements noisy = apply_faults(
           clean, predictor.base.mu_meas, options.faults, die);
       const DieRecord rec = cal.observe(die, noisy.values, noisy.valid);
-      if (options.record_trajectory) {
-        out.guardband_trajectory.push_back(rec.guardband);
-        out.drift_trajectory.push_back(rec.drift_score);
-      }
+      out.guardband_trajectory.push_back(rec.guardband);
+      out.drift_trajectory.push_back(rec.drift_score);
       // Non-inflation check with a tiny absolute slack for the symmetrized
       // covariance roundoff.
       if (rec.guardband > prev_guard + 1e-12) out.guardband_monotone = false;
       prev_guard = rec.guardband;
       if (rec.predicted.size() == n_rem) {
         for (std::size_t i = 0; i < n_rem; ++i) {
-          const double t = predictor.base.mu_rem[i] + d_true(i, j) +
-                           (drifted ? drift_rem[i] : 0.0);
-          const double rel = std::abs(rec.predicted[i] - t) / std::abs(t);
-          out.metrics.eps_max[i] = std::max(out.metrics.eps_max[i], rel);
-          out.metrics.eps_mean[i] += rel;
+          err.add(i, rec.predicted[i],
+                  predictor.base.mu_rem[i] + ch.truth(i, j) +
+                      (drifted ? drift_rem[i] : 0.0));
         }
       }
     }
-  }
+  });
 
-  const auto samples = static_cast<double>(options.mc.samples);
-  for (std::size_t i = 0; i < n_rem; ++i) {
-    out.metrics.eps_mean[i] /= samples;
-    out.metrics.e1 += out.metrics.eps_max[i];
-    out.metrics.e2 += out.metrics.eps_mean[i];
-    out.metrics.worst_eps =
-        std::max(out.metrics.worst_eps, out.metrics.eps_max[i]);
-  }
-  out.metrics.e1 /= static_cast<double>(n_rem);
-  out.metrics.e2 /= static_cast<double>(n_rem);
+  out.metrics = finalize(std::move(err), options.mc.samples);
   out.status = cal.status();
   out.final_guardband = cal.guardband();
   out.drift_flag_die = out.status.drift_flag_die;

@@ -7,14 +7,17 @@
 //   eps-hat_i = mean_k of the same ratio
 //   e1 = mean_i eps_i,   e2 = mean_i eps-hat_i.
 //
-// Sampling runs batch-parallel on the shared util::ThreadPool.  Sample k
-// draws from the deterministic stream util::Rng::stream(seed, k) and the
-// per-chunk partial results are reduced in fixed chunk order, so every
-// metric is bit-identical for any thread count (and any chunk size, up to
-// the reassociation of the eps_mean sums).
+// All four evaluators (clean, fault-injected, streaming, and
+// guardband_analysis through the ChunkTap below) run on one die-block
+// engine in monte_carlo.cpp.  Die k draws from the deterministic stream
+// util::Rng::stream(seed, k); parallel evaluators reduce per-chunk partial
+// results in fixed chunk order and the streaming evaluator folds dies in
+// index order, so every metric is bit-identical for any thread count (and
+// any chunk size, up to the reassociation of the eps_mean sums).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "core/measurement.h"
 #include "core/predictor.h"
@@ -43,6 +46,18 @@ struct McMetrics {
 McMetrics evaluate_predictor(const variation::VariationModel& model,
                              const LinearPredictor& predictor,
                              const McOptions& options = {});
+
+// The same evaluation with a read-only tap on every scored chunk: `tap(pred,
+// truth)` receives the chunk's centered predicted and true remaining-path
+// delays (n_rem x c; add predictor.mu_rem for absolute delays).  It runs on
+// whichever pool thread scored the chunk, so it must be thread-safe.
+// guardband_analysis tallies its confusion counts here, on exactly the dies
+// evaluate_predictor scores.
+using ChunkTap = std::function<void(const linalg::Matrix& pred,
+                                    const linalg::Matrix& truth)>;
+McMetrics evaluate_predictor(const variation::VariationModel& model,
+                             const LinearPredictor& predictor,
+                             const McOptions& options, const ChunkTap& tap);
 
 // --- Fault-injected evaluation (noisy-silicon robustness protocol) --------
 //
@@ -92,8 +107,7 @@ FaultyMcMetrics evaluate_predictor_under_faults(
 // Feeds a StreamingCalibrator one die at a time in die order: die k draws its
 // silicon from stream(mc.seed, k) and its fault schedule from
 // stream(faults.seed, k), exactly like the batch fault protocol.  Die
-// *generation* runs block-parallel (per-die RNG streams written to
-// die-indexed storage, reduced in fixed order) while the calibrator pass is
+// *generation* runs in parallel waves of chunks while the calibrator pass is
 // sequential by design — the state recursion is order-dependent — so every
 // metric and the full trajectory are bit-identical for any thread count.
 //
@@ -115,16 +129,12 @@ struct StreamingMcOptions {
   FaultSpec faults;
   StreamingOptions stream;
   DriftScenario drift;
-  // Dies generated per parallel block (bounds the die-indexed staging
-  // buffers; performance/memory only, never the sampled values).
-  std::size_t block = 1024;
-  bool record_trajectory = true;  // per-die guard-band / drift-score curves
 };
 
 struct StreamingMcMetrics {
   McMetrics metrics;    // e1/e2 of the per-die streaming predictions
   StreamStatus status;  // final calibrator status (gate counts, drift, ...)
-  linalg::Vector guardband_trajectory;  // per die (empty unless recorded)
+  linalg::Vector guardband_trajectory;  // adaptive guard-band per die
   linalg::Vector drift_trajectory;      // CUSUM score per die
   std::size_t dies = 0;
   std::size_t drift_flag_die = kNoDie;  // first die the CUSUM flagged

@@ -1,8 +1,11 @@
 #include "core/streaming_calibrator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/guardband.h"
@@ -42,6 +45,20 @@ bool quarantine_gate(StreamGate g) {
   // = unusable input or a pathological update system.
   return g != StreamGate::kExcessScreening &&
          g != StreamGate::kInnovationOutlier;
+}
+
+// Telemetry counter name per gate, formatted once so gating a die builds no
+// string.
+std::string_view gate_counter(StreamGate g) {
+  static const std::array<std::string, kNumStreamGates> names = [] {
+    std::array<std::string, kNumStreamGates> n;
+    for (std::size_t i = 0; i < kNumStreamGates; ++i) {
+      n[i] = std::string("core.stream.gate.") +
+             to_string(static_cast<StreamGate>(i));
+    }
+    return n;
+  }();
+  return names[static_cast<std::size_t>(g)];
 }
 
 bool all_finite(std::span<const double> v) {
@@ -148,7 +165,7 @@ DieRecord StreamingCalibrator::gated(std::size_t die, StreamGate gate,
     ++status_.dies_rejected;
     util::telemetry::count("core.stream.dies_rejected");
   }
-  util::telemetry::count(std::string("core.stream.gate.") + to_string(gate));
+  util::telemetry::count(gate_counter(gate));
   publish_telemetry();
   return rec;
 }

@@ -12,6 +12,7 @@
 #include "core/error_model.h"
 #include "core/path_selection.h"
 #include "timing/segments.h"
+#include "util/thread_pool.h"
 #include "variation/variation_model.h"
 
 namespace repro::core {
@@ -112,6 +113,54 @@ TEST(Guardband, ZeroGuardbandFlagsOnlyPredictedFails) {
   EXPECT_EQ(rep.missed, 0u);
   EXPECT_EQ(rep.false_alarms, 0u);
   EXPECT_EQ(rep.flagged, rep.true_fails);
+}
+
+TEST(Guardband, SameDiesAsEvaluatePredictorForAnyThreadsAndChunk) {
+  Fixture f;
+  PathSelectionOptions psel;
+  psel.epsilon = 0.05;
+  const PathSelectionResult sel =
+      select_representative_paths(f.model->a(), f.t_cons, psel);
+  const LinearPredictor p = make_path_predictor(
+      f.model->a(), f.model->mu_paths(), sel.representatives);
+  McOptions opt;
+  opt.samples = 600;
+  opt.seed = 42;
+  const auto run = [&](const McOptions& o) {
+    return guardband_analysis(*f.model, p, sel.errors.per_path_eps, f.t_cons,
+                              psel.epsilon, o);
+  };
+
+  // The MC metrics are Table 1's evaluator, field for field.
+  const GuardbandReport ref = run(opt);
+  const McMetrics mc = evaluate_predictor(*f.model, p, opt);
+  EXPECT_EQ(ref.mc.e1, mc.e1);
+  EXPECT_EQ(ref.mc.e2, mc.e2);
+  EXPECT_EQ(ref.mc.worst_eps, mc.worst_eps);
+  EXPECT_EQ(ref.mc.samples, mc.samples);
+  EXPECT_EQ(ref.mc.eps_max, mc.eps_max);
+  EXPECT_EQ(ref.mc.eps_mean, mc.eps_mean);
+  ASSERT_GT(ref.true_fails, 0u);
+
+  const auto expect_same_counts = [&](const GuardbandReport& r) {
+    EXPECT_EQ(r.true_fails, ref.true_fails);
+    EXPECT_EQ(r.flagged, ref.flagged);
+    EXPECT_EQ(r.missed, ref.missed);
+    EXPECT_EQ(r.false_alarms, ref.false_alarms);
+    EXPECT_EQ(r.observations, ref.observations);
+  };
+  const std::size_t saved_threads = util::thread_count();
+  for (std::size_t nt : {1u, 4u, 8u}) {
+    util::set_threads(nt);
+    expect_same_counts(run(opt));
+  }
+  util::set_threads(saved_threads);
+  // chunk = 0 is clamped to one die per chunk (it used to hang).
+  for (std::size_t chunk : {0u, 64u, 256u}) {
+    McOptions o = opt;
+    o.chunk = chunk;
+    expect_same_counts(run(o));
+  }
 }
 
 TEST(AdaptiveGuardband, CombinesBaseAndShiftAndShrinksWithInformation) {

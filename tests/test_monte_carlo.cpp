@@ -103,6 +103,32 @@ TEST(MonteCarlo, ChunkSizeDoesNotChangeResult) {
   const McMetrics mb = evaluate_predictor(*f.model, p, b);
   EXPECT_NEAR(ma.e1, mb.e1, 1e-12);
   EXPECT_NEAR(ma.e2, mb.e2, 1e-12);
+
+  // The fault-injected evaluator on the same engine: same dies and fault
+  // schedules, so the counters match exactly.
+  const RobustPredictor rp =
+      make_robust_path_predictor(f.model->a(), f.model->mu_paths(), rep);
+  ASSERT_TRUE(rp.status.usable());
+  FaultyMcOptions fa;
+  fa.mc = a;
+  fa.mc.chunk = 32;
+  fa.faults.noise_sigma_frac = 0.01;
+  fa.faults.outlier_rate = 0.1;
+  fa.faults.dropout_rate = 0.1;
+  FaultyMcOptions fb = fa;
+  fb.mc.chunk = 300;
+  const FaultyMcMetrics fma = evaluate_predictor_under_faults(*f.model, rp, fa);
+  const FaultyMcMetrics fmb = evaluate_predictor_under_faults(*f.model, rp, fb);
+  EXPECT_EQ(fma.failed_dies, fmb.failed_dies);
+  EXPECT_EQ(fma.mean_screened, fmb.mean_screened);
+  EXPECT_EQ(fma.mean_missing, fmb.mean_missing);
+  EXPECT_EQ(fma.mean_outliers, fmb.mean_outliers);
+  EXPECT_EQ(fma.mean_screened_outlier, fmb.mean_screened_outlier);
+  EXPECT_EQ(fma.mean_screened_noise, fmb.mean_screened_noise);
+  EXPECT_EQ(fma.mean_dead, fmb.mean_dead);
+  EXPECT_EQ(fma.mean_dropout, fmb.mean_dropout);
+  EXPECT_NEAR(fma.metrics.e1, fmb.metrics.e1, 1e-12);
+  EXPECT_NEAR(fma.metrics.e2, fmb.metrics.e2, 1e-12);
 }
 
 TEST(MonteCarlo, BitIdenticalAcrossThreadCounts) {

@@ -45,6 +45,8 @@ REQUIRED_METRICS = {
     "server": ("requests_per_s", "concurrent_sessions",
                "batched_speedup_vs_serial", "batch_mean_size",
                "bit_identical", "cache_hit_zero_refactor"),
+    "guardband": ("configs", "total_true_fails", "total_missed",
+                  "miss_rate", "worst_max_guardband"),
     "shard_scale": ("n_paths", "passes", "eps_r", "tolerance_met",
                     "repair_promotions", "peak_panel_bytes",
                     "mem_budget_bytes", "dense_bytes", "mem_ok",
