@@ -1,10 +1,11 @@
 // Kernel microbenchmarks (google-benchmark): the numerical workhorses behind
-// the selection algorithms — GEMM/Gram, SVD, pivoted QR, symmetric eigen,
-// Cholesky-based error evaluation, and the l1-ball projection — plus the
-// execution-layer comparisons (pooled vs spawn-per-call GEMM, pooled
-// Monte-Carlo evaluation across thread counts).
+// the selection algorithms — GEMM/Gram, SVD, blocked and pivoted QR,
+// symmetric eigen, Cholesky-based error evaluation, and the l1-ball
+// projection — plus the execution-layer comparisons (pooled vs
+// spawn-per-call GEMM, pooled Monte-Carlo evaluation across thread counts).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <thread>
 
@@ -19,6 +20,7 @@
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
+#include "linalg/qr.h"
 #include "linalg/qr_colpivot.h"
 #include "linalg/simd/dispatch.h"
 #include "linalg/svd.h"
@@ -140,6 +142,17 @@ void BM_QrColPivot(benchmark::State& state) {
 }
 BENCHMARK(BM_QrColPivot)->Arg(64)->Arg(128)->Arg(256);
 
+// Blocked Householder QR plus thin-Q formation on a tall 4n x n block, the
+// shape of the randomized eigensolver's range-finder sketches.
+void BM_QrThinQ(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const linalg::Matrix a = random_matrix(4 * n, n, 10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::qr_thin_q(linalg::qr_factor(a)));
+  }
+}
+BENCHMARK(BM_QrThinQ)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
+
 void BM_EigenSym(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const linalg::Matrix a = linalg::gram(random_matrix(n, n, 7));
@@ -167,7 +180,8 @@ BENCHMARK(BM_SelectionErrorEvaluation)->Arg(128)->Arg(512);
 void BM_SubsetSelect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const linalg::Matrix a = random_matrix(n, n / 2, 9);
-  const core::SubsetSelector selector(a);
+  const core::SubsetSelector selector =
+      core::make_subset_selector(a, linalg::gram(a));
   for (auto _ : state) {
     benchmark::DoNotOptimize(selector.select(n / 8));
   }
@@ -227,7 +241,8 @@ struct McFixture {
     const variation::SpatialModel spatial(3);
     model = std::make_unique<variation::VariationModel>(
         tg, spatial, paths, dec, variation::VariationOptions{});
-    const core::SubsetSelector sel(model->a());
+    const core::SubsetSelector sel =
+        core::make_subset_selector(model->a(), linalg::gram(model->a()));
     predictor = core::make_path_predictor(
         model->a(), model->mu_paths(),
         sel.select(std::max<std::size_t>(1, sel.rank() / 4)));
@@ -385,6 +400,39 @@ void run_tier_sweep(repro::bench::Harness& h) {
            have_scalar ? scalar_trsm_s / dispatched_times.trsm_s : 1.0);
 }
 
+// QR speed relative to the GEMM it is built on: best-of-3 time of
+// qr_thin_q(qr_factor(X)) over the best-of-3 time of a dispatched GEMM with
+// the same flop count (factor and thin Q each take 2 m n^2 - 2 n^3 / 3
+// flops).  X is 2000 x 488, the range-finder sketch of the s38417 Table 1
+// pool.  Near 1 means the factorization runs at GEMM speed; the
+// column-at-a-time QR it replaced sat near 100.
+void run_qr_ratio(repro::bench::Harness& h) {
+  const std::size_t m = 2000, n = 488;
+  const linalg::Matrix x = random_matrix(m, n, 24);
+  const double md = static_cast<double>(m), nd = static_cast<double>(n);
+  const double qr_flops = 4.0 * md * nd * nd - 4.0 * nd * nd * nd / 3.0;
+  const auto p =
+      static_cast<std::size_t>(std::lround(qr_flops / (2.0 * md * nd)));
+  const linalg::Matrix b = random_matrix(n, p, 25);
+  double qr_s = 0.0, gemm_s = 0.0;
+  constexpr int kReps = 3;
+  for (int rep = 0; rep < kReps; ++rep) {
+    util::Stopwatch sw;
+    benchmark::DoNotOptimize(linalg::qr_thin_q(linalg::qr_factor(x)));
+    const double tq = sw.seconds();
+    sw.reset();
+    benchmark::DoNotOptimize(linalg::multiply(x, b));
+    const double tg = sw.seconds();
+    if (rep == 0 || tq < qr_s) qr_s = tq;
+    if (rep == 0 || tg < gemm_s) gemm_s = tg;
+  }
+  h.metric("qr_m", m);
+  h.metric("qr_n", n);
+  h.metric("qr_thin_q_s", qr_s);
+  h.metric("qr_equal_flops_gemm_s", gemm_s);
+  h.metric("qr_over_gemm", qr_s / gemm_s);
+}
+
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): google-benchmark consumes its
@@ -403,6 +451,10 @@ int main(int argc, char** argv) {
   {
     const util::telemetry::Span span("bench.tier_sweep");
     run_tier_sweep(h);
+  }
+  {
+    const util::telemetry::Span span("bench.qr_ratio");
+    run_qr_ratio(h);
   }
   return h.finish(ran > 0);
 }

@@ -15,26 +15,20 @@ namespace {
 
 // Shared (expensive) artifacts hoisted out of the eps' sweep.
 struct HybridContext {
-  linalg::Matrix gram;            // A A^T
-  SubsetSelector selector;
+  SubsetSelector selector;        // owns W = A A^T
   PathSelectionResult path_only;  // Algorithm-1 fallback at eps
   SegmentQuadratic quad;          // Eqn-10 worst-case form, eps'-independent
-
-  static SubsetSelector make_selector(const linalg::Matrix& a,
-                                      const linalg::Matrix& w) {
-    return (a.cols() >= a.rows()) ? SubsetSelector(a, w) : SubsetSelector(a);
-  }
 
   HybridContext(const linalg::Matrix& a, const linalg::Matrix& sigma,
                 const linalg::Vector& mu_segments, double t_cons,
                 const HybridOptions& options)
-      : gram(linalg::gram(a)),
-        selector(make_selector(a, gram)),
+      : selector(make_subset_selector(a, linalg::gram(a))),
         quad(build_segment_quadratic(sigma, mu_segments, options.kappa)) {
     PathSelectionOptions popt;
     popt.epsilon = options.epsilon;
     popt.kappa = options.kappa;
-    path_only = select_representative_paths(selector, gram, t_cons, popt);
+    path_only = select_representative_paths(selector, selector.gram(), t_cons,
+                                             popt);
   }
 };
 

@@ -11,7 +11,8 @@
 // for the greedy pivoted-Cholesky order.  Greedy pivoting always adds the
 // worst-predicted path, so the factor's diagonal already prices every
 // prefix and the driver reads the answer off it (see
-// SubsetSelector::greedy_sigma).  All share one SVD and one Gram matrix.
+// SubsetSelector::greedy_sigma).  All share one selector and the Gram
+// matrix it owns.
 #pragma once
 
 #include <cstddef>
@@ -46,12 +47,14 @@ struct PathSelectionResult {
 };
 
 // Selects representative paths from A (rows = target paths).  `gram` may be
-// passed in when precomputed (A A^T); pass nullptr to compute internally.
+// passed in when precomputed (A A^T; the selector keeps a copy); pass nullptr
+// to compute it internally.
 PathSelectionResult select_representative_paths(
     const linalg::Matrix& a, double t_cons, const PathSelectionOptions& options,
     const linalg::Matrix* gram = nullptr);
 
-// Same, reusing an existing SubsetSelector (shared SVD).
+// Same, reusing an existing SubsetSelector (shared factors); `gram` is W,
+// usually selector.gram().
 PathSelectionResult select_representative_paths(
     const SubsetSelector& selector, const linalg::Matrix& gram, double t_cons,
     const PathSelectionOptions& options);

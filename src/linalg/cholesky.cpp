@@ -1,12 +1,15 @@
 #include "linalg/cholesky.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/simd/kernels.h"
 #include "util/contracts.h"
 #include "util/telemetry.h"
+#include "util/thread_pool.h"
 
 namespace repro::linalg {
 
@@ -129,6 +132,7 @@ PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
   if (s.rows() != s.cols()) {
     throw std::invalid_argument("pivoted_cholesky: not square");
   }
+  const util::telemetry::Span span("linalg.pivoted_cholesky");
   const std::size_t n = s.rows();
   PivotedChol out;
   out.perm.resize(n);
@@ -148,7 +152,11 @@ PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
                             std::numeric_limits<double>::epsilon() * 16.0) *
       (max_diag0 > 0.0 ? max_diag0 : 1.0);
 
-  Matrix l(n, n);  // trimmed to rank columns at the end
+  // Row i of L lives in l.row(i)[0..k); the storage is n x cap and doubles
+  // when k reaches cap, so it stays O(n * rank) when rank << n.
+  std::size_t cap = std::min<std::size_t>(n, 64);
+  Matrix l(n, cap);
+  const std::size_t nt = util::thread_count();
   std::size_t k = 0;
   for (; k < n; ++k) {
     // Pivot: largest remaining Schur diagonal.
@@ -157,6 +165,14 @@ PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
       if (diag[i] > diag[piv]) piv = i;
     }
     if (diag[piv] <= tol) break;
+    if (k == cap) {
+      cap = std::min(n, 2 * cap);
+      Matrix grown(n, cap);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::copy_n(l.row(i).data(), k, grown.row(i).data());
+      }
+      l = std::move(grown);
+    }
     if (piv != k) {
       std::swap(out.perm[piv], out.perm[k]);
       std::swap(diag[piv], diag[k]);
@@ -165,15 +181,27 @@ PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
     const double lkk = std::sqrt(diag[k]);
     l(k, k) = lkk;
     const auto pk = static_cast<std::size_t>(out.perm[k]);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const auto pi = static_cast<std::size_t>(out.perm[i]);
-      double v = s(pi, pk);
-      const double* li = l.row(i).data();
+    // Rows below the pivot are independent: each reads its own row of L and
+    // the pivot row and writes only its own entries, with the same serial
+    // dot as a single-threaded run, so results are thread-count invariant.
+    const auto update_rows = [&](std::size_t ib, std::size_t ie) {
       const double* lk = l.row(k).data();
-      for (std::size_t j = 0; j < k; ++j) v -= li[j] * lk[j];
-      const double lik = v / lkk;
-      l(i, k) = lik;
-      diag[i] -= lik * lik;
+      for (std::size_t i = ib; i < ie; ++i) {
+        const auto pi = static_cast<std::size_t>(out.perm[i]);
+        double v = s(pi, pk);
+        const double* li = l.row(i).data();
+        for (std::size_t j = 0; j < k; ++j) v -= li[j] * lk[j];
+        const double lik = v / lkk;
+        l(i, k) = lik;
+        diag[i] -= lik * lik;
+      }
+    };
+    const std::size_t rest = n - k - 1;
+    if (nt > 1 && rest * (k + 1) >= 65'536) {
+      util::parallel_for(k + 1, n, std::max<std::size_t>(64, rest / (4 * nt)),
+                         update_rows);
+    } else {
+      update_rows(k + 1, n);
     }
   }
   out.rank = k;

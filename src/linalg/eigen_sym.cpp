@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/contracts.h"
+#include "util/telemetry.h"
 
 namespace repro::linalg {
 namespace {
@@ -139,6 +140,7 @@ bool tql2(Matrix& a, Vector& d, Vector& e, bool want_vectors) {
 EigenSymResult eigen_sym(Matrix s, bool want_vectors) {
   REPRO_CHECK_DIM(s.rows(), s.cols(), "eigen_sym: square input");
   if (s.rows() != s.cols()) throw std::invalid_argument("eigen_sym: not square");
+  const util::telemetry::Span span("linalg.eigen_sym");
   EigenSymResult out;
   if (s.rows() == 0) return out;
   Vector e;

@@ -1,10 +1,11 @@
 // Thin singular value decomposition, A = U diag(s) V^T.
 //
 // Golub–Reinsch: Householder bidiagonalization followed by implicit-shift QR
-// on the bidiagonal, accumulating U and V.  This is the workhorse behind the
-// paper's rank / effective-rank computations (Section 4.2) and behind
-// Algorithm 2's U_r extraction, so it must be robust for matrices up to a few
-// thousand rows/columns with widely spread singular values.
+// on the bidiagonal, accumulating U and V.  It computes the paper's Fig. 2
+// spectrum and serves as the independent reference in tests; Algorithm 2
+// reads U_r and rank(A) off the Gram matrix instead (core/subset_select.h).
+// It must be robust for matrices up to a few thousand rows/columns with
+// widely spread singular values.
 #pragma once
 
 #include "linalg/matrix.h"

@@ -5,6 +5,7 @@
 #include "core/measurement.h"
 #include "core/panel_source.h"
 #include "core/sharded_selection.h"
+#include "core/subset_select.h"
 #include "linalg/gemm.h"
 #include "util/telemetry.h"
 
@@ -110,7 +111,7 @@ std::uint64_t PredictBatcher::dies() const {
 SessionInfo Session::info(bool cached) const {
   SessionInfo out;
   out.session = id;
-  out.rank = static_cast<std::uint32_t>(selector->rank());
+  out.rank = static_cast<std::uint32_t>(selection.exact_rank);
   out.n_meas = static_cast<std::uint32_t>(predictor.measured_paths.size());
   out.n_rem = static_cast<std::uint32_t>(predictor.remaining.size());
   out.eps_r = selection.eps_r;
@@ -134,9 +135,11 @@ std::shared_ptr<Session> build_session(const SessionConfig& cfg,
 
   const linalg::Matrix& a = s->experiment->model().a();
   const linalg::Vector& mu = s->experiment->model().mu_paths();
-  const linalg::Matrix gram = linalg::gram(a);
-  s->selector = std::make_unique<core::SubsetSelector>(
-      core::make_subset_selector(a, gram));
+  // The selector owns W and lives only for the build, so a built session
+  // holds no n x n matrix.
+  const core::SubsetSelector selector =
+      core::make_subset_selector(a, linalg::gram(a));
+  const linalg::Matrix& gram = selector.gram();
 
   core::PathSelectionOptions opt;
   opt.epsilon = cfg.epsilon;
@@ -152,13 +155,13 @@ std::shared_ptr<Session> build_session(const SessionConfig& cfg,
     const core::ShardedSelectionResult sharded = core::select_paths_sharded(
         source, s->experiment->t_cons_ps(), sopt);
     s->selection.representatives = sharded.representatives;
-    s->selection.exact_rank = s->selector->rank();
+    s->selection.exact_rank = selector.rank();
     s->selection.eps_r = sharded.eps_r;
     s->selection.errors = core::selection_errors_from_gram(
         gram, sharded.representatives, s->experiment->t_cons_ps(), opt.kappa);
   } else {
     s->selection = core::select_representative_paths(
-        *s->selector, gram, s->experiment->t_cons_ps(), opt);
+        selector, gram, s->experiment->t_cons_ps(), opt);
   }
 
   s->predictor =
@@ -167,7 +170,7 @@ std::shared_ptr<Session> build_session(const SessionConfig& cfg,
   // Streamed dies go through the robust gate; backups come from the greedy
   // pivot order and the noise prior matches the default tester fault model.
   core::RobustOptions ropt;
-  ropt.backup_order = s->selector->greedy_order(gram);
+  ropt.backup_order = selector.greedy_order(gram);
   ropt.measurement_sigma_ps =
       core::expected_noise_sigma(core::default_fault_spec(),
                                  s->predictor.mu_meas);

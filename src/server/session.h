@@ -3,14 +3,15 @@
 //
 // A session is the expensive part of the service — circuit generation, STA,
 // candidate enumeration, the Gram matrix, the Algorithm-1/2 selection
-// (SubsetSelector memoizes its SVD/pivoted-Cholesky factors and per-r QRCP
-// pivot orders), and the Theorem-2 predictor coefficients.  The cache keys
-// on SessionConfig::cache_key(), so a repeat open skips ALL of that O(n·r²)
-// work: the regression pin is that the second open of an identical config
-// leaves `linalg.qr_colpivot.calls` untouched.
+// (SubsetSelector memoizes its pivoted-Cholesky and eigenpair factors and
+// per-r QRCP pivot orders), and the Theorem-2 predictor coefficients.  The
+// selector and its Gram matrix are released once the session is built.  The
+// cache keys on SessionConfig::cache_key(), so a repeat open skips ALL of
+// that O(n·r²) work: the regression pin is that the second open of an
+// identical config leaves `linalg.qr_colpivot.calls` untouched.
 //
 // Concurrency:
-//   * immutable after build: experiment, selector, selection, predictor —
+//   * immutable after build: experiment, selection, predictor —
 //     predict traffic reads them lock-free;
 //   * the StreamingCalibrator is order-dependent state, serialized by
 //     stream_mu (observe is the slow per-die path; contention is fine);
@@ -34,7 +35,6 @@
 #include "core/path_selection.h"
 #include "core/predictor.h"
 #include "core/streaming_calibrator.h"
-#include "core/subset_select.h"
 #include "server/protocol.h"
 
 namespace repro::server {
@@ -98,7 +98,6 @@ class Session {
 
   // Immutable after build.
   std::unique_ptr<core::Experiment> experiment;
-  std::unique_ptr<core::SubsetSelector> selector;
   core::PathSelectionResult selection;
   core::LinearPredictor predictor;
 

@@ -10,6 +10,7 @@
 #include "circuit/placement.h"
 #include "core/predictor.h"
 #include "core/subset_select.h"
+#include "linalg/gemm.h"
 #include "timing/segments.h"
 #include "util/rng.h"
 
@@ -38,7 +39,8 @@ struct Fixture {
   // Measure the exact representative paths under a ground-truth x.
   std::pair<std::vector<int>, linalg::Vector> measure(
       const linalg::Vector& x_true) {
-    const SubsetSelector sel(model->a());
+    const SubsetSelector sel =
+        make_subset_selector(model->a(), linalg::gram(model->a()));
     std::vector<int> rep = sel.select(sel.rank());
     const linalg::Vector d = model->path_delays(x_true);
     linalg::Vector y(rep.size());

@@ -11,6 +11,7 @@
 #include "circuit/placement.h"
 #include "core/error_model.h"
 #include "core/path_selection.h"
+#include "linalg/gemm.h"
 #include "timing/segments.h"
 #include "util/thread_pool.h"
 #include "variation/variation_model.h"
@@ -100,7 +101,8 @@ TEST(Guardband, AverageBelowEpsilon) {
 
 TEST(Guardband, ZeroGuardbandFlagsOnlyPredictedFails) {
   Fixture f;
-  const SubsetSelector selector(f.model->a());
+  const SubsetSelector selector =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto rep_paths = selector.select(selector.rank());
   const LinearPredictor p =
       make_path_predictor(f.model->a(), f.model->mu_paths(), rep_paths);
@@ -197,7 +199,8 @@ TEST(AdaptiveGuardband, CombinesBaseAndShiftAndShrinksWithInformation) {
 
 TEST(Guardband, SizeMismatchThrows) {
   Fixture f;
-  const SubsetSelector selector(f.model->a());
+  const SubsetSelector selector =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const LinearPredictor p = make_path_predictor(
       f.model->a(), f.model->mu_paths(), selector.select(3));
   EXPECT_THROW((void)guardband_analysis(*f.model, p, linalg::Vector(2, 0.0),

@@ -31,7 +31,8 @@ TEST(Integration, Table1PipelineSmall) {
   const auto& a = e.model().a();
 
   // Exact selection.
-  const SubsetSelector selector(a);
+  const SubsetSelector selector =
+      make_subset_selector(a, linalg::gram(a));
   const std::size_t rank = selector.rank();
   EXPECT_GT(rank, 0u);
   EXPECT_LT(rank, e.target_paths().size());  // shared segments -> low rank

@@ -10,6 +10,7 @@
 #include "circuit/generator.h"
 #include "circuit/placement.h"
 #include "core/path_selection.h"
+#include "linalg/gemm.h"
 #include "timing/segments.h"
 #include "util/thread_pool.h"
 #include "variation/variation_model.h"
@@ -40,7 +41,8 @@ struct Fixture {
 
 TEST(MonteCarlo, ExactPredictorHasNearZeroError) {
   Fixture f;
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto rep = sel.select(sel.rank());
   const LinearPredictor p =
       make_path_predictor(f.model->a(), f.model->mu_paths(), rep);
@@ -53,7 +55,8 @@ TEST(MonteCarlo, ExactPredictorHasNearZeroError) {
 
 TEST(MonteCarlo, MetricsRelationships) {
   Fixture f;
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto rep = sel.select(std::max<std::size_t>(1, sel.rank() / 3));
   const LinearPredictor p =
       make_path_predictor(f.model->a(), f.model->mu_paths(), rep);
@@ -73,7 +76,8 @@ TEST(MonteCarlo, MetricsRelationships) {
 
 TEST(MonteCarlo, DeterministicForSeed) {
   Fixture f;
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto rep = sel.select(5);
   const LinearPredictor p =
       make_path_predictor(f.model->a(), f.model->mu_paths(), rep);
@@ -88,7 +92,8 @@ TEST(MonteCarlo, DeterministicForSeed) {
 
 TEST(MonteCarlo, ChunkSizeDoesNotChangeResult) {
   Fixture f(40);
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto rep = sel.select(4);
   const LinearPredictor p =
       make_path_predictor(f.model->a(), f.model->mu_paths(), rep);
@@ -133,7 +138,8 @@ TEST(MonteCarlo, ChunkSizeDoesNotChangeResult) {
 
 TEST(MonteCarlo, BitIdenticalAcrossThreadCounts) {
   Fixture f;
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto rep = sel.select(5);
   const LinearPredictor p =
       make_path_predictor(f.model->a(), f.model->mu_paths(), rep);
@@ -163,7 +169,8 @@ TEST(MonteCarlo, BitIdenticalAcrossThreadCounts) {
 
 TEST(MonteCarlo, MoreRepresentativesLowerError) {
   Fixture f;
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   McOptions opt;
   opt.samples = 800;
   double prev_e2 = 1e9;
@@ -181,7 +188,8 @@ TEST(MonteCarlo, McErrorConsistentWithAnalyticSigma) {
   // The analytic error sigma and the observed mean absolute error relate by
   // E|N(0,s)| = s * sqrt(2/pi); check within MC tolerance for a few paths.
   Fixture f;
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto rep = sel.select(6);
   const LinearPredictor p =
       make_path_predictor(f.model->a(), f.model->mu_paths(), rep);

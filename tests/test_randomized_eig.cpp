@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace repro::linalg {
 namespace {
@@ -148,6 +153,92 @@ TEST(PivotedCholesky, FirstPivotIsLargestDiagonal) {
 
 TEST(PivotedCholesky, NotSquareThrows) {
   EXPECT_THROW((void)pivoted_cholesky(Matrix(2, 3)), std::invalid_argument);
+}
+
+// The pivoted Cholesky as first written: a zeroed n x n factor, rows
+// updated serially.  The O(n * rank) threaded version must reproduce it bit
+// for bit.
+PivotedChol reference_pivoted_cholesky(const Matrix& s, double rel_tol) {
+  const std::size_t n = s.rows();
+  PivotedChol out;
+  out.perm.resize(n);
+  for (std::size_t i = 0; i < n; ++i) out.perm[i] = static_cast<int>(i);
+  Vector diag(n);
+  for (std::size_t i = 0; i < n; ++i) diag[i] = s(i, i);
+  double max_diag0 = 0.0;
+  for (double d : diag) max_diag0 = std::max(max_diag0, d);
+  const double tol = rel_tol * (max_diag0 > 0.0 ? max_diag0 : 1.0);
+  Matrix l(n, n);
+  std::size_t k = 0;
+  for (; k < n; ++k) {
+    std::size_t piv = k;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      if (diag[i] > diag[piv]) piv = i;
+    }
+    if (diag[piv] <= tol) break;
+    if (piv != k) {
+      std::swap(out.perm[piv], out.perm[k]);
+      std::swap(diag[piv], diag[k]);
+      l.swap_rows(piv, k);
+    }
+    const double lkk = std::sqrt(diag[k]);
+    l(k, k) = lkk;
+    const auto pk = static_cast<std::size_t>(out.perm[k]);
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const auto pi = static_cast<std::size_t>(out.perm[i]);
+      double v = s(pi, pk);
+      const double* li = l.row(i).data();
+      const double* lk = l.row(k).data();
+      for (std::size_t j = 0; j < k; ++j) v -= li[j] * lk[j];
+      const double lik = v / lkk;
+      l(i, k) = lik;
+      diag[i] -= lik * lik;
+    }
+  }
+  out.rank = k;
+  out.l = l.left_cols(k);
+  return out;
+}
+
+void expect_same_bits(const PivotedChol& a, const PivotedChol& b) {
+  ASSERT_EQ(a.rank, b.rank);
+  EXPECT_EQ(a.perm, b.perm);
+  ASSERT_TRUE(a.l.same_shape(b.l));
+  EXPECT_TRUE(std::equal(a.l.data().begin(), a.l.data().end(),
+                         b.l.data().begin()));
+}
+
+TEST(PivotedCholesky, BitIdenticalToReferenceAndAcrossThreadCounts) {
+  // Rank 200 of 700 grows the factor storage past its first capacity and
+  // takes the threaded row update; a full-rank case fills every column.
+  const std::size_t saved_threads = util::thread_count();
+  for (const Matrix& w : {psd_of_rank(700, 200, 12), psd_of_rank(90, 90, 13)}) {
+    const double tol = 1e-14;
+    const PivotedChol ref = reference_pivoted_cholesky(w, tol);
+    for (std::size_t threads : {1u, 4u}) {
+      util::set_threads(threads);
+      expect_same_bits(pivoted_cholesky(w, tol), ref);
+    }
+  }
+  util::set_threads(saved_threads);
+}
+
+TEST(RandomizedEig, BitIdenticalAcrossThreadCounts) {
+  // n and the sketch are large enough that the range finder's products and
+  // QRs take the threaded GEMM.
+  const Matrix w = psd_of_rank(600, 180, 14);
+  RandomizedEigOptions opt;
+  opt.initial_rank = 96;
+  const std::size_t saved_threads = util::thread_count();
+  util::set_threads(1);
+  const RandomizedEigResult a = randomized_eig_psd(w, opt);
+  util::set_threads(4);
+  const RandomizedEigResult b = randomized_eig_psd(w, opt);
+  util::set_threads(saved_threads);
+  EXPECT_EQ(a.values, b.values);
+  ASSERT_TRUE(a.vectors.same_shape(b.vectors));
+  EXPECT_TRUE(std::equal(a.vectors.data().begin(), a.vectors.data().end(),
+                         b.vectors.data().begin()));
 }
 
 }  // namespace

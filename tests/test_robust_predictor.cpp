@@ -299,7 +299,8 @@ struct Fixture {
 RobustPredictor fixture_predictor(const Fixture& f, std::size_t n_rep,
                                   const FaultSpec& spec,
                                   const std::vector<int>& dead = {}) {
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto order = sel.select(std::min(sel.rank(), n_rep + 8));
   std::vector<int> rep(order.begin(),
                        order.begin() + static_cast<std::ptrdiff_t>(
@@ -352,7 +353,8 @@ TEST(FaultyMonteCarlo, BitIdenticalAcrossThreadCounts) {
 TEST(FaultyMonteCarlo, CleanFaultsMatchCleanEvaluator) {
   // A clean FaultSpec and zero noise prior reproduce the classic protocol.
   Fixture f(40);
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto rep = sel.select(5);
   const LinearPredictor lp =
       make_path_predictor(f.model->a(), f.model->mu_paths(), rep);
@@ -397,7 +399,8 @@ TEST(FaultyMonteCarlo, RobustBeatsNaiveUnderOutliers) {
 TEST(FaultyMonteCarlo, DeadRepPathDegradesGracefully) {
   Fixture f;
   FaultSpec spec = default_fault_spec();  // dead_slots = {0}
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto order = sel.select(std::min<std::size_t>(sel.rank(), 16));
   const std::vector<int> rep(order.begin(), order.begin() + 8);
   // The robust flow excludes the dead path at build time and evaluates with
@@ -526,7 +529,8 @@ TEST(FaultyMonteCarlo, NoLinalgEscapeOnPathologicalInputs) {
   EXPECT_EQ(m.metrics.e1, 0.0);
 
   // Full dropout on a usable predictor: all dies fall back to nominal.
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto rp = make_robust_path_predictor(f.model->a(),
                                              f.model->mu_paths(), sel.select(4));
   FaultyMcOptions drop;

@@ -273,7 +273,8 @@ struct Fixture {
 
 RobustPredictor fixture_predictor(const Fixture& f, std::size_t n_rep,
                                   const FaultSpec& spec) {
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const auto order = sel.select(std::min(sel.rank(), n_rep + 8));
   std::vector<int> rep(order.begin(),
                        order.begin() + static_cast<std::ptrdiff_t>(
@@ -389,7 +390,9 @@ TEST(StreamingMonteCarlo, DegenerateInputsAreDefined) {
   EXPECT_EQ(m.status.health, StreamHealth::kUnusable);
   EXPECT_EQ(m.metrics.e1, 0.0);
 
-  const SubsetSelector sel(f.model->a());
+  const SubsetSelector sel =
+
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
   const RobustPredictor p = make_robust_path_predictor(
       f.model->a(), f.model->mu_paths(), sel.select(4));
   opt.mc.samples = 0;

@@ -37,7 +37,7 @@ REQUIRED_METRICS = {
                 "syrk_gflops", "syrk_peak_fraction",
                 "trsm_gflops", "trsm_peak_fraction",
                 "gemm_speedup_vs_scalar", "syrk_speedup_vs_scalar",
-                "trsm_speedup_vs_scalar"),
+                "trsm_speedup_vs_scalar", "qr_over_gemm"),
     "streaming": ("streaming_e1", "batch_e1", "e1_ratio", "e1_ratio_budget",
                   "guardband_monotone", "clean_false_alarms",
                   "drift_detected", "drift_latency_dies",
