@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
     const util::telemetry::Span bench_span("bench.circuit");
     const core::Experiment e(core::default_experiment_config(name));
     const auto& a = e.model().a();
-    const linalg::Matrix gram = linalg::gram(a);
-    const core::SubsetSelector selector = core::make_subset_selector(a, gram);
+    const core::SubsetSelector selector =
+        core::make_subset_selector(a, linalg::gram(a));
+    const linalg::Matrix& gram = selector.gram();
 
     for (double eta : {0.01, 0.02, 0.05, 0.10, 0.20}) {
       const std::size_t eff = core::effective_rank(

@@ -48,8 +48,9 @@ int main(int argc, char** argv) {
     const double s = scales[ei];
     const core::Experiment& e = *experiments[ei];
     const auto& a = e.model().a();
-    const linalg::Matrix gram = linalg::gram(a);
-    const core::SubsetSelector selector = core::make_subset_selector(a, gram);
+    const core::SubsetSelector selector =
+        core::make_subset_selector(a, linalg::gram(a));
+    const linalg::Matrix& gram = selector.gram();
     core::PathSelectionOptions opt;
     opt.epsilon = 0.05;
     const core::PathSelectionResult sel =

@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
     const util::telemetry::Span bench_span("bench.circuit");
     const core::Experiment e(core::default_experiment_config(name));
     const auto& a = e.model().a();
-    const linalg::Matrix gram = linalg::gram(a);
-    const core::SubsetSelector selector(a, gram);  // Gram route: both methods
+    const core::SubsetSelector selector(a, linalg::gram(a));
+    const linalg::Matrix& gram = selector.gram();
     const std::size_t rank = selector.rank();
     const std::vector<int>& order = selector.greedy_order(gram);
     for (double frac : {0.02, 0.05, 0.1, 0.2, 0.4}) {

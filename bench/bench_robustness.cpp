@@ -143,8 +143,9 @@ int main(int argc, char** argv) {
 
   const core::Experiment e(core::default_experiment_config("s1423"));
   const auto& a = e.model().a();
-  const linalg::Matrix gram = linalg::gram(a);
-  const core::SubsetSelector selector = core::make_subset_selector(a, gram);
+  const core::SubsetSelector selector =
+      core::make_subset_selector(a, linalg::gram(a));
+  const linalg::Matrix& gram = selector.gram();
   core::PathSelectionOptions popt;
   popt.epsilon = 0.05;
   const core::PathSelectionResult sel =

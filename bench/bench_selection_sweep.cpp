@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -142,7 +143,7 @@ int main(int argc, char** argv) {
 
   const Matrix a = correlated_rows(n, m, k, 0.05, 20260805);
   util::Stopwatch sw_gram;
-  const Matrix gram = [&] {
+  Matrix w = [&] {
     const util::telemetry::Span span("bench.gram");
     return linalg::gram(a);
   }();
@@ -156,7 +157,9 @@ int main(int argc, char** argv) {
       gram_seconds > 0.0 ? gram_flops / gram_seconds * 1e-9 : 0.0;
   const double gram_peak = linalg::simd::theoretical_peak_gflops(
       linalg::simd::active_tier(), util::thread_count());
-  const core::SubsetSelector selector = core::make_subset_selector(a, gram);
+  const core::SubsetSelector selector =
+      core::make_subset_selector(a, std::move(w));
+  const Matrix& gram = selector.gram();
   const std::size_t rank = selector.rank();
   // Cache the pivot order up front so neither phase is charged for it.
   const std::vector<int>& order = selector.greedy_order(gram);

@@ -45,11 +45,11 @@ int main(int argc, char** argv) {
     }();
     const auto& a = e.model().a();
 
-    const linalg::Matrix gram = [&] {
+    const core::SubsetSelector selector = core::make_subset_selector(a, [&] {
       const util::telemetry::Span span("bench.gram");
       return linalg::gram(a);
-    }();
-    const core::SubsetSelector selector = core::make_subset_selector(a, gram);
+    }());
+    const linalg::Matrix& gram = selector.gram();
     core::PathSelectionOptions opt;
     opt.epsilon = 0.05;
     const core::PathSelectionResult sel =

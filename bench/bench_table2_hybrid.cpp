@@ -63,8 +63,9 @@ int main(int argc, char** argv) {
     const auto& m = e.model();
 
     // Approximate path selection at eps = 8%.
-    const linalg::Matrix gram = linalg::gram(m.a());
-    const core::SubsetSelector selector = core::make_subset_selector(m.a(), gram);
+    const core::SubsetSelector selector =
+        core::make_subset_selector(m.a(), linalg::gram(m.a()));
+    const linalg::Matrix& gram = selector.gram();
     core::PathSelectionOptions popt;
     popt.epsilon = kEps;
     const core::PathSelectionResult psel =

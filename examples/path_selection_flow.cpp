@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
   std::printf("segments: %zu\n\n", e.model().num_segments());
 
   // Selection.
-  const linalg::Matrix gram = linalg::gram(e.model().a());
   const core::SubsetSelector selector =
-      core::make_subset_selector(e.model().a(), gram);
+      core::make_subset_selector(e.model().a(), linalg::gram(e.model().a()));
+  const linalg::Matrix& gram = selector.gram();
   std::printf("rank(A) = %zu (exact selection size, Theorem 1)\n",
               selector.rank());
   std::printf("effective rank at 5%% energy: %zu\n",

@@ -39,9 +39,9 @@ int main() {
   //    examples/noisy_silicon_flow.
   const core::Experiment e(core::default_experiment_config("s1196"));
   const auto& model = e.model();
-  const linalg::Matrix gram = linalg::gram(model.a());
   const core::SubsetSelector selector =
-      core::make_subset_selector(model.a(), gram);
+      core::make_subset_selector(model.a(), linalg::gram(model.a()));
+  const linalg::Matrix& gram = selector.gram();
   core::PathSelectionOptions popt;
   popt.epsilon = 0.05;
   const core::PathSelectionResult sel =

@@ -231,7 +231,7 @@ TEST(PathSelection, GreedySweepStopsAtFirstFeasiblePrefix) {
   const linalg::Matrix a = correlated_rows(600, 40, 6, 0.05, 25);
   const linalg::Matrix w = linalg::gram(a);
   const SubsetSelector selector(a, w);
-  const linalg::Vector& sigma = selector.greedy_sigma(w);
+  const linalg::Vector& sigma = selector.greedy_sigma();
   ASSERT_GT(sigma.size(), 5u);
   PathSelectionOptions opt;
   // Between the errors of the 3- and 4-path prefixes.
