@@ -14,7 +14,6 @@
 #include "core/monte_carlo.h"
 #include "core/path_selection.h"
 #include "linalg/gemm.h"
-#include "linalg/svd.h"
 #include "util/telemetry.h"
 #include "util/text.h"
 

@@ -8,7 +8,8 @@
 #include "bench_common.h"
 #include "core/benchmarks.h"
 #include "core/effective_rank.h"
-#include "linalg/svd.h"
+#include "core/subset_select.h"
+#include "linalg/gemm.h"
 #include "util/telemetry.h"
 #include "util/text.h"
 
@@ -27,13 +28,16 @@ struct Series {
 };
 
 Series summarize(const core::Experiment& e, const char* label) {
-  const linalg::SvdResult f = linalg::svd(e.model().a(), /*want_uv=*/false);
+  const linalg::Matrix& a = e.model().a();
+  const core::SubsetSelector selector =
+      core::make_subset_selector(a, linalg::gram(a));
+  const linalg::Vector& sv = selector.singular_values();
   Series s;
   s.label = label;
-  s.normalized = core::normalized_singular_values(f.s);
-  s.rank = linalg::svd_rank(f, e.model().a().rows(), e.model().a().cols());
-  s.eff_rank_5 = core::effective_rank(f.s, 0.05);
-  s.eff_rank_1 = core::effective_rank(f.s, 0.01);
+  s.normalized = core::normalized_singular_values(sv);
+  s.rank = selector.rank();
+  s.eff_rank_5 = core::effective_rank(sv, 0.05);
+  s.eff_rank_1 = core::effective_rank(sv, 0.01);
   s.paths = e.model().num_paths();
   s.params = e.model().num_params();
   return s;

@@ -1,5 +1,5 @@
 // Kernel microbenchmarks (google-benchmark): the numerical workhorses behind
-// the selection algorithms — GEMM/Gram, SVD, blocked and pivoted QR,
+// the selection algorithms — GEMM/Gram, blocked and pivoted QR,
 // symmetric eigen, Cholesky-based error evaluation, and the l1-ball
 // projection — plus the execution-layer comparisons (pooled vs
 // spawn-per-call GEMM, pooled Monte-Carlo evaluation across thread counts).
@@ -23,7 +23,6 @@
 #include "linalg/qr.h"
 #include "linalg/qr_colpivot.h"
 #include "linalg/simd/dispatch.h"
-#include "linalg/svd.h"
 #include "linalg/trsm.h"
 #include "timing/segments.h"
 #include "util/cpu.h"
@@ -114,24 +113,6 @@ void BM_Gram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Gram)->Arg(128)->Arg(256);
-
-void BM_SvdValuesOnly(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = random_matrix(2 * n, n, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::svd(a, /*want_uv=*/false));
-  }
-}
-BENCHMARK(BM_SvdValuesOnly)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_SvdFull(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = random_matrix(2 * n, n, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::svd(a));
-  }
-}
-BENCHMARK(BM_SvdFull)->Arg(64)->Arg(128);
 
 void BM_QrColPivot(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

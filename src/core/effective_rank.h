@@ -14,7 +14,8 @@
 namespace repro::core {
 
 // `singular_values` must be sorted non-increasing (as produced by
-// linalg::svd and SubsetSelector::singular_values).  eta in [0, 1); eta = 0 returns the count of nonzero values.
+// SubsetSelector::singular_values).  eta in [0, 1); eta = 0 returns the
+// count of nonzero values.
 std::size_t effective_rank(const linalg::Vector& singular_values, double eta);
 
 // Normalized singular values lambda_i / sum(lambda), the series plotted in

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "linalg/cholesky.h"
-#include "linalg/eigen_sym.h"
 #include "linalg/qr_colpivot.h"
 #include "linalg/randomized_eig.h"
 #include "util/contracts.h"
@@ -33,40 +32,17 @@ SubsetSelector::SubsetSelector(const linalg::Matrix& a, linalg::Matrix gram)
   }
   const util::telemetry::Span span("core.select.factorize");
   util::telemetry::count("core.select.gram_route");
-  const std::size_t n = rows_;
-  if (n > 512) {
-    // Lazy route: rank from the greedy pivoted Cholesky (O(n rank^2));
-    // eigenpairs are captured on demand by ensure_captured().
-    ensure_greedy();
-    rank_ = greedy_sigma_.size();
-    lazy_ = true;
-    return;
-  }
-  const linalg::EigenSymResult eig = linalg::eigen_sym(gram_);
-  if (!eig.converged) {
-    throw std::runtime_error("SubsetSelector: eigendecomposition failed");
-  }
-  s_.resize(n);
-  u_ = linalg::Matrix(n, n);
-  // Eigenvalues come ascending; singular values must be non-increasing.
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t src = n - 1 - k;
-    s_[k] = std::sqrt(std::max(eig.values[src], 0.0));
-    for (std::size_t i = 0; i < n; ++i) u_(i, k) = eig.vectors(i, src);
-  }
-  if (n == 0 || s_.front() == 0.0) return;
-  const double tol = gram_rank_rel_tol(rows_, cols_) * s_.front();
-  rank_ = static_cast<std::size_t>(
-      std::count_if(s_.begin(), s_.end(), [tol](double v) { return v > tol; }));
+  // rank(A) from the greedy pivoted Cholesky (O(n rank^2)); eigenpairs are
+  // captured on demand by ensure_captured().
+  ensure_greedy();
+  rank_ = greedy_sigma_.size();
 }
 
 void SubsetSelector::ensure_captured(std::size_t k) const {
-  if (!lazy_ || s_.size() >= k) return;
+  if (s_.size() >= k) return;
   const util::telemetry::Span span("core.select.eig_capture");
-  linalg::RandomizedEigOptions opt;
-  opt.initial_rank = std::min(rows_, std::max(k, 2 * s_.size()));
-  opt.adaptive = false;  // capture exactly what was asked (plus oversample)
-  linalg::RandomizedEigResult eig = linalg::randomized_eig_psd(gram_, opt);
+  linalg::RandomizedEigResult eig = linalg::randomized_eig_psd(
+      gram_, std::min(rows_, std::max(k, 2 * s_.size())));
   s_.resize(eig.values.size());
   for (std::size_t i = 0; i < eig.values.size(); ++i) {
     s_[i] = std::sqrt(eig.values[i]);

@@ -7,14 +7,15 @@
 //      dominant r-dimensional row space.
 //   3. The first r pivots are the representative rows.
 //
-// Every pool shape takes this Gram route; A itself is never factored.
+// This Gram route is the only source of rank(A), A's singular values and
+// U_r; A itself is never factored, whatever the pool's shape or size.
 // rank(A) comes from a pivoted Cholesky of W in O(n rank^2), and the
 // leading eigenpairs of W are captured lazily by a randomized eigensolver
 // sized to the largest r actually requested — never an O(n^3) dense
-// eigendecomposition.  Pools of at most 512 paths instead take the dense
-// symmetric eigensolver once and read the rank off its eigenvalues.  The
-// factors are shared across all r (Algorithm 1 calls select() for many
-// candidate r values).
+// eigendecomposition.  The factors are shared across all r (Algorithm 1
+// calls select() for many candidate r values).  Because capture is lazy,
+// select(r) reads U_r from the largest capture made so far, so the rows it
+// picks can depend on which r (or singular_values()) was asked for first.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +38,9 @@ class SubsetSelector {
   // The retained W = A A^T, read-only.
   const linalg::Matrix& gram() const { return gram_; }
 
-  // Singular values; on the lazy route this triggers capture of the full
-  // numerically-nonzero spectrum (values beyond rank() are zero).
+  // Singular values, non-increasing.  Triggers capture of the full
+  // numerically-nonzero spectrum: rank() values plus the sketch's
+  // oversampling, whose values are numerically zero.
   const linalg::Vector& singular_values() const;
 
   // Representative row indices for a given r (1 <= r <= rank()).  The
@@ -72,9 +74,8 @@ class SubsetSelector {
   std::size_t cols_ = 0;
   std::size_t rank_ = 0;
   linalg::Matrix gram_;
-  bool lazy_ = false;
   // Captured leading singular values of A and their left singular vectors
-  // (columns of u_); the lazy route grows them on demand.
+  // (columns of u_), grown on demand.
   mutable linalg::Vector s_;
   mutable linalg::Matrix u_;
   mutable std::vector<int> greedy_order_;  // pivoted-Cholesky order, lazy

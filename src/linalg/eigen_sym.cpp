@@ -11,9 +11,9 @@ namespace repro::linalg {
 namespace {
 
 // Householder reduction of a real symmetric matrix to tridiagonal form.
-// On exit `a` holds the accumulated orthogonal transform (if want_vectors),
-// d the diagonal, e the subdiagonal (e[0] = 0).
-void tred2(Matrix& a, Vector& d, Vector& e, bool want_vectors) {
+// On exit `a` holds the accumulated orthogonal transform, d the diagonal,
+// e the subdiagonal (e[0] = 0).
+void tred2(Matrix& a, Vector& d, Vector& e) {
   const int n = static_cast<int>(a.rows());
   d.assign(n, 0.0);
   e.assign(n, 0.0);
@@ -36,7 +36,7 @@ void tred2(Matrix& a, Vector& d, Vector& e, bool want_vectors) {
         a(i, l) = f - g;
         f = 0.0;
         for (int j = 0; j < i; ++j) {
-          if (want_vectors) a(j, i) = a(i, j) / h;
+          a(j, i) = a(i, j) / h;
           g = 0.0;
           for (int k = 0; k < j + 1; ++k) g += a(j, k) * a(i, k);
           for (int k = j + 1; k < i; ++k) g += a(k, j) * a(i, k);
@@ -57,29 +57,25 @@ void tred2(Matrix& a, Vector& d, Vector& e, bool want_vectors) {
     }
     d[i] = h;
   }
-  if (want_vectors) d[0] = 0.0;
+  d[0] = 0.0;
   e[0] = 0.0;
-  for (int i = 0; i < n; ++i) {
-    if (want_vectors) {
-      if (d[i] != 0.0) {
-        for (int j = 0; j < i; ++j) {
-          double g = 0.0;
-          for (int k = 0; k < i; ++k) g += a(i, k) * a(k, j);
-          for (int k = 0; k < i; ++k) a(k, j) -= g * a(k, i);
-        }
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    if (d[i] != 0.0) {
+      for (std::size_t j = 0; j < i; ++j) {
+        double g = 0.0;
+        for (std::size_t k = 0; k < i; ++k) g += a(i, k) * a(k, j);
+        for (std::size_t k = 0; k < i; ++k) a(k, j) -= g * a(k, i);
       }
-      d[i] = a(i, i);
-      a(i, i) = 1.0;
-      for (int j = 0; j < i; ++j) a(j, i) = a(i, j) = 0.0;
-    } else {
-      d[i] = a(i, i);
     }
+    d[i] = a(i, i);
+    a(i, i) = 1.0;
+    for (std::size_t j = 0; j < i; ++j) a(j, i) = a(i, j) = 0.0;
   }
 }
 
 // Implicit-shift QL iteration on the tridiagonal (d, e); accumulates the
-// rotations into `a` when want_vectors.
-bool tql2(Matrix& a, Vector& d, Vector& e, bool want_vectors) {
+// rotations into `a`.
+bool tql2(Matrix& a, Vector& d, Vector& e) {
   const int n = static_cast<int>(d.size());
   for (int i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
@@ -117,12 +113,10 @@ bool tql2(Matrix& a, Vector& d, Vector& e, bool want_vectors) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
-          if (want_vectors) {
-            for (int k = 0; k < n; ++k) {
-              f = a(k, i + 1);
-              a(k, i + 1) = s * a(k, i) + c * f;
-              a(k, i) = c * a(k, i) - s * f;
-            }
+          for (int k = 0; k < n; ++k) {
+            f = a(k, i + 1);
+            a(k, i + 1) = s * a(k, i) + c * f;
+            a(k, i) = c * a(k, i) - s * f;
           }
         }
         if (r == 0.0 && i >= l) continue;
@@ -137,32 +131,31 @@ bool tql2(Matrix& a, Vector& d, Vector& e, bool want_vectors) {
 
 }  // namespace
 
-EigenSymResult eigen_sym(Matrix s, bool want_vectors) {
+EigenSymResult eigen_sym(Matrix s) {
   REPRO_CHECK_DIM(s.rows(), s.cols(), "eigen_sym: square input");
   if (s.rows() != s.cols()) throw std::invalid_argument("eigen_sym: not square");
   const util::telemetry::Span span("linalg.eigen_sym");
   EigenSymResult out;
   if (s.rows() == 0) return out;
   Vector e;
-  tred2(s, out.values, e, want_vectors);
-  out.converged = tql2(s, out.values, e, want_vectors);
-  if (want_vectors) out.vectors = std::move(s);
+  tred2(s, out.values, e);
+  out.converged = tql2(s, out.values, e);
+  out.vectors = std::move(s);
 
   // Sort ascending with matching eigenvector columns (insertion sort; QL
   // output is nearly sorted already).
   const std::size_t n = out.values.size();
   for (std::size_t i = 1; i < n; ++i) {
     const double val = out.values[i];
-    Vector col;
-    if (want_vectors) col = out.vectors.column(i);
+    const Vector col = out.vectors.column(i);
     std::size_t j = i;
     while (j > 0 && out.values[j - 1] > val) {
       out.values[j] = out.values[j - 1];
-      if (want_vectors) out.vectors.set_column(j, out.vectors.column(j - 1));
+      out.vectors.set_column(j, out.vectors.column(j - 1));
       --j;
     }
     out.values[j] = val;
-    if (want_vectors) out.vectors.set_column(j, col);
+    out.vectors.set_column(j, col);
   }
   return out;
 }

@@ -410,41 +410,4 @@ Matrix gram(const Matrix& a) {
   return c;
 }
 
-// repro-lint: allow(contracts) -- A^T A exists for every shape
-Matrix gram_t(const Matrix& a) {
-  const std::size_t n = a.cols(), k = a.rows();
-  count_syrk(k, n);
-  const util::Stopwatch sw;
-  const simd::KernelOps& t = simd::ops();
-  const bool use_simd = t.tier != simd::Tier::kScalar;
-  Matrix c(n, n);
-  // C += a_p^T a_p accumulated row-wise; parallelize over output rows using
-  // the multiply_at access pattern restricted to the upper triangle.  SIMD
-  // tiers run the row update through the tier's fused axpy kernel.
-  parallel_rows(n, k * n / 2 / std::max<std::size_t>(n, 1) + n,
-                [&](std::size_t rb, std::size_t re) {
-                  for (std::size_t i = rb; i < re; ++i) {
-                    double* ci = c.row(i).data();
-                    for (std::size_t p = 0; p < k; ++p) {
-                      const double api = a(p, i);
-                      if (api == 0.0) continue;
-                      const double* row = a.row(p).data();
-                      if (use_simd) {
-                        t.axpy(n - i, api, row + i, ci + i);
-                      } else {
-                        for (std::size_t j = i; j < n; ++j) {
-                          ci[j] += api * row[j];
-                        }
-                      }
-                    }
-                  }
-                });
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) c(i, j) = c(j, i);
-  }
-  record_kernel_throughput("syrk", k * n * (n + 1), sw.seconds(),
-                           gemm_threads_used(k * n * (n + 1) / 2));
-  return c;
-}
-
 }  // namespace repro::linalg

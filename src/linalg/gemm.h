@@ -37,8 +37,6 @@ void add_multiply_bt_trailing(const Matrix& a, const Matrix& b, Matrix& c,
 // pairs, then mirrored (~half the flops of the full-GEMM route; the saving
 // is recorded under linalg.syrk.flops_saved).
 Matrix gram(const Matrix& a);
-// A^T * A (same half-triangle-and-mirror scheme)
-Matrix gram_t(const Matrix& a);
 
 // Thread configuration for large products.  Kernels run on the shared
 // util::ThreadPool; these forward to util::set_threads / util::thread_count

@@ -3,8 +3,8 @@
 // The whole reproduction works with dense double-precision matrices in the
 // few-thousand-row range (paths x process parameters), so a single dense
 // type with contiguous row-major storage is the right tool: it keeps the
-// decomposition kernels (LU/QR/SVD) simple and cache-friendly without the
-// complexity of a general expression-template library.
+// decomposition kernels (Cholesky/QR/eigen) simple and cache-friendly
+// without the complexity of a general expression-template library.
 #pragma once
 
 #include <cstddef>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "linalg/gemm.h"
@@ -160,34 +159,6 @@ QrFactors qr_factor(Matrix a) {
   return f;
 }
 
-void qr_apply_qt(const QrFactors& f, std::span<double> v) {
-  const std::size_t m = f.qr.rows();
-  if (v.size() != m) throw std::invalid_argument("qr_apply_qt size");
-  for (std::size_t j = 0; j < f.tau.size(); ++j) {
-    const double tau = f.tau[j];
-    if (tau == 0.0) continue;
-    double s = v[j];
-    for (std::size_t i = j + 1; i < m; ++i) s += f.qr(i, j) * v[i];
-    s *= tau;
-    v[j] -= s;
-    for (std::size_t i = j + 1; i < m; ++i) v[i] -= s * f.qr(i, j);
-  }
-}
-
-void qr_apply_q(const QrFactors& f, std::span<double> v) {
-  const std::size_t m = f.qr.rows();
-  if (v.size() != m) throw std::invalid_argument("qr_apply_q size");
-  for (std::size_t jj = f.tau.size(); jj-- > 0;) {
-    const double tau = f.tau[jj];
-    if (tau == 0.0) continue;
-    double s = v[jj];
-    for (std::size_t i = jj + 1; i < m; ++i) s += f.qr(i, jj) * v[i];
-    s *= tau;
-    v[jj] -= s;
-    for (std::size_t i = jj + 1; i < m; ++i) v[i] -= s * f.qr(i, jj);
-  }
-}
-
 // Thin Q by backward accumulation of the same blocks (LAPACK dorgqr): start
 // from the first k columns of I and apply block j to columns j.. of rows j..;
 // the columns left of a block are still unit vectors there, so they are
@@ -216,38 +187,6 @@ Matrix qr_r(const QrFactors& f) {
     for (std::size_t j = i; j < f.qr.cols(); ++j) r(i, j) = f.qr(i, j);
   }
   return r;
-}
-
-Vector qr_least_squares(const Matrix& a, std::span<const double> b) {
-  REPRO_CHECK(a.rows() >= a.cols(),
-              "qr_least_squares: system must be square or overdetermined");
-  REPRO_CHECK_DIM(b.size(), a.rows(), "qr_least_squares: rhs length");
-  if (a.rows() < a.cols()) {
-    throw std::invalid_argument("qr_least_squares: underdetermined system");
-  }
-  if (b.size() != a.rows()) {
-    throw std::invalid_argument("qr_least_squares: rhs size");
-  }
-  const QrFactors f = qr_factor(a);
-  Vector y(b.begin(), b.end());
-  qr_apply_qt(f, y);
-  const std::size_t n = a.cols();
-  // Rank check relative to the leading diagonal of R (column norms only
-  // shrink down the factorization).
-  const double tol = std::abs(f.qr(0, 0)) *
-                     static_cast<double>(std::max(a.rows(), a.cols())) *
-                     std::numeric_limits<double>::epsilon() * 16.0;
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= f.qr(ii, j) * x[j];
-    const double d = f.qr(ii, ii);
-    if (std::abs(d) <= tol) {
-      throw std::runtime_error("qr_least_squares: rank deficient");
-    }
-    x[ii] = s / d;
-  }
-  return x;
 }
 
 }  // namespace repro::linalg

@@ -1,4 +1,4 @@
-// Householder QR factorization and QR-based least squares.
+// Blocked (compact-WY) Householder QR factorization and its thin Q.
 //
 // Compact (LAPACK-style) storage: the factor matrix holds R in its upper
 // triangle and the Householder vectors below the diagonal; tau holds the
@@ -16,16 +16,8 @@ struct QrFactors {
 
 QrFactors qr_factor(Matrix a);
 
-// Apply Q^T (resp. Q) to a length-m vector in place.
-void qr_apply_qt(const QrFactors& f, std::span<double> v);
-void qr_apply_q(const QrFactors& f, std::span<double> v);
-
 // Extract the thin Q (m x min(m,n)) and R (min(m,n) x n) factors explicitly.
 Matrix qr_thin_q(const QrFactors& f);
 Matrix qr_r(const QrFactors& f);
-
-// Minimum-norm-residual solve of the overdetermined system A x = b via QR.
-// Requires a.rows() >= a.cols() and numerically full column rank.
-Vector qr_least_squares(const Matrix& a, std::span<const double> b);
 
 }  // namespace repro::linalg

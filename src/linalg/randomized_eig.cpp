@@ -1,7 +1,7 @@
 #include "linalg/randomized_eig.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "linalg/eigen_sym.h"
@@ -12,6 +12,10 @@
 
 namespace repro::linalg {
 namespace {
+
+constexpr std::size_t kOversample = 16;
+constexpr int kPowerIterations = 2;
+constexpr std::uint64_t kSeed = 0xe16;
 
 Matrix gaussian_matrix(std::size_t r, std::size_t c, util::Rng& rng) {
   Matrix m(r, c);
@@ -26,52 +30,41 @@ Matrix gaussian_matrix(std::size_t r, std::size_t c, util::Rng& rng) {
 // Squareness is validated unconditionally below in every build; a contract
 // would duplicate it.
 // repro-lint: allow(contracts)
-RandomizedEigResult randomized_eig_psd(const Matrix& w,
-                                       const RandomizedEigOptions& options) {
+RandomizedEigResult randomized_eig_psd(const Matrix& w, std::size_t k) {
   if (w.rows() != w.cols()) {
     throw std::invalid_argument("randomized_eig_psd: not square");
   }
   const std::size_t n = w.rows();
-  util::Rng rng(options.seed);
+  util::Rng rng(kSeed);
+  const std::size_t sketch = std::min(n, k + kOversample);
 
-  std::size_t k = std::min(n, options.initial_rank);
-  while (true) {
-    const std::size_t sketch = std::min(n, k + options.oversample);
-
-    // Range finder with power iterations (re-orthonormalized each pass for
-    // numerical stability of small eigenvalues).
-    Matrix q = qr_thin_q(qr_factor(multiply(w, gaussian_matrix(n, sketch, rng))));
-    for (int p = 0; p < options.power_iterations; ++p) {
-      q = qr_thin_q(qr_factor(multiply(w, q)));
-    }
-
-    // Rayleigh-Ritz on the captured subspace.
-    const Matrix wq = multiply(w, q);          // n x sketch
-    const Matrix t = multiply_at(q, wq);       // sketch x sketch, symmetric
-    const EigenSymResult small = eigen_sym(t);
-    if (!small.converged) {
-      throw std::runtime_error("randomized_eig_psd: small eig failed");
-    }
-
-    RandomizedEigResult out;
-    out.values.resize(sketch);
-    Matrix v_desc(sketch, sketch);
-    for (std::size_t c = 0; c < sketch; ++c) {
-      const std::size_t src = sketch - 1 - c;  // ascending -> descending
-      out.values[c] = std::max(small.values[src], 0.0);
-      for (std::size_t i = 0; i < sketch; ++i) {
-        v_desc(i, c) = small.vectors(i, src);
-      }
-    }
-    out.vectors = multiply(q, v_desc);  // n x sketch, orthonormal
-
-    const double top = out.values.empty() ? 0.0 : out.values.front();
-    const bool exhausted =
-        sketch >= n || out.values.back() <= options.rel_tol * (top + 1e-300);
-    out.spectrum_exhausted = exhausted;
-    if (exhausted || !options.adaptive || k >= n) return out;
-    k = std::min(n, 2 * k);  // spectrum not exhausted: grow the sketch
+  // Range finder with power iterations (re-orthonormalized each pass for
+  // numerical stability of small eigenvalues).
+  Matrix q = qr_thin_q(qr_factor(multiply(w, gaussian_matrix(n, sketch, rng))));
+  for (int p = 0; p < kPowerIterations; ++p) {
+    q = qr_thin_q(qr_factor(multiply(w, q)));
   }
+
+  // Rayleigh-Ritz on the captured subspace.
+  const Matrix wq = multiply(w, q);     // n x sketch
+  const Matrix t = multiply_at(q, wq);  // sketch x sketch, symmetric
+  const EigenSymResult small = eigen_sym(t);
+  if (!small.converged) {
+    throw std::runtime_error("randomized_eig_psd: small eig failed");
+  }
+
+  RandomizedEigResult out;
+  out.values.resize(sketch);
+  Matrix v_desc(sketch, sketch);
+  for (std::size_t c = 0; c < sketch; ++c) {
+    const std::size_t src = sketch - 1 - c;  // ascending -> descending
+    out.values[c] = std::max(small.values[src], 0.0);
+    for (std::size_t i = 0; i < sketch; ++i) {
+      v_desc(i, c) = small.vectors(i, src);
+    }
+  }
+  out.vectors = multiply(q, v_desc);  // n x sketch, orthonormal
+  return out;
 }
 
 }  // namespace repro::linalg

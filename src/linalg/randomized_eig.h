@@ -4,44 +4,29 @@
 // The selection pipeline needs the dominant eigenpairs of the path Gram
 // matrix W = A A^T (U columns = left singular vectors of A).  For n ~ 2000
 // the dense tred2/tql2 pair costs minutes; the randomized method captures
-// the full numerically-nonzero spectrum in a few threaded GEMMs:
+// the leading k pairs in a few threaded GEMMs:
 //
 //   Y = W Omega;  Q = orth(Y);  [power iterations: Q = orth(W Q)]
 //   T = Q^T W Q;  T = V L V^T;  U = Q V.
 //
-// Because W is PSD and the target rank of path Grams is far below n (the
-// whole point of the paper), `k` starts modest and doubles adaptively until
-// the residual spectrum is below tolerance, so the caller never guesses the
-// rank in advance.
+// One pass with a fixed sketch of k + 16 columns (capped at n), two power
+// iterations and a fixed seed, so the result depends only on (W, k) and is
+// bit-identical across thread counts.  The caller knows how many pairs it
+// needs: the selector asks for the r of Algorithm 2, or rank(A) for the
+// whole spectrum.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "linalg/matrix.h"
 
 namespace repro::linalg {
 
-struct RandomizedEigOptions {
-  std::size_t initial_rank = 128;  // starting sketch size (plus oversampling)
-  std::size_t oversample = 16;
-  int power_iterations = 2;
-  // Spectrum is considered exhausted when the smallest captured eigenvalue
-  // drops below rel_tol * largest (relative to the PSD scale).
-  double rel_tol = 1e-12;
-  // When false, runs a single pass at initial_rank + oversample instead of
-  // doubling until the spectrum is exhausted (callers that know how many
-  // leading pairs they need).
-  bool adaptive = true;
-  std::uint64_t seed = 0xe16;
-};
-
 struct RandomizedEigResult {
-  Vector values;   // descending, clamped >= 0; size = captured rank k
-  Matrix vectors;  // n x k, orthonormal columns
-  bool spectrum_exhausted = true;  // smallest value below tolerance (or k = n)
+  Vector values;   // descending, clamped >= 0; size = min(n, k + 16)
+  Matrix vectors;  // n x values.size(), orthonormal columns
 };
 
-RandomizedEigResult randomized_eig_psd(const Matrix& w,
-                                       const RandomizedEigOptions& options = {});
+RandomizedEigResult randomized_eig_psd(const Matrix& w, std::size_t k);
 
 }  // namespace repro::linalg

@@ -5,43 +5,10 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/gemm.h"
-#include "linalg/svd.h"
 #include "util/contracts.h"
 #include "util/telemetry.h"
 
 namespace repro::linalg {
-
-// repro-lint: allow(contracts) -- rank is defined for every shape
-std::size_t rank(const Matrix& a, double rel_tol) {
-  if (a.empty()) return 0;
-  const SvdResult f = svd(a, /*want_uv=*/false);
-  return svd_rank(f, a.rows(), a.cols(), rel_tol);
-}
-
-// repro-lint: allow(contracts) -- the pseudo-inverse exists for every shape
-Matrix pseudo_inverse(const Matrix& a, double rel_tol) {
-  if (a.empty()) return a.transposed();
-  const SvdResult f = svd(a);
-  const double tol =
-      (rel_tol >= 0.0)
-          ? rel_tol * (f.s.empty() ? 0.0 : f.s.front())
-          : static_cast<double>(std::max(a.rows(), a.cols())) *
-                std::numeric_limits<double>::epsilon() *
-                (f.s.empty() ? 0.0 : f.s.front());
-  // pinv = V diag(1/s) U^T over the numerically nonzero singular values.
-  Matrix v_scaled = f.v;
-  for (std::size_t j = 0; j < f.s.size(); ++j) {
-    const double inv = (f.s[j] > tol && f.s[j] > 0.0) ? 1.0 / f.s[j] : 0.0;
-    for (std::size_t i = 0; i < v_scaled.rows(); ++i) v_scaled(i, j) *= inv;
-  }
-  return multiply_bt(v_scaled, f.u);
-}
-
-Vector lstsq(const Matrix& a, std::span<const double> b, double rel_tol) {
-  REPRO_CHECK_DIM(b.size(), a.rows(), "lstsq: rhs length");
-  const Matrix pinv = pseudo_inverse(a, rel_tol);
-  return matvec(pinv, b);
-}
 
 Matrix spd_solve(const Matrix& s, const Matrix& b) {
   REPRO_CHECK_DIM(s.rows(), s.cols(), "spd_solve: square system");

@@ -1,24 +1,12 @@
-// Higher-level solvers built on the decompositions: pseudo-inverse, rank,
-// general least squares, and the "Gram solve" kernel used throughout the
-// selection algorithms.
+// Higher-level solvers built on the Cholesky factorization: the "Gram solve"
+// kernel used throughout the selection algorithms, its condition estimate,
+// and the ridge-regularized variant for noisy-silicon calibration.
 #pragma once
 
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 
 namespace repro::linalg {
-
-// Numerical rank via SVD (singular values above max(m,n)*eps*s_max, or an
-// explicit relative tolerance).
-std::size_t rank(const Matrix& a, double rel_tol = -1.0);
-
-// Moore–Penrose pseudo-inverse via SVD with singular-value thresholding.
-Matrix pseudo_inverse(const Matrix& a, double rel_tol = -1.0);
-
-// Minimum-norm least-squares solution of A x = b for any shape/rank (SVD
-// based).  This is the general fallback; qr_least_squares is faster for
-// tall full-rank systems.
-Vector lstsq(const Matrix& a, std::span<const double> b, double rel_tol = -1.0);
 
 // Solves (S + jitter I) X = B for symmetric positive semi-definite S using
 // regularized Cholesky; the workhorse for A_r A_r^T systems in the predictor

@@ -21,7 +21,7 @@
 //     set_enabled() (tests, overhead measurement).
 //
 // Span naming convention: `<layer>.<component>[.<phase>]`, e.g.
-// "linalg.svd", "core.select.gram", "bench.mc".  See DESIGN.md §8.
+// "linalg.qr", "core.select.gram", "bench.mc".  See DESIGN.md §8.
 #pragma once
 
 #include <chrono>

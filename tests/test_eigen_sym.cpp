@@ -86,15 +86,6 @@ TEST(EigenSym, PsdGramHasNonNegativeValues) {
   for (double v : r.values) EXPECT_GT(v, -1e-9);
 }
 
-TEST(EigenSym, ValuesOnlyMode) {
-  const Matrix s = random_symmetric(8, 7);
-  const EigenSymResult full = eigen_sym(s);
-  const EigenSymResult vals = eigen_sym(s, /*want_vectors=*/false);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_NEAR(full.values[i], vals.values[i], 1e-10);
-  }
-}
-
 TEST(EigenSym, NotSquareThrows) {
   EXPECT_THROW((void)eigen_sym(Matrix(2, 3)), std::invalid_argument);
 }

@@ -74,11 +74,6 @@ TEST(Gemm, GramIsSymmetricAndCorrect) {
   EXPECT_LT(max_abs_diff(w, w.transposed()), 0.0 + 1e-15);
 }
 
-TEST(Gemm, GramTMatchesAtA) {
-  const Matrix a = random_matrix(15, 6, 8);
-  EXPECT_LT(max_abs_diff(gram_t(a), multiply_at(a, a)), 1e-12);
-}
-
 TEST(Gemm, LargeThreadedPathMatchesNaive) {
   // Big enough to trigger the threaded path in parallel_rows.
   const Matrix a = random_matrix(120, 300, 9);

@@ -144,7 +144,9 @@ TEST(GroupSparse, BSupportedOnSelectedColumnsOnly) {
   for (int s : r.selected_segments) sel[static_cast<std::size_t>(s)] = 1;
   for (std::size_t i = 0; i < r.b.rows(); ++i) {
     for (std::size_t j = 0; j < r.b.cols(); ++j) {
-      if (!sel[j]) EXPECT_DOUBLE_EQ(r.b(i, j), 0.0);
+      if (!sel[j]) {
+        EXPECT_DOUBLE_EQ(r.b(i, j), 0.0);
+      }
     }
   }
 }

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "core/benchmarks.h"
 #include "core/effective_rank.h"
@@ -11,8 +14,8 @@
 #include "core/hybrid_selection.h"
 #include "core/monte_carlo.h"
 #include "core/path_selection.h"
+#include "core/subset_select.h"
 #include "linalg/gemm.h"
-#include "linalg/svd.h"
 
 namespace repro::core {
 namespace {
@@ -60,16 +63,22 @@ TEST(Integration, Table1PipelineSmall) {
   EXPECT_LE(m.worst_eps, sel.eps_r * 1.8 + 0.01);
 }
 
+SubsetSelector selector_of(const Experiment& e) {
+  return make_subset_selector(e.model().a(), linalg::gram(e.model().a()));
+}
+
 TEST(Integration, EffectiveRankFarBelowRank) {
   const Experiment e(cfg("s1423", 400));
-  const linalg::SvdResult f = linalg::svd(e.model().a(), false);
-  const std::size_t rank =
-      linalg::svd_rank(f, e.model().a().rows(), e.model().a().cols());
-  const std::size_t eff = effective_rank(f.s, 0.05);
+  const SubsetSelector selector = selector_of(e);
+  const std::size_t rank = selector.rank();
+  const std::size_t eff = effective_rank(selector.singular_values(), 0.05);
   // Paper Figure 2(a): the effective rank is a small fraction of rank(A)
   // (~30 of 122 for their S1423 pool).
   EXPECT_LT(eff, rank / 2);
   EXPECT_LT(eff, 120u);
+  // Pinned to the rank and effective rank a Golub-Reinsch SVD of A gives.
+  EXPECT_EQ(rank, 107u);
+  EXPECT_EQ(eff, 18u);
 }
 
 TEST(Integration, Table2PipelineHybridBeatsPathOnly) {
@@ -129,9 +138,51 @@ TEST(Integration, Figure2TrendRandomScaleSlowsDecay) {
   scaled.random_scale = 3.0;
   const Experiment e1(base);
   const Experiment e3(scaled);
-  const linalg::SvdResult f1 = linalg::svd(e1.model().a(), false);
-  const linalg::SvdResult f3 = linalg::svd(e3.model().a(), false);
-  EXPECT_GT(effective_rank(f3.s, 0.05), effective_rank(f1.s, 0.05));
+  const std::size_t eff1 =
+      effective_rank(selector_of(e1).singular_values(), 0.05);
+  const std::size_t eff3 =
+      effective_rank(selector_of(e3).singular_values(), 0.05);
+  EXPECT_GT(eff3, eff1);
+  // Pinned to the effective ranks a Golub-Reinsch SVD of A gives.
+  EXPECT_EQ(eff1, 28u);
+  EXPECT_EQ(eff3, 44u);
+}
+
+// Sizes of the REPRO_FAST Table 1 pools (default_experiment_config).
+ExperimentConfig fast_config(const std::string& bench) {
+  const char* saved = std::getenv("REPRO_FAST");
+  const std::string saved_value = saved ? saved : "";
+  setenv("REPRO_FAST", "1", 1);
+  ExperimentConfig c = default_experiment_config(bench);
+  if (saved) {
+    setenv("REPRO_FAST", saved_value.c_str(), 1);
+  } else {
+    unsetenv("REPRO_FAST");
+  }
+  return c;
+}
+
+TEST(Integration, Algorithm1BisectionMatchesLinearDecrementOnFastTable1) {
+  // DESIGN.md §5: bisection assumes eps_r(r) is non-increasing in r, which
+  // is not guaranteed.  On the three REPRO_FAST Table 1 circuits it must
+  // still return the paper's linear-decrement |Pr|, each within epsilon.
+  // Each driver gets a fresh selector, as in the bench.
+  for (const char* name : {"s1196", "s1423", "s1488"}) {
+    const Experiment e(fast_config(name));
+    const auto& a = e.model().a();
+    std::vector<std::size_t> sizes;
+    for (SelectionStrategy strategy : {SelectionStrategy::kLinearDecrement,
+                                       SelectionStrategy::kBisection}) {
+      const SubsetSelector selector = make_subset_selector(a, linalg::gram(a));
+      PathSelectionOptions opt;
+      opt.strategy = strategy;
+      const PathSelectionResult r = select_representative_paths(
+          selector, selector.gram(), e.t_cons_ps(), opt);
+      EXPECT_LE(r.eps_r, opt.epsilon) << name;
+      sizes.push_back(r.representatives.size());
+    }
+    EXPECT_EQ(sizes[0], sizes[1]) << name << ": linear decrement vs bisection";
+  }
 }
 
 }  // namespace

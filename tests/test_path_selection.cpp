@@ -265,9 +265,8 @@ TEST(PathSelection, GreedySweepRespectsEpsilonAndMinR) {
 }
 
 TEST(PathSelection, GreedySweepWorksOnTallMatrix) {
-  // cols < rows routes the selector through the direct SVD (no retained
-  // Gram); the sweep driver must still work via the externally-supplied
-  // Gram matrix.
+  // A tall pool (cols < rows) takes the same Gram route as a wide one; the
+  // sweep driver reads the greedy order off the selector's own W.
   const linalg::Matrix a = correlated_rows(30, 18, 4, 0.05, 23);
   PathSelectionOptions opt;
   opt.strategy = SelectionStrategy::kGreedySweep;

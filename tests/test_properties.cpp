@@ -9,9 +9,9 @@
 #include "core/error_model.h"
 #include "core/path_selection.h"
 #include "core/predictor.h"
+#include "core/subset_select.h"
 #include "linalg/gemm.h"
-#include "linalg/solve.h"
-#include "linalg/svd.h"
+#include "linalg/qr_colpivot.h"
 #include "timing/segments.h"
 #include "timing/sta.h"
 #include "util/rng.h"
@@ -30,12 +30,14 @@ linalg::Matrix random_matrix(std::size_t r, std::size_t c,
   return m;
 }
 
-// ---------- SVD property sweep over shapes ----------
+// ---------- Selector rank/spectrum sweep over shapes ----------
 
-class SvdShapeProperty
+// Every shape, down to a single path, takes the selector's one Gram route:
+// rank from the pivoted Cholesky of W, spectrum from the randomized capture.
+class SelectorShapeProperty
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
-TEST_P(SvdShapeProperty, ReconstructionOrthogonalityRank) {
+TEST_P(SelectorShapeProperty, RankSpectrumAndExactSelection) {
   const auto [rows, cols, rank_cap] = GetParam();
   const std::size_t r = static_cast<std::size_t>(rows);
   const std::size_t c = static_cast<std::size_t>(cols);
@@ -50,22 +52,25 @@ TEST_P(SvdShapeProperty, ReconstructionOrthogonalityRank) {
     a = random_matrix(r, c, 17);
     expected_rank = std::min(r, c);
   }
-  const linalg::SvdResult f = linalg::svd(a);
-  ASSERT_TRUE(f.converged);
-  const double scale = 1.0 + (f.s.empty() ? 0.0 : f.s.front());
-  EXPECT_LT(linalg::max_abs_diff(linalg::svd_reconstruct(f), a),
-            1e-10 * scale);
-  EXPECT_LT(linalg::max_abs_diff(linalg::multiply_at(f.u, f.u),
-                                 linalg::Matrix::identity(f.u.cols())),
-            1e-10);
-  EXPECT_LT(linalg::max_abs_diff(linalg::multiply_at(f.v, f.v),
-                                 linalg::Matrix::identity(f.v.cols())),
-            1e-10);
-  EXPECT_EQ(linalg::svd_rank(f, r, c), expected_rank);
+  const core::SubsetSelector sel =
+      core::make_subset_selector(a, linalg::gram(a));
+  EXPECT_EQ(sel.rank(), expected_rank);
+  // The captured spectrum holds all of A's energy: sum s_k^2 = ||A||_F^2.
+  const linalg::Vector& s = sel.singular_values();
+  ASSERT_GE(s.size(), sel.rank());
+  double energy = 0.0;
+  for (double v : s) energy += v * v;
+  const double frob2 = a.frobenius_norm() * a.frobenius_norm();
+  EXPECT_NEAR(energy, frob2, 1e-10 * frob2);
+  for (std::size_t k = 1; k < s.size(); ++k) EXPECT_LE(s[k], s[k - 1]);
+  // Theorem 1: the exact selection's rows are independent.
+  const linalg::Matrix a_r = a.select_rows(sel.select(sel.rank()));
+  EXPECT_EQ(linalg::qrcp_rank(linalg::qr_colpivot(a_r.transposed())),
+            expected_rank);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, SvdShapeProperty,
+    Shapes, SelectorShapeProperty,
     ::testing::Values(std::make_tuple(1, 1, 0), std::make_tuple(5, 5, 0),
                       std::make_tuple(20, 5, 0), std::make_tuple(5, 20, 0),
                       std::make_tuple(40, 40, 0), std::make_tuple(33, 17, 4),
@@ -130,7 +135,9 @@ TEST_P(BenchmarkProperty, ModelFactorizationInvariants) {
     EXPECT_NEAR(gm[i], model.mu_paths()[i], 1e-9);
   }
   // rank(A) <= n_S (paper Lemma 1).
-  EXPECT_LE(linalg::rank(model.a()), model.num_segments());
+  EXPECT_LE(core::make_subset_selector(model.a(), linalg::gram(model.a()))
+                .rank(),
+            model.num_segments());
   // Path delay == sum of gate delays (linearity).
   for (std::size_t p = 0; p < 5 && p < paths.size(); ++p) {
     EXPECT_NEAR(model.mu_paths()[p],

@@ -48,58 +48,6 @@ TEST(Qr, RIsUpperTriangular) {
   }
 }
 
-TEST(Qr, ApplyQtThenQIsIdentity) {
-  const Matrix a = random_matrix(10, 4, 4);
-  const QrFactors f = qr_factor(a);
-  util::Rng rng(44);
-  Vector v(10), orig(10);
-  for (std::size_t i = 0; i < 10; ++i) orig[i] = v[i] = rng.normal();
-  qr_apply_qt(f, v);
-  qr_apply_q(f, v);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_NEAR(v[i], orig[i], 1e-12);
-}
-
-TEST(Qr, QtPreservesNorm) {
-  const QrFactors f = qr_factor(random_matrix(15, 8, 5));
-  util::Rng rng(55);
-  Vector v(15);
-  for (double& x : v) x = rng.normal();
-  const double before = norm2(v);
-  qr_apply_qt(f, v);
-  EXPECT_NEAR(norm2(v), before, 1e-11);
-}
-
-TEST(Qr, LeastSquaresExactOnConsistentSystem) {
-  const Matrix a = random_matrix(10, 3, 6);
-  Vector x_true{1.5, -2.0, 0.5};
-  const Vector b = matvec(a, x_true);
-  const Vector x = qr_least_squares(a, b);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-11);
-}
-
-TEST(Qr, LeastSquaresResidualOrthogonalToColumns) {
-  const Matrix a = random_matrix(25, 4, 7);
-  util::Rng rng(77);
-  Vector b(25);
-  for (double& v : b) v = rng.normal();
-  const Vector x = qr_least_squares(a, b);
-  Vector resid = matvec(a, x);
-  for (std::size_t i = 0; i < b.size(); ++i) resid[i] -= b[i];
-  const Vector atr = matvec_transposed(a, resid);
-  for (double v : atr) EXPECT_NEAR(v, 0.0, 1e-10);
-}
-
-TEST(Qr, LeastSquaresUnderdeterminedThrows) {
-  EXPECT_THROW((void)qr_least_squares(Matrix(2, 3), Vector{1.0, 2.0}),
-               std::invalid_argument);
-}
-
-TEST(Qr, LeastSquaresRankDeficientThrows) {
-  Matrix a{{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}};
-  EXPECT_THROW((void)qr_least_squares(a, Vector{1.0, 2.0, 3.0}),
-               std::runtime_error);
-}
-
 // Column-at-a-time Householder QR (LAPACK dgeqr2): the reference the
 // blocked factorization must agree with.
 QrFactors reference_qr(Matrix a) {

@@ -6,7 +6,7 @@
 #include <numeric>
 
 #include "linalg/gemm.h"
-#include "linalg/qr.h"
+#include "linalg/solve.h"
 #include "util/rng.h"
 
 namespace repro::linalg {
@@ -95,24 +95,12 @@ TEST(Qrcp, SelectedColumnsSpanRowSpace) {
   ASSERT_EQ(qrcp_rank(f), 4u);
   std::vector<int> pivots(f.perm.begin(), f.perm.begin() + 4);
   const Matrix a_sel = a.select_cols(pivots);  // 12 x 4
-  // Projector residual: A - A_sel (A_sel^+ A).
-  const Matrix g = gram_t(a_sel);              // 4x4
+  // Projector residual: A - A_sel (A_sel^+ A), with A_sel^+ A from the
+  // normal equations G X = A_sel^T A.
+  const Matrix g = multiply_at(a_sel, a_sel);  // 4 x 4
   const Matrix cross = multiply_at(a_sel, a);  // 4 x 30
-  // Solve G X = cross.
-  Matrix x(4, a.cols());
-  {
-    // Small dense solve via Gaussian elimination through gemm-free path:
-    // use QR least squares column by column.
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      Vector col(a.rows());
-      for (std::size_t i = 0; i < a.rows(); ++i) col[i] = a(i, j);
-      const Vector sol = qr_least_squares(a_sel, col);
-      for (std::size_t i = 0; i < 4; ++i) x(i, j) = sol[i];
-    }
-  }
+  const Matrix x = spd_solve(g, cross);
   EXPECT_LT(max_abs_diff(multiply(a_sel, x), a), 1e-9);
-  (void)g;
-  (void)cross;
 }
 
 }  // namespace

@@ -31,10 +31,9 @@ Matrix psd_of_rank(std::size_t n, std::size_t rank, std::uint64_t seed) {
 
 TEST(RandomizedEig, MatchesDenseEigOnLowRank) {
   const Matrix w = psd_of_rank(120, 15, 1);
-  const RandomizedEigResult r = randomized_eig_psd(w);
+  const RandomizedEigResult r = randomized_eig_psd(w, 15);
   const EigenSymResult exact = eigen_sym(w);
-  ASSERT_TRUE(r.spectrum_exhausted);
-  ASSERT_GE(r.values.size(), 15u);
+  ASSERT_EQ(r.values.size(), 15u + 16u);
   // Top eigenvalues agree (exact are ascending).
   for (std::size_t k = 0; k < 15; ++k) {
     const double truth = exact.values[120 - 1 - k];
@@ -48,7 +47,7 @@ TEST(RandomizedEig, MatchesDenseEigOnLowRank) {
 
 TEST(RandomizedEig, VectorsOrthonormalAndEigenEquationHolds) {
   const Matrix w = psd_of_rank(90, 10, 2);
-  const RandomizedEigResult r = randomized_eig_psd(w);
+  const RandomizedEigResult r = randomized_eig_psd(w, 10);
   const Matrix vtv = multiply_at(r.vectors, r.vectors);
   EXPECT_LT(max_abs_diff(vtv, Matrix::identity(r.vectors.cols())), 1e-9);
   for (std::size_t k = 0; k < 10; ++k) {
@@ -60,13 +59,10 @@ TEST(RandomizedEig, VectorsOrthonormalAndEigenEquationHolds) {
   }
 }
 
-TEST(RandomizedEig, AdaptiveGrowthCoversLargerRank) {
-  // Rank far above the initial sketch: adaptive doubling must capture it.
+TEST(RandomizedEig, CapturesRequestedRank) {
+  // Asking for the full rank captures every nonzero eigenvalue.
   const Matrix w = psd_of_rank(300, 180, 3);
-  RandomizedEigOptions opt;
-  opt.initial_rank = 32;
-  const RandomizedEigResult r = randomized_eig_psd(w, opt);
-  EXPECT_TRUE(r.spectrum_exhausted);
+  const RandomizedEigResult r = randomized_eig_psd(w, 180);
   std::size_t above = 0;
   for (double v : r.values) {
     if (v > 1e-8 * r.values[0]) ++above;
@@ -74,14 +70,11 @@ TEST(RandomizedEig, AdaptiveGrowthCoversLargerRank) {
   EXPECT_EQ(above, 180u);
 }
 
-TEST(RandomizedEig, NonAdaptiveStopsAtRequestedSize) {
+TEST(RandomizedEig, SketchIsRequestedSizePlusOversample) {
   const Matrix w = psd_of_rank(200, 150, 4);
-  RandomizedEigOptions opt;
-  opt.initial_rank = 40;
-  opt.adaptive = false;
-  const RandomizedEigResult r = randomized_eig_psd(w, opt);
-  EXPECT_LE(r.values.size(), 40u + opt.oversample);
-  EXPECT_FALSE(r.spectrum_exhausted);
+  const RandomizedEigResult r = randomized_eig_psd(w, 40);
+  EXPECT_EQ(r.values.size(), 40u + 16u);
+  EXPECT_TRUE(r.vectors.same_shape(Matrix(200, 56)));
   // The leading eigenvalues are still accurate.
   const EigenSymResult exact = eigen_sym(w);
   for (std::size_t k = 0; k < 10; ++k) {
@@ -91,21 +84,27 @@ TEST(RandomizedEig, NonAdaptiveStopsAtRequestedSize) {
 }
 
 TEST(RandomizedEig, FullRankMatrixCapped) {
+  // k + oversample beyond n is capped at n: the whole spectrum.
   Matrix w = psd_of_rank(60, 60, 5);
   for (std::size_t i = 0; i < 60; ++i) w(i, i) += 1.0;  // well conditioned
-  const RandomizedEigResult r = randomized_eig_psd(w);
+  const RandomizedEigResult r = randomized_eig_psd(w, 50);
   EXPECT_EQ(r.values.size(), 60u);
-  EXPECT_TRUE(r.spectrum_exhausted);
+  const EigenSymResult exact = eigen_sym(w);
+  for (std::size_t k = 0; k < 60; ++k) {
+    const double truth = exact.values[60 - 1 - k];
+    EXPECT_NEAR(r.values[k], truth, 1e-8 * (1.0 + truth)) << k;
+  }
 }
 
 TEST(RandomizedEig, NotSquareThrows) {
-  EXPECT_THROW((void)randomized_eig_psd(Matrix(3, 4)), std::invalid_argument);
+  EXPECT_THROW((void)randomized_eig_psd(Matrix(3, 4), 2),
+               std::invalid_argument);
 }
 
 TEST(RandomizedEig, DeterministicForSeed) {
   const Matrix w = psd_of_rank(80, 12, 6);
-  const RandomizedEigResult a = randomized_eig_psd(w);
-  const RandomizedEigResult b = randomized_eig_psd(w);
+  const RandomizedEigResult a = randomized_eig_psd(w, 12);
+  const RandomizedEigResult b = randomized_eig_psd(w, 12);
   ASSERT_EQ(a.values.size(), b.values.size());
   for (std::size_t i = 0; i < a.values.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.values[i], b.values[i]);
@@ -227,13 +226,11 @@ TEST(RandomizedEig, BitIdenticalAcrossThreadCounts) {
   // n and the sketch are large enough that the range finder's products and
   // QRs take the threaded GEMM.
   const Matrix w = psd_of_rank(600, 180, 14);
-  RandomizedEigOptions opt;
-  opt.initial_rank = 96;
   const std::size_t saved_threads = util::thread_count();
   util::set_threads(1);
-  const RandomizedEigResult a = randomized_eig_psd(w, opt);
+  const RandomizedEigResult a = randomized_eig_psd(w, 192);
   util::set_threads(4);
-  const RandomizedEigResult b = randomized_eig_psd(w, opt);
+  const RandomizedEigResult b = randomized_eig_psd(w, 192);
   util::set_threads(saved_threads);
   EXPECT_EQ(a.values, b.values);
   ASSERT_TRUE(a.vectors.same_shape(b.vectors));

@@ -20,59 +20,6 @@ Matrix random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
   return m;
 }
 
-TEST(Rank, FullAndDeficient) {
-  EXPECT_EQ(rank(random_matrix(10, 6, 1)), 6u);
-  const Matrix low = multiply(random_matrix(10, 2, 2), random_matrix(2, 6, 3));
-  EXPECT_EQ(rank(low), 2u);
-  EXPECT_EQ(rank(Matrix(4, 4)), 0u);
-}
-
-TEST(PseudoInverse, MoorePenroseConditions) {
-  const Matrix a = multiply(random_matrix(8, 3, 4), random_matrix(3, 6, 5));
-  const Matrix p = pseudo_inverse(a);
-  // A P A = A ; P A P = P ; (A P)^T = A P ; (P A)^T = P A.
-  EXPECT_LT(max_abs_diff(multiply(multiply(a, p), a), a), 1e-9);
-  EXPECT_LT(max_abs_diff(multiply(multiply(p, a), p), p), 1e-9);
-  const Matrix ap = multiply(a, p);
-  EXPECT_LT(max_abs_diff(ap, ap.transposed()), 1e-9);
-  const Matrix pa = multiply(p, a);
-  EXPECT_LT(max_abs_diff(pa, pa.transposed()), 1e-9);
-}
-
-TEST(PseudoInverse, InverseForSquareNonsingular) {
-  const Matrix a = random_matrix(7, 7, 6);
-  const Matrix p = pseudo_inverse(a);
-  EXPECT_LT(max_abs_diff(multiply(a, p), Matrix::identity(7)), 1e-8);
-}
-
-TEST(Lstsq, MatchesQrOnTallFullRank) {
-  const Matrix a = random_matrix(20, 5, 7);
-  util::Rng rng(70);
-  Vector b(20);
-  for (double& v : b) v = rng.normal();
-  const Vector x = lstsq(a, b);
-  // Normal equations residual.
-  Vector r = matvec(a, x);
-  for (std::size_t i = 0; i < b.size(); ++i) r[i] -= b[i];
-  const Vector atr = matvec_transposed(a, r);
-  for (double v : atr) EXPECT_NEAR(v, 0.0, 1e-10);
-}
-
-TEST(Lstsq, MinimumNormSolutionWhenUnderdetermined) {
-  // x = A^+ b is the minimum-norm solution: it lies in the row space.
-  const Matrix a = random_matrix(3, 8, 8);
-  Vector b{1.0, 2.0, 3.0};
-  const Vector x = lstsq(a, b);
-  const Vector ax = matvec(a, x);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(ax[i], b[i], 1e-10);
-  // Any null-space perturbation increases the norm: check x ⟂ null space by
-  // verifying x = A^T y for some y (residual of projecting onto row space).
-  const Matrix at_pinv = pseudo_inverse(a.transposed());
-  const Vector y = matvec(at_pinv, x);
-  const Vector back = matvec_transposed(a, y);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(back[i], x[i], 1e-9);
-}
-
 TEST(SpdSolve, MatchesDirectSolve) {
   const Matrix b = random_matrix(9, 9, 9);
   const Matrix s = gram(b);
@@ -108,7 +55,9 @@ TEST(Condest, LowerBoundsTrueCondition) {
   // Hager's estimate never exceeds the true cond_1 and is rarely far below.
   const Matrix a = random_matrix(12, 12, 21);
   const Matrix s = gram(a);  // SPD with interesting conditioning
-  const Matrix sinv = pseudo_inverse(s);
+  const CholFactors f = chol_factor(s);
+  ASSERT_TRUE(f.ok);
+  const Matrix sinv = chol_solve(f, Matrix::identity(12));
   const double exact = one_norm(s) * one_norm(sinv);
   const double est = condest_spd(s);
   EXPECT_LE(est, exact * (1.0 + 1e-9));

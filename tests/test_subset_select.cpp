@@ -3,14 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "core/error_model.h"
 #include "linalg/cholesky.h"
+#include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
+#include "linalg/qr.h"
 #include "linalg/qr_colpivot.h"
-#include "linalg/solve.h"
-#include "linalg/svd.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 
@@ -45,23 +46,25 @@ SubsetSelector selector_for(const linalg::Matrix& a) {
   return make_subset_selector(a, linalg::gram(a));
 }
 
-// Independent reference for Algorithm 2: U_r from the Golub-Reinsch SVD of
-// A itself, then the same QRCP on U_r^T.
-std::vector<int> svd_reference_select(const linalg::Matrix& a, std::size_t r) {
-  const linalg::SvdResult f = linalg::svd(a);
-  linalg::Matrix urt(r, a.rows());
+// Independent reference for Algorithm 2: U_r from a dense tred2/tql2
+// eigendecomposition of W (the selector captures it with the randomized
+// eigensolver), then the same QRCP on U_r^T.
+std::vector<int> dense_reference_select(const linalg::EigenSymResult& eig,
+                                        std::size_t r) {
+  const std::size_t n = eig.values.size();
+  linalg::Matrix urt(r, n);
   for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < a.rows(); ++j) urt(i, j) = f.u(j, i);
+    // Eigenvalues come ascending; U_r takes the r largest.
+    for (std::size_t j = 0; j < n; ++j) urt(i, j) = eig.vectors(j, n - 1 - i);
   }
   const linalg::QrcpResult q = linalg::qr_colpivot(std::move(urt), r);
   return {q.perm.begin(), q.perm.begin() + static_cast<std::ptrdiff_t>(r)};
 }
 
-TEST(SubsetSelect, RankMatchesSvd) {
+TEST(SubsetSelect, RankMatchesConstructedRank) {
   const linalg::Matrix a = low_rank(30, 20, 7, 1);
   const SubsetSelector sel = selector_for(a);
   EXPECT_EQ(sel.rank(), 7u);
-  EXPECT_EQ(sel.rank(), linalg::rank(a));
 }
 
 TEST(SubsetSelect, SelectedIndicesValidAndDistinct) {
@@ -92,13 +95,13 @@ TEST(SubsetSelect, ExactSelectionSpansRowSpace) {
   const SubsetSelector sel = selector_for(a);
   ASSERT_EQ(sel.rank(), 6u);
   const auto rep = sel.select(6);
-  const linalg::Matrix a_r = a.select_rows(rep);
-  // For each row i: residual of projecting onto span(rows of A_r) must be 0.
-  const linalg::Matrix p = linalg::pseudo_inverse(a_r);
+  // Q: orthonormal basis of span(rows of A_r).  For each row i the residual
+  // of projecting onto it, a_i - Q Q^T a_i, must be 0.
+  const linalg::Matrix q =
+      linalg::qr_thin_q(linalg::qr_factor(a.select_rows(rep).transposed()));
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    const linalg::Vector coeffs =
-        linalg::matvec(p.transposed(), a.row(i));  // (A_r^T)^+ a_i
-    const linalg::Vector recon = linalg::matvec_transposed(a_r, coeffs);
+    const linalg::Vector coeffs = linalg::matvec_transposed(q, a.row(i));
+    const linalg::Vector recon = linalg::matvec(q, coeffs);
     for (std::size_t j = 0; j < a.cols(); ++j) {
       EXPECT_NEAR(recon[j], a(i, j), 1e-8);
     }
@@ -108,8 +111,11 @@ TEST(SubsetSelect, ExactSelectionSpansRowSpace) {
 TEST(SubsetSelect, SelectedRowsAreIndependent) {
   const linalg::Matrix a = random_matrix(30, 12, 5);
   const SubsetSelector sel = selector_for(a);
-  const auto rep = sel.select(sel.rank());
-  EXPECT_EQ(linalg::rank(a.select_rows(rep)), sel.rank());
+  EXPECT_EQ(sel.rank(), 12u);
+  // Rank of A_r by QR with column pivoting on A_r^T, a route the selector
+  // never takes.
+  const linalg::Matrix a_r = a.select_rows(sel.select(sel.rank()));
+  EXPECT_EQ(linalg::qrcp_rank(linalg::qr_colpivot(a_r.transposed())), 12u);
 }
 
 TEST(SubsetSelect, PivotOrderPrefersDominantRows) {
@@ -132,39 +138,52 @@ TEST(SubsetSelect, DuplicatedRowsNotBothSelected) {
   EXPECT_FALSE(has2 && has3);
 }
 
-TEST(SubsetSelect, SingularValuesMatchSvd) {
-  // Tall and wide pools alike: the Gram route's rank and singular values
-  // agree with the SVD of A to Gram precision.
-  for (const linalg::Matrix& a :
-       {low_rank(40, 30, 8, 21), low_rank(30, 45, 9, 22)}) {
-    const SubsetSelector sel = selector_for(a);
-    const linalg::SvdResult ref = linalg::svd(a, /*want_uv=*/false);
-    EXPECT_EQ(sel.rank(), linalg::svd_rank(ref, a.rows(), a.cols()));
+TEST(SubsetSelect, SingularValuesMatchOtherGram) {
+  // Tall and wide pools alike: the selector's rank is the constructed one,
+  // and its singular values (captured from W = A A^T) agree with those from
+  // a dense eigendecomposition of the other Gram, A^T A, to Gram precision.
+  struct Case {
+    linalg::Matrix a;
+    std::size_t rank;
+  };
+  const Case cases[] = {{low_rank(40, 30, 8, 21), 8},
+                        {low_rank(30, 45, 9, 22), 9}};
+  for (const Case& c : cases) {
+    const SubsetSelector sel = selector_for(c.a);
+    EXPECT_EQ(sel.rank(), c.rank);
+    const linalg::EigenSymResult ref =
+        linalg::eigen_sym(linalg::multiply_at(c.a, c.a));
+    const std::size_t m = ref.values.size();
+    const double s0 = std::sqrt(ref.values[m - 1]);
     for (std::size_t k = 0; k < sel.rank(); ++k) {
-      EXPECT_NEAR(sel.singular_values()[k], ref.s[k],
-                  1e-6 * (1.0 + ref.s[0]));
+      // Eigenvalues come ascending.
+      EXPECT_NEAR(sel.singular_values()[k],
+                  std::sqrt(std::max(ref.values[m - 1 - k], 0.0)),
+                  1e-6 * (1.0 + s0));
     }
   }
 }
 
-TEST(SubsetSelect, SelectionErrorMatchesSvdReference) {
+TEST(SubsetSelect, SelectionErrorMatchesDenseReference) {
   // U's sign and order freedom may let the two factorizations pick
   // different rows, but the induced prediction error must match at every
-  // r, for a small tall pool (dense eigensolver) and for a tall pool above
-  // 512 paths (pivoted-Cholesky rank, randomized eigenpair capture).
+  // r, for a small tall pool and for a tall pool of 640 paths.
   struct Case {
     linalg::Matrix a;
+    std::size_t rank;
     std::vector<std::size_t> rs;
   };
-  const Case cases[] = {{low_rank(35, 25, 6, 23), {2, 4, 6}},
-                        {low_rank(640, 120, 30, 24), {5, 15, 30}}};
+  const Case cases[] = {{low_rank(35, 25, 6, 23), 6, {2, 4, 6}},
+                        {low_rank(640, 120, 30, 24), 30, {5, 15, 30}}};
   for (const Case& c : cases) {
     const linalg::Matrix w = linalg::gram(c.a);
+    const linalg::EigenSymResult eig = linalg::eigen_sym(w);
+    ASSERT_TRUE(eig.converged);
     const SubsetSelector sel = selector_for(c.a);
-    EXPECT_EQ(sel.rank(), linalg::rank(c.a));
+    EXPECT_EQ(sel.rank(), c.rank);
     for (std::size_t r : c.rs) {
       const auto err_ref = selection_errors_from_gram(
-          w, svd_reference_select(c.a, r), 1000.0, 3.0);
+          w, dense_reference_select(eig, r), 1000.0, 3.0);
       const auto err = selection_errors_from_gram(w, sel.select(r), 1000.0,
                                                   3.0);
       EXPECT_NEAR(err.eps_r, err_ref.eps_r,
@@ -208,13 +227,14 @@ TEST(SubsetSelect, GreedySigmaPricesEveryPrefix) {
   }
 }
 
-TEST(SubsetSelect, GreedySigmaSizeIsLazyRouteRank) {
-  // Above 512 paths the Gram route takes rank(A) from the greedy factor.
-  const linalg::Matrix a = low_rank(600, 20, 8, 27);
-  const linalg::Matrix w = linalg::gram(a);
-  const SubsetSelector sel(a, w);
-  EXPECT_EQ(sel.rank(), 8u);
-  EXPECT_EQ(sel.greedy_sigma().size(), sel.rank());
+TEST(SubsetSelect, GreedySigmaSizeIsRank) {
+  // Every pool size takes rank(A) from the greedy factor.
+  for (const linalg::Matrix& a : {low_rank(600, 20, 8, 27),
+                                  low_rank(16, 20, 8, 29)}) {
+    const SubsetSelector sel = selector_for(a);
+    EXPECT_EQ(sel.rank(), 8u);
+    EXPECT_EQ(sel.greedy_sigma().size(), sel.rank());
+  }
 }
 
 TEST(SubsetSelect, GreedyErrorComparableToAlg2) {

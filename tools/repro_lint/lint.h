@@ -74,7 +74,9 @@ struct Finding {
   std::string message;
   // Cross-TU call chain justifying the finding (outermost frame first),
   // empty for per-file checks.  Frames read "Qualified::name (file:line)".
-  std::vector<std::string> chain;
+  // The initializer lets per-file checks omit it from their aggregate
+  // initializers without -Wmissing-field-initializers.
+  std::vector<std::string> chain = {};
 };
 
 struct Options {
