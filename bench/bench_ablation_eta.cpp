@@ -67,5 +67,6 @@ int main(int argc, char** argv) {
               table.render_csv().c_str());
   h.metric("sweep_points", points);
   h.metric("worst_e1", worst_e1);
-  return h.finish(points > 0);
+  h.gate("sweep_points", ">", 0);
+  return h.finish();
 }

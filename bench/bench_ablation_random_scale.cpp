@@ -77,6 +77,10 @@ int main(int argc, char** argv) {
   h.metric("sweep_points", experiments.size());
   h.metric("pr_at_min_scale", first_pr);
   h.metric("pr_at_max_scale", last_pr);
+  h.metric("pr_growth",
+           static_cast<int>(last_pr) - static_cast<int>(first_pr));
+  h.gate("sweep_points", ">", 0);
   // The paper's claim: more random variation needs more representatives.
-  return h.finish(!experiments.empty() && last_pr >= first_pr);
+  h.gate("pr_growth", ">=", 0);
+  return h.finish();
 }

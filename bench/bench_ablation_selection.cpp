@@ -61,5 +61,6 @@ int main(int argc, char** argv) {
               table.render_csv().c_str());
   h.metric("sweep_points", points);
   h.metric("alg2_wins", alg2_wins);
-  return h.finish(points > 0);
+  h.gate("sweep_points", ">", 0);
+  return h.finish();
 }

@@ -103,5 +103,6 @@ int main(int argc, char** argv) {
     h.metric("avg_rcp_path_e1", s_rcp_e1 / n);
     h.metric("avg_fw_e1", s_fw_e1 / n);
   }
-  return h.finish(rows > 0);
+  h.gate("benches", ">", 0);
+  return h.finish();
 }

@@ -2,10 +2,10 @@
 // Harness so the cross-PR perf trajectory is a uniform, schema-versioned
 // BENCH_<name>.json record instead of free-form stdout.
 //
-// Record shape (schema_version 1):
+// Record shape (schema_version 2):
 //
 //   {
-//     "schema_version": 1,
+//     "schema_version": 2,
 //     "bench": "<name>",
 //     "git": "<git describe --always --dirty>",
 //     "threads": <pool concurrency>,
@@ -14,8 +14,14 @@
 //     "ok": true | false,
 //     "telemetry_enabled": true | false,
 //     "metrics": { ... bench-specific scalars, insertion order ... },
+//     "gates": [ {"metric": "<key>", "op": "<=", "bound": <value>}, ... ],
 //     "telemetry": { "counters": {...}, "gauges": {...}, "spans": {...} }
 //   }
+//
+// The gates are the bench's whole pass/fail policy: each compares one metric
+// of the record against a constant bound, and "ok" is their conjunction
+// (plus a successful write).  tools/validate_bench_json.py re-evaluates the
+// same gates against the same metrics without knowing any bench by name.
 //
 // The telemetry block is the process-wide registry snapshot (see
 // util/telemetry.h): per-phase wall-clock comes from spans the bench (and
@@ -27,8 +33,11 @@
 // their work in `util::telemetry::Span span("bench.<phase>")`.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,7 +53,15 @@
 
 namespace repro::bench {
 
-inline constexpr int kSchemaVersion = 1;
+inline constexpr int kSchemaVersion = 2;
+
+// Current value of a telemetry counter (0 when it was never bumped).
+inline std::uint64_t counter_value(std::string_view name) {
+  for (const auto& c : util::telemetry::snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
 
 class Harness {
  public:
@@ -90,10 +107,45 @@ class Harness {
     metrics_.emplace_back(std::string(key), std::move(raw_json));
   }
 
-  // Prints the telemetry report, writes the JSON record, and returns the
-  // process exit code (0 on ok and a successful write).
-  int finish(bool ok = true) {
+  // Pass/fail gates, emitted under "gates" in declaration order.  `op` is
+  // one of <, <=, ==, >=, > (numeric metric against a numeric bound; == also
+  // compares booleans) or "present" (the metric exists, any value).  A gate
+  // on a metric the run never reported fails, so a bench can declare its
+  // gates before the work that might bail out early.
+  void gate(std::string_view metric, std::string_view op, double bound) {
+    add_gate(metric, op, util::json::json_double(bound));
+  }
+  void gate(std::string_view metric, std::string_view op, std::size_t bound) {
+    add_gate(metric, op, std::to_string(bound));
+  }
+  void gate(std::string_view metric, std::string_view op, int bound) {
+    add_gate(metric, op, std::to_string(bound));
+  }
+  void gate(std::string_view metric, std::string_view op, bool bound) {
+    add_gate(metric, op, bound ? "true" : "false");
+  }
+  void gate(std::string_view metric, std::string_view op) {
+    add_gate(metric, op, "");
+  }
+  // String bounds are not comparable; without this a literal would
+  // silently bind to the bool overload.
+  void gate(std::string_view, std::string_view, const char*) = delete;
+
+  // Evaluates the gates, prints the telemetry report and any failed gate,
+  // writes the JSON record, and returns the process exit code (0 when every
+  // gate holds and the write succeeded).
+  int finish() {
     const double wall_s = sw_.seconds();
+    bool ok = !gates_.empty();
+    if (!ok) std::printf("[%s] FAILED: no gates declared\n", name_.c_str());
+    for (const Gate& g : gates_) {
+      const std::string why = gate_failure(g);
+      if (why.empty()) continue;
+      ok = false;
+      std::printf("[%s] GATE FAILED: %s %s%s%s (%s)\n", name_.c_str(),
+                  g.metric.c_str(), g.op.c_str(), g.bound.empty() ? "" : " ",
+                  g.bound.c_str(), why.c_str());
+    }
     std::string js;
     js += "{\n  \"schema_version\": ";
     js += std::to_string(kSchemaVersion);
@@ -124,6 +176,22 @@ class Harness {
       js += metrics_[i].second;
     }
     js += metrics_.empty() ? "}" : "\n  }";
+    js += ",\n  \"gates\": [";
+    for (std::size_t i = 0; i < gates_.size(); ++i) {
+      const Gate& g = gates_[i];
+      js += (i == 0) ? "\n" : ",\n";
+      js += "    {\"metric\": \"";
+      js += util::telemetry::json_escape(g.metric);
+      js += "\", \"op\": \"";
+      js += util::telemetry::json_escape(g.op);
+      js += '"';
+      if (!g.bound.empty()) {
+        js += ", \"bound\": ";
+        js += g.bound;
+      }
+      js += '}';
+    }
+    js += gates_.empty() ? "]" : "\n  ]";
     js += ",\n  \"telemetry\": ";
     js += util::telemetry::to_json();
     js += "\n}\n";
@@ -149,6 +217,58 @@ class Harness {
   }
 
  private:
+  struct Gate {
+    std::string metric;
+    std::string op;
+    std::string bound;  // rendered JSON; empty for "present"
+  };
+
+  void add_gate(std::string_view metric, std::string_view op,
+                std::string bound) {
+    gates_.push_back({std::string(metric), std::string(op), std::move(bound)});
+  }
+
+  // Why `g` does not hold, or "" when it does.  The same rules as the
+  // evaluator in tools/validate_bench_json.py, applied to the same rendered
+  // values the record carries.
+  std::string gate_failure(const Gate& g) const {
+    const auto it =
+        std::find_if(metrics_.begin(), metrics_.end(),
+                     [&](const auto& m) { return m.first == g.metric; });
+    if (it == metrics_.end()) return "metric absent";
+    if (g.op == "present") return {};
+    util::json::Value value, bound;
+    std::string error;
+    if (!util::json::parse(it->second, value, error) ||
+        !util::json::parse(g.bound, bound, error)) {
+      return "unparsable value or bound";
+    }
+    using util::json::Kind;
+    if (g.op == "==" && value.kind == Kind::kBool &&
+        bound.kind == Kind::kBool) {
+      return value.boolean == bound.boolean ? "" : "got " + it->second;
+    }
+    if (value.kind != Kind::kNumber || bound.kind != Kind::kNumber) {
+      return "not comparable: got " + it->second;
+    }
+    const double x = value.number, y = bound.number;
+    bool holds = false;
+    if (g.op == "<") {
+      holds = x < y;
+    } else if (g.op == "<=") {
+      holds = x <= y;
+    } else if (g.op == "==") {
+      holds = x == y;
+    } else if (g.op == ">=") {
+      holds = x >= y;
+    } else if (g.op == ">") {
+      holds = x > y;
+    } else {
+      return "unknown op";
+    }
+    return holds ? "" : "got " + it->second;
+  }
+
   static const char* scale_mode_name() {
     switch (util::repro_scale_mode()) {
       case 0: return "fast";
@@ -161,6 +281,7 @@ class Harness {
   std::string json_path_;
   util::Stopwatch sw_;
   std::vector<std::pair<std::string, std::string>> metrics_;
+  std::vector<Gate> gates_;
 };
 
 }  // namespace repro::bench

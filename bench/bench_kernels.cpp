@@ -250,13 +250,12 @@ BENCHMARK(BM_MonteCarloEvaluate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // ---------------------------------------------------------------------------
 // Dispatch-tier throughput sweep: GFLOP/s-vs-peak for GEMM, SYRK, and
 // multi-RHS trsm at n = 512 on every tier the host can run.  These are the
-// CI perf-gate metrics: tools/validate_bench_json.py checks that the
-// gflops/peak_fraction numbers exist and that the dispatched tier clears
-// its speedup-vs-scalar floor (clock-independent, so it holds on any
-// throttled runner).  A forced REPRO_KERNEL restricts the sweep to exactly
-// that tier, so no scalar leg is timed and the speedups degenerate to 1.0;
-// the record says so via scalar_timed = 0 (and forced_tier), which the
-// validator uses to exempt the floor check.
+// CI perf-gate metrics: the record gates that the gflops/peak_fraction
+// numbers exist and that the dispatched tier clears its speedup-vs-scalar
+// floor (clock-independent, so it holds on any throttled runner).  A forced
+// REPRO_KERNEL restricts the sweep to exactly that tier, so no scalar leg is
+// timed and the speedups degenerate to 1.0; the record says so via
+// scalar_timed = 0 (and forced_tier), and the floors are not emitted.
 // ---------------------------------------------------------------------------
 
 struct KernelTimes {
@@ -354,7 +353,7 @@ void run_tier_sweep(repro::bench::Harness& h) {
       simd::theoretical_peak_gflops(dispatched, threads);
   // Whether a scalar leg was actually timed decides if the speedup ratios
   // mean anything: a forced non-scalar tier never times scalar and reports
-  // 1.0, which must not trip the validator's floor.
+  // 1.0, which must not trip the speedup floors.
   const bool have_scalar = scalar_gemm_s > 0.0;
   h.metric("kernel_n", n);
   h.metric("dispatched_tier", simd::tier_name(dispatched));
@@ -379,6 +378,24 @@ void run_tier_sweep(repro::bench::Harness& h) {
            have_scalar ? scalar_syrk_s / dispatched_times.syrk_s : 1.0);
   h.metric("trsm_speedup_vs_scalar",
            have_scalar ? scalar_trsm_s / dispatched_times.trsm_s : 1.0);
+
+  for (const char* key :
+       {"dispatched_tier", "forced_tier", "scalar_timed", "kernel_n",
+        "gemm_gflops", "gemm_peak_fraction", "syrk_gflops",
+        "syrk_peak_fraction", "trsm_gflops", "trsm_peak_fraction",
+        "gemm_speedup_vs_scalar", "syrk_speedup_vs_scalar",
+        "trsm_speedup_vs_scalar"}) {
+    h.gate(key, "present");
+  }
+  // Perf-regression floors: dispatched-tier-over-scalar speedups.  Ratios
+  // cancel the runner's clock, so the floors hold on any throttled machine.
+  // They bind only when a scalar leg was timed and the dispatched tier is a
+  // SIMD tier; otherwise the ratios are 1.0 by construction.
+  if (have_scalar && dispatched != simd::Tier::kScalar) {
+    h.gate("gemm_speedup_vs_scalar", ">=", 1.5);
+    h.gate("syrk_speedup_vs_scalar", ">=", 1.5);
+    h.gate("trsm_speedup_vs_scalar", ">=", 1.05);
+  }
 }
 
 // QR speed relative to the GEMM it is built on: best-of-3 time of
@@ -412,6 +429,7 @@ void run_qr_ratio(repro::bench::Harness& h) {
   h.metric("qr_thin_q_s", qr_s);
   h.metric("qr_equal_flops_gemm_s", gemm_s);
   h.metric("qr_over_gemm", qr_s / gemm_s);
+  h.gate("qr_over_gemm", "present");
 }
 
 }  // namespace
@@ -437,5 +455,6 @@ int main(int argc, char** argv) {
     const util::telemetry::Span span("bench.qr_ratio");
     run_qr_ratio(h);
   }
-  return h.finish(ran > 0);
+  h.gate("benchmarks_run", ">", 0);
+  return h.finish();
 }

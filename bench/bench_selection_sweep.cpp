@@ -100,13 +100,6 @@ SelectionErrors reference_selection_errors(const Matrix& gram,
   return out;
 }
 
-std::uint64_t counter_value(const char* name) {
-  for (const auto& c : repro::util::telemetry::snapshot().counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
 bool rel_close(double a, double b, double tol) {
   return std::abs(a - b) <= tol * (1.0 + std::max(std::abs(a), std::abs(b)));
 }
@@ -264,14 +257,13 @@ int main(int argc, char** argv) {
   // O(1) allocations per evaluator call, asserted via the model's own
   // counters (exact ratio 1 when telemetry is recording).
   double allocs_per_call = 1.0;
-  bool allocs_ok = true;
   if (util::telemetry::enabled()) {
-    const std::uint64_t calls = counter_value("core.error_model.calls");
-    const std::uint64_t allocs = counter_value("core.error_model.panel_allocs");
+    const std::uint64_t calls = bench::counter_value("core.error_model.calls");
+    const std::uint64_t allocs =
+        bench::counter_value("core.error_model.panel_allocs");
     if (calls > 0) {
       allocs_per_call =
           static_cast<double>(allocs) / static_cast<double>(calls);
-      allocs_ok = allocs == calls;
     }
   }
   std::printf("panel allocations per evaluator call: %g\n", allocs_per_call);
@@ -287,18 +279,28 @@ int main(int argc, char** argv) {
   h.metric("panel_speedup", panel_speedup);
   h.metric("allocs_per_call", allocs_per_call);
   h.metric("results_match", results_match);
+  h.metric("probe_match", probe_match);
   h.metric("thread_invariant", thread_invariant);
-  h.metric("syrk_flops_saved", static_cast<std::size_t>(
-                                   counter_value("linalg.syrk.flops_saved")));
+  h.metric("syrk_flops_saved",
+           static_cast<std::size_t>(
+               bench::counter_value("linalg.syrk.flops_saved")));
   h.metric("kernel_tier",
            linalg::simd::tier_name(linalg::simd::active_tier()));
   h.metric("gram_gflops", gram_gflops);
   h.metric("gram_peak_fraction",
            gram_peak > 0.0 ? gram_gflops / gram_peak : 0.0);
 
+  h.gate("results_match", "==", true);
+  h.gate("probe_match", "==", true);
+  h.gate("thread_invariant", "==", true);
+  // An allocation count equal to the call count is a ratio of exactly 1.
+  h.gate("allocs_per_call", "==", 1.0);
   // The >= 3x acceptance bar applies at representative sizes (n >= 2000);
   // the FAST smoke only checks correctness.
-  const bool speed_ok = (scale == 0) || speedup >= 3.0;
-  return h.finish(results_match && probe_match && thread_invariant &&
-                  allocs_ok && speed_ok);
+  if (scale != 0) h.gate("speedup_vs_reference", ">=", 3.0);
+  for (const char* key : {"speedup_vs_reference", "panel_speedup",
+                          "kernel_tier", "gram_gflops", "gram_peak_fraction"}) {
+    h.gate(key, "present");
+  }
+  return h.finish();
 }

@@ -75,20 +75,28 @@ bool connect_client(server::Server& srv, server::Client& client) {
   return client.adopt(std::move(ours));
 }
 
-std::uint64_t counter_value(std::string_view name) {
-  const auto snap = util::telemetry::snapshot();
-  for (const auto& c : snap.counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int run(int argc, char** argv) {
   bench::Harness h("server", argc, argv);
   util::telemetry::set_enabled(true);
   const Scale scale = pick_scale();
+  // Declared up front: a run that bails out early never reports these
+  // metrics, and a gate on an absent metric fails.  Batched answers must
+  // be bit-identical to serial ones and a cached session must do zero
+  // re-selection work; at default scale the panel path must also beat
+  // per-request predicts by >= 2x with >= 8 concurrent sessions (REPRO_FAST
+  // pools are too small for the speedup floor to mean anything).
+  h.gate("bit_identical", "==", true);
+  h.gate("cache_hit_zero_refactor", "==", true);
+  if (util::repro_scale_mode() == 1) {
+    h.gate("concurrent_sessions", ">=", 8);
+    h.gate("batched_speedup_vs_serial", ">=", 2.0);
+  }
+  for (const char* key : {"requests_per_s", "concurrent_sessions",
+                          "batched_speedup_vs_serial", "batch_mean_size"}) {
+    h.gate(key, "present");
+  }
 
   server::Server srv;
   bool ok = true;
@@ -115,7 +123,7 @@ int run(int argc, char** argv) {
       }
     }
   }
-  if (!ok) return h.finish(false);
+  if (!ok) return h.finish();
   // Each variant's config selects its own measurement-slot count; the
   // shared-session legs below all use session 0's.
   const std::size_t n_meas = infos[0].n_meas;
@@ -160,7 +168,7 @@ int run(int argc, char** argv) {
   const std::uint32_t shared = infos[0].session;
   const std::shared_ptr<server::Session> shared_session =
       srv.sessions().find(shared);
-  if (shared_session == nullptr) return h.finish(false);
+  if (shared_session == nullptr) return h.finish();
 
   // Each leg runs kLegReps times and keeps the fastest repetition: the legs
   // are ~10-20 ms of wall each, so a single scheduler hiccup would
@@ -288,19 +296,19 @@ int run(int argc, char** argv) {
   // Re-open of the shared config: cache hit, zero re-factorizations.
   bool cache_hit_zero_refactor = false;
   {
-    const std::uint64_t qr_before = counter_value("linalg.qr_colpivot.calls");
+    const std::uint64_t qr_before =
+        bench::counter_value("linalg.qr_colpivot.calls");
     server::Client fresh;
     server::SessionInfo again;
     if (connect_client(srv, fresh) &&
         fresh.open_session(bench_config(0), again)) {
       cache_hit_zero_refactor =
           again.cached && again.session == shared &&
-          counter_value("linalg.qr_colpivot.calls") == qr_before;
+          bench::counter_value("linalg.qr_colpivot.calls") == qr_before;
     }
   }
 
   srv.stop();
-  ok = ok && bit_identical && cache_hit_zero_refactor;
 
   h.metric("benchmark", "s1196");
   h.metric("requests_per_s", requests_per_s);
@@ -319,7 +327,7 @@ int run(int argc, char** argv) {
               "batched %.1f us/req (x%.2f, mean panel %.1f)\n",
               scale.sessions, requests_per_s, serial_per_req * 1e6,
               batched_per_req * 1e6, speedup, batch_mean_size);
-  return h.finish(ok);
+  return h.finish();
 }
 
 }  // namespace repro

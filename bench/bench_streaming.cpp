@@ -5,18 +5,18 @@
 // scenarios:
 //
 //   clean — no model drift.  Reports streaming-vs-batch e1 parity (the
-//           streaming posterior must not cost accuracy: e1 within 1.1x of
-//           the batch robust calibrator), the adaptive guard-band
+//           streaming posterior must not cost accuracy: e1 within a fixed
+//           ratio of the batch robust calibrator), the adaptive guard-band
 //           trajectory (monotonically non-inflating as information
 //           accumulates), and the CUSUM false-alarm count (must be zero);
 //   shift — the same stream with a common-mode parameter drift injected at
 //           mid-stream.  Reports the drift-detection latency in dies
 //           against the budget.
 //
-// Both the parity ratio and the detection latency are enforced by
-// tools/validate_bench_json.py, so a drift-detector regression fails CI the
-// same way a kernel perf regression does.  Everything is recorded as JSON
-// (argv[1], default BENCH_streaming.json).
+// Both the parity ratio and the detection latency are gates in the record
+// (bench_common.h), so a drift-detector regression fails CI the same way a
+// kernel perf regression does.  Everything is recorded as JSON (argv[1],
+// default BENCH_streaming.json).
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -133,14 +133,16 @@ int main(int argc, char** argv) {
     util::telemetry::Span span("bench.clean_stream");
     clean = core::evaluate_predictor_streaming(model, predictor, sopt);
   }
+  // Streaming accuracy must track the batch robust predictor.
+  constexpr double kE1RatioBudget = 1.1;
   const double ratio =
       batch_e1 > 0.0 ? clean.metrics.e1 / batch_e1 : 0.0;
   const std::size_t clean_false_alarms =
       clean.status.drift_flagged ? 1u : 0u;
   std::printf("clean stream: streaming e1 = %s vs batch e1 = %s "
-              "(ratio %.3f, budget 1.10)\n",
+              "(ratio %.3f, budget %.2f)\n",
               util::fmt_percent(clean.metrics.e1, 2).c_str(),
-              util::fmt_percent(batch_e1, 2).c_str(), ratio);
+              util::fmt_percent(batch_e1, 2).c_str(), ratio, kE1RatioBudget);
   std::printf("  guard-band %.4f -> %.4f (%s), accepted %zu / rejected %zu "
               "/ quarantined %zu, false alarms %zu\n",
               clean.initial_guardband, clean.final_guardband,
@@ -175,11 +177,6 @@ int main(int argc, char** argv) {
                 kDriftMagnitude, dopt.drift.start_die);
   }
 
-  const bool pass = ratio <= 1.1 && clean.guardband_monotone &&
-                    clean_false_alarms == 0 && drift_detected &&
-                    latency <= kDriftBudget;
-  std::printf("\nacceptance: %s\n", pass ? "PASS" : "FAIL");
-
   h.metric("benchmark", "s1423");
   h.metric("dies", dies);
   h.metric("representatives", sel.representatives.size());
@@ -188,7 +185,6 @@ int main(int argc, char** argv) {
   h.metric("streaming_e1", clean.metrics.e1);
   h.metric("streaming_e2", clean.metrics.e2);
   h.metric("e1_ratio", ratio);
-  h.metric("e1_ratio_budget", 1.1);
   h.metric("guardband_initial", clean.initial_guardband);
   h.metric("guardband_final", clean.final_guardband);
   h.metric("guardband_monotone", clean.guardband_monotone);
@@ -204,8 +200,6 @@ int main(int argc, char** argv) {
            drift_detected ? static_cast<int>(drifted.drift_flag_die) : -1);
   h.metric("drift_latency_dies",
            drift_detected ? static_cast<int>(latency) : -1);
-  h.metric("drift_budget_dies", kDriftBudget);
-  h.metric("pass", pass);
   h.metric_json("clean_gate_counts", json_gate_counts(clean.status));
   h.metric_json("guardband_trajectory",
                 json_trajectory(clean.guardband_trajectory, 64));
@@ -213,5 +207,16 @@ int main(int argc, char** argv) {
                 json_trajectory(clean.drift_trajectory, 64));
   h.metric_json("shift_drift_trajectory",
                 json_trajectory(drifted.drift_trajectory, 64));
-  return h.finish(pass);
+  // The adaptive guard-band must never inflate on a clean stream, the clean
+  // stream must raise no drift alarm, and the injected shift must be flagged
+  // inside the latency budget.
+  h.gate("e1_ratio", "<=", kE1RatioBudget);
+  h.gate("guardband_monotone", "==", true);
+  h.gate("clean_false_alarms", "==", 0);
+  h.gate("drift_detected", "==", true);
+  h.gate("drift_latency_dies", ">=", 0);
+  h.gate("drift_latency_dies", "<=", kDriftBudget);
+  h.gate("streaming_e1", "present");
+  h.gate("batch_e1", "present");
+  return h.finish();
 }

@@ -4,6 +4,7 @@
 // (target paths), |Pr| exact (= rank(A)), |Pr| approximate, and the
 // Monte-Carlo prediction errors e1/e2 (%) of the approximate selection.
 #include <cstdio>
+#include <span>
 
 #include "bench_common.h"
 #include "core/benchmarks.h"
@@ -13,6 +14,32 @@
 #include "util/stopwatch.h"
 #include "util/telemetry.h"
 #include "util/text.h"
+
+namespace {
+
+// Golden Table 1 rows: exact rank and |Pr| must match exactly, e1 (a
+// fraction) within kE1Tolerance.  One table per gated scale; REPRO_FULL runs
+// are not pinned.
+struct GoldenRow {
+  const char* circuit;
+  std::size_t exact_rank;
+  std::size_t approx_size;
+  double e1;
+};
+constexpr GoldenRow kFastGolden[] = {{"s1196", 133, 8, 0.026590},
+                                     {"s1423", 132, 4, 0.021199},
+                                     {"s1488", 132, 8, 0.030812}};
+constexpr GoldenRow kDefaultGolden[] = {
+    {"s1196", 211, 12, 0.021042},  {"s1423", 251, 4, 0.024792},
+    {"s1488", 236, 8, 0.047172},   {"s5378", 539, 17, 0.038001},
+    {"s9234", 615, 8, 0.044186},   {"s13207", 652, 13, 0.043634},
+    {"s15850", 723, 4, 0.039107},  {"s35932", 824, 26, 0.037938},
+    {"s38417", 943, 20, 0.035890}, {"s38584", 866, 20, 0.036532},
+};
+// 0.05 percentage points.
+constexpr double kE1Tolerance = 5e-4;
+
+}  // namespace
 
 // An uncaught exception aborting through the libstdc++ terminate
 // message is an acceptable failure mode for a bench/demo binary.
@@ -24,6 +51,17 @@ int main(int argc, char** argv) {
   std::vector<std::string> benches = circuit::known_benchmarks();
   if (scale == 0) {
     benches = {"s1196", "s1423", "s1488"};  // REPRO_FAST smoke subset
+  }
+  h.gate("benches", ">", 0);
+  std::span<const GoldenRow> golden;
+  if (scale == 0) golden = kFastGolden;
+  if (scale == 1) golden = kDefaultGolden;
+  for (const GoldenRow& row : golden) {
+    const std::string c = row.circuit;
+    h.gate(c + ".exact_rank", "==", row.exact_rank);
+    h.gate(c + ".approx_size", "==", row.approx_size);
+    h.gate(c + ".e1", ">=", row.e1 - kE1Tolerance);
+    h.gate(c + ".e1", "<=", row.e1 + kE1Tolerance);
   }
 
   std::printf(
@@ -68,6 +106,10 @@ int main(int argc, char** argv) {
                    std::to_string(sel.representatives.size()),
                    util::fmt_percent(m.e1, 2), util::fmt_percent(m.e2, 2),
                    util::fmt_double(sw.seconds(), 1)});
+    h.metric(name + ".exact_rank", sel.exact_rank);
+    h.metric(name + ".approx_size", sel.representatives.size());
+    h.metric(name + ".e1", m.e1);
+    h.metric(name + ".e2", m.e2);
     sum_e1 += m.e1;
     sum_e2 += m.e2;
     sum_exact += static_cast<double>(sel.exact_rank);
@@ -93,5 +135,5 @@ int main(int argc, char** argv) {
     h.metric("avg_e1", sum_e1 / n);
     h.metric("avg_e2", sum_e2 / n);
   }
-  return h.finish(rows > 0);
+  return h.finish();
 }

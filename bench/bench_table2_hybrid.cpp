@@ -7,6 +7,7 @@
 // |Pr|+|Sr| kept, as in the paper.
 #include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "bench_common.h"
 #include "core/benchmarks.h"
@@ -17,6 +18,23 @@
 #include "util/stopwatch.h"
 #include "util/text.h"
 
+namespace {
+
+// Golden hybrid |Pr|+|Sr| per circuit, exact.  One table per gated scale;
+// REPRO_FULL runs are not pinned.
+struct GoldenRow {
+  const char* circuit;
+  std::size_t hybrid_total;
+};
+constexpr GoldenRow kFastGolden[] = {{"s1196", 3}, {"s1423", 1}, {"s1488", 3}};
+constexpr GoldenRow kDefaultGolden[] = {
+    {"s1196", 2},  {"s1423", 1},  {"s1488", 3},  {"s5378", 4},
+    {"s9234", 2},  {"s13207", 2}, {"s15850", 2}, {"s35932", 3},
+    {"s38417", 3}, {"s38584", 3},
+};
+
+}  // namespace
+
 // An uncaught exception aborting through the libstdc++ terminate
 // message is an acceptable failure mode for a bench/demo binary.
 // NOLINTNEXTLINE(bugprone-exception-escape)
@@ -26,6 +44,13 @@ int main(int argc, char** argv) {
   const int scale = util::repro_scale_mode();
   std::vector<std::string> benches = circuit::known_benchmarks();
   if (scale == 0) benches = {"s1196", "s1423", "s1488"};
+  h.gate("benches", ">", 0);
+  std::span<const GoldenRow> golden;
+  if (scale == 0) golden = kFastGolden;
+  if (scale == 1) golden = kDefaultGolden;
+  for (const GoldenRow& row : golden) {
+    h.gate(std::string(row.circuit) + ".hybrid_total", "==", row.hybrid_total);
+  }
 
   constexpr double kEps = 0.08;
   // eps' sweep: the paper parallelizes this at design stage; serially we
@@ -101,6 +126,13 @@ int main(int argc, char** argv) {
          std::to_string(hyb.rep_paths.size() + hyb.rep_segments.size()),
          util::fmt_percent(hmet.e1, 2), util::fmt_percent(hmet.e2, 2),
          util::fmt_double(sw.seconds(), 1)});
+    h.metric(name + ".path_pr", psel.representatives.size());
+    h.metric(name + ".path_e1", pmet.e1);
+    h.metric(name + ".hybrid_pr", hyb.rep_paths.size());
+    h.metric(name + ".hybrid_sr", hyb.rep_segments.size());
+    h.metric(name + ".hybrid_total",
+             hyb.rep_paths.size() + hyb.rep_segments.size());
+    h.metric(name + ".hybrid_e1", hmet.e1);
     s_pe1 += pmet.e1;
     s_pe2 += pmet.e2;
     s_he1 += hmet.e1;
@@ -135,5 +167,5 @@ int main(int argc, char** argv) {
     h.metric("avg_hybrid_e1", s_he1 / n);
     h.metric("avg_hybrid_e2", s_he2 / n);
   }
-  return h.finish(rows > 0);
+  return h.finish();
 }

@@ -13,6 +13,24 @@
 namespace repro::linalg {
 namespace {
 
+// The legacy row update b_j -= l_jk * b_k, kept out of the auto-vectorizer.
+// It is the scalar tier's reference loop: under -march=native the compiler
+// would otherwise emit the same FMA vectors the SIMD tiers issue, and the
+// scalar leg the SIMD speedups are measured against would stop being
+// scalar.  Each element's arithmetic is unchanged, and so are the bits.
+#if defined(__clang__)
+void subtract_scaled_row(std::size_t w, double ljk, const double* bk,
+                         double* bj) {
+#pragma clang loop vectorize(disable) interleave(disable)
+  for (std::size_t c = 0; c < w; ++c) bj[c] -= ljk * bk[c];
+}
+#else
+__attribute__((noinline, optimize("no-tree-vectorize"))) void
+subtract_scaled_row(std::size_t w, double ljk, const double* bk, double* bj) {
+  for (std::size_t c = 0; c < w; ++c) bj[c] -= ljk * bk[c];
+}
+#endif
+
 // Forward substitution on the RHS column slab [cb, ce).  Row j of L is
 // applied to the whole slab before row j+1 is touched; each column's
 // floating-point sequence (including the final division, never a reciprocal
@@ -45,7 +63,7 @@ void solve_slab(const Matrix& l, Matrix& b, std::size_t cb, std::size_t ce,
       if (use_simd) {
         t.axpy(w, -ljk, bk, bj);
       } else {
-        for (std::size_t c = 0; c < w; ++c) bj[c] -= ljk * bk[c];
+        subtract_scaled_row(w, ljk, bk, bj);
       }
     }
     const double ljj = lj[j];
