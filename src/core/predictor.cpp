@@ -313,13 +313,17 @@ RobustPrediction RobustPredictor::predict(std::span<const double> measured,
     }
   }
 
-  // x = A_v^T z, then d_rem = mu_rem + A_rem x.
-  const linalg::Matrix a_v = a_meas.select_rows(kept);
-  const linalg::Vector x = linalg::matvec_transposed(a_v, z);
-  out.values = linalg::matvec(a_rem, x);
-  for (std::size_t i = 0; i < out.values.size(); ++i) {
-    out.values[i] += base.mu_rem[i];
+  // d_rem = mu_rem + A_rem A_v^T z, taken through the cached measured-space
+  // image: row kept_j of cross is A_rem a_{kept_j}, so the parameter
+  // estimate x = A_v^T z is never formed.
+  const std::size_t n_rem = base.mu_rem.size();
+  out.values.assign(n_rem, 0.0);
+  for (std::size_t j = 0; j < kept.size(); ++j) {
+    linalg::axpy(z[j], cross.row(static_cast<std::size_t>(kept[j])),
+                 out.values);
   }
+  for (std::size_t i = 0; i < n_rem; ++i) out.values[i] += base.mu_rem[i];
+  out.dual = std::move(z);
   out.health = (out.screened.empty() && out.missing.empty())
                    ? PredictorHealth::kOk
                    : PredictorHealth::kDegraded;
@@ -357,10 +361,12 @@ RobustPredictor make_robust_path_predictor(const linalg::Matrix& a,
     is_dead[static_cast<std::size_t>(d)] = 1;
   }
   std::vector<char> in_meas(a.rows(), 0);
+  std::vector<char> seen(a.rows(), 0);
   std::vector<int> live;
   for (int r : rep) {
     if (r < 0 || r >= n) return fail("representative index out of range");
-    if (in_meas[static_cast<std::size_t>(r)]) continue;  // duplicate
+    if (seen[static_cast<std::size_t>(r)]) continue;  // duplicate
+    seen[static_cast<std::size_t>(r)] = 1;
     if (is_dead[static_cast<std::size_t>(r)]) {
       rp.status.dropped_paths.push_back(r);
       continue;
@@ -368,9 +374,13 @@ RobustPredictor make_robust_path_predictor(const linalg::Matrix& a,
     in_meas[static_cast<std::size_t>(r)] = 1;
     live.push_back(r);
   }
+  // One backup per distinct dead representative, never more: rep may list
+  // an index twice, so rep.size() overcounts the slots to refill.
   if (options.promote_backups && !rp.status.dropped_paths.empty()) {
     for (int b : options.backup_order) {
-      if (live.size() >= rep.size()) break;
+      if (rp.status.promoted_paths.size() >= rp.status.dropped_paths.size()) {
+        break;
+      }
       if (b < 0 || b >= n) continue;
       if (in_meas[static_cast<std::size_t>(b)] ||
           is_dead[static_cast<std::size_t>(b)]) {
@@ -404,10 +414,10 @@ RobustPredictor make_robust_path_predictor(const linalg::Matrix& a,
 
   // Reported robust Gram solve instead of the throwing spd_solve.
   rp.gram_meas = linalg::gram(rp.a_meas);
-  const linalg::Matrix cross = linalg::multiply_bt(rp.a_rem, rp.a_meas);
+  rp.cross = linalg::multiply_bt(rp.a_rem, rp.a_meas).transposed();
   linalg::SpdSolveInfo info;
   const linalg::Matrix z = linalg::spd_solve_robust(
-      rp.gram_meas, cross.transposed(), &info, options.max_condition);
+      rp.gram_meas, rp.cross, &info, options.max_condition);
   rp.status.gram_condition = info.condition;
   rp.status.ridge = info.ridge;
   if (!info.ok) {

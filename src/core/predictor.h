@@ -132,6 +132,10 @@ struct RobustPrediction {
   std::vector<int> missing;   // slots invalid on input (dropped/non-finite)
   int irls_iterations = 0;
   double residual_scale = 0.0;  // robust residual sigma estimate (ps)
+  // Dual solution z over the kept slots (the valid, unscreened slots in
+  // ascending order): values = mu_rem + A_rem A_kept^T z.  Empty unless a
+  // solve succeeded.
+  linalg::Vector dual;
 };
 
 struct RobustPredictor {
@@ -139,11 +143,16 @@ struct RobustPredictor {
   linalg::Matrix a_meas;   // surviving measurement sensitivities (n_meas x m)
   linalg::Matrix a_rem;    // remaining-path sensitivities   (n_rem x m)
   linalg::Matrix gram_meas;  // A_r A_r^T, cached for per-die subset solves
+  // A_r A_rem^T (n_meas x n_rem): the measured-space image of every
+  // remaining path, through which predict() maps the dual solution.
+  linalg::Matrix cross;
   PredictorStatus status;
   RobustOptions options;
 
-  // Robust per-die prediction: Huber-IRLS parameter estimate from the valid
-  // measurements, residual outlier screening, then d_rem = mu_rem + A_rem x.
+  // Robust per-die prediction: Huber-IRLS dual estimate z from the valid
+  // measurements, residual outlier screening, then
+  // d_rem = mu_rem + A_rem A_kept^T z = mu_rem + sum_j z_j cross.row(kept_j),
+  // all in the measured space: O(k^3 + k n_rem) per die, independent of m.
   // `valid` (optional, one flag per measurement slot) marks slots usable on
   // this die; non-finite measured values are screened unconditionally.
   // Never throws; with no usable measurement the nominal delays are returned

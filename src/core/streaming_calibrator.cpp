@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/guardband.h"
+#include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
 #include "linalg/solve.h"
 #include "util/telemetry.h"
@@ -88,9 +89,9 @@ double median_of(linalg::Vector v) {
 // the stream must survive fault-injected input.
 // repro-lint: allow-file(contracts)
 
-StreamingCalibrator::StreamingCalibrator(const RobustPredictor& predictor,
+StreamingCalibrator::StreamingCalibrator(RobustPredictor predictor,
                                          const StreamingOptions& options)
-    : predictor_(predictor), options_(options) {
+    : predictor_(std::move(predictor)), options_(options) {
   // Sanitize the knobs that feed divisions.
   if (!(options_.forgetting > 0.0 && options_.forgetting <= 1.0)) {
     options_.forgetting = 1.0;
@@ -101,20 +102,30 @@ StreamingCalibrator::StreamingCalibrator(const RobustPredictor& predictor,
     publish_telemetry();
     return;
   }
-  m_ = predictor_.a_meas.cols();
+  const std::size_t n_meas = predictor_.base.mu_meas.size();
   const std::size_t n_rem = predictor_.a_rem.rows();
-  b_.assign(m_, 0.0);
-  const double prior_var = 1.0 / options_.prior_precision;
-  p_ = linalg::Matrix(m_, m_);
-  for (std::size_t i = 0; i < m_; ++i) p_(i, i) = prior_var;
-  q_.assign(n_rem, 0.0);
+  // Prior P = I / tau: alpha = 1/tau, K = 0, beta = 0.
+  alpha_ = 1.0 / options_.prior_precision;
+  k_ = linalg::Matrix(n_meas, n_meas);
+  beta_.assign(n_meas, 0.0);
+  b_.assign(predictor_.a_meas.cols(), 0.0);
+  // G = Q Lambda Q^T  ->  L = Q Lambda^1/2 (a singular G just gives zero
+  // columns), so L^T K L shares its spectrum with G^1/2 K G^1/2.
+  const linalg::EigenSymResult eg = linalg::eigen_sym(predictor_.gram_meas);
+  gram_root_ = eg.vectors;
+  for (std::size_t j = 0; j < n_meas; ++j) {
+    const double root = std::sqrt(std::max(eg.values[j], 0.0));
+    for (std::size_t i = 0; i < n_meas; ++i) gram_root_(i, j) *= root;
+  }
+  rem_norm2_.resize(n_rem);
+  q_.resize(n_rem);
   for (std::size_t i = 0; i < n_rem; ++i) {
-    const double a2 = linalg::dot(predictor_.a_rem.row(i),
-                                  predictor_.a_rem.row(i));
-    q_[i] = prior_var * a2;
+    rem_norm2_[i] = linalg::dot(predictor_.a_rem.row(i),
+                                predictor_.a_rem.row(i));
+    q_[i] = alpha_ * rem_norm2_[i];
   }
   base_sigma_ = predictor_.error_sigmas();
-  shift_meas_.assign(predictor_.base.mu_meas.size(), 0.0);
+  shift_meas_.assign(n_meas, 0.0);
   shift_rem_.assign(n_rem, 0.0);
   drift_ref_meas_ = shift_meas_;
   if (options_.drift_ref_interval == 0) options_.drift_ref_interval = 1;
@@ -132,11 +143,48 @@ void StreamingCalibrator::mark_unusable(std::string why) {
 }
 
 void StreamingCalibrator::refresh_shift_cache() {
-  shift_meas_ = linalg::matvec(predictor_.a_meas, b_);
-  shift_rem_ = linalg::matvec(predictor_.a_rem, b_);
+  shift_meas_ = linalg::matvec(predictor_.gram_meas, beta_);
+  shift_rem_ = linalg::matvec_transposed(predictor_.cross, beta_);
+  b_ = linalg::matvec_transposed(predictor_.a_meas, beta_);
   double norm2 = 0.0;
   for (double v : b_) norm2 += v * v;
   status_.shift_norm = std::sqrt(norm2);
+}
+
+void StreamingCalibrator::audit_covariance() {
+  // spec(P) = spec(alpha I - A^T K A).  The nonzero eigenvalues of A^T K A
+  // are those of L^T K L (G = L L^T); the rest are zeros: m - n_meas extra
+  // ones when m > n_meas, else n_meas - m of L^T K L's eigenvalues are the
+  // structural zeros (the smallest, K being PSD) and do not belong to P.
+  const std::size_t n_meas = k_.rows();
+  const std::size_t m = b_.size();
+  const linalg::Matrix lkl =
+      linalg::multiply_at(gram_root_, linalg::multiply(k_, gram_root_));
+  const linalg::Vector mu = linalg::eigen_sym(lkl).values;
+  double hi = -std::numeric_limits<double>::infinity();
+  double lo = std::numeric_limits<double>::infinity();
+  if (m > n_meas) hi = lo = alpha_;
+  for (std::size_t i = m > n_meas ? 0 : n_meas - m; i < n_meas; ++i) {
+    hi = std::max(hi, alpha_ - mu[i]);
+    lo = std::min(lo, alpha_ - mu[i]);
+  }
+  status_.info_condition =
+      lo > 0.0 ? hi / lo : std::numeric_limits<double>::infinity();
+  if (status_.info_condition <= options_.max_condition) return;
+  // Collapsed covariance: a reported floor, P += floor I, keeping q = a^T P a
+  // consistent.
+  const double floor =
+      std::max(std::abs(hi) / options_.max_condition, 1e-300) * 10.0;
+  alpha_ += floor;
+  for (std::size_t i = 0; i < q_.size(); ++i) q_[i] += floor * rem_norm2_[i];
+  status_.last_ridge = floor;
+  ++status_.ridge_events;
+  if (status_.health == StreamHealth::kOk) {
+    status_.health = StreamHealth::kDegraded;
+  }
+  status_.message = "posterior covariance floored (condition " +
+                    std::to_string(status_.info_condition) + ")";
+  util::telemetry::count("core.stream.covariance_floors");
 }
 
 void StreamingCalibrator::publish_telemetry() const {
@@ -241,20 +289,31 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
   }
   const std::size_t k = survivors.size();
 
-  // Innovation system on the survivors:
-  //   S = A_v (P/lambda) A_v^T + A_v A_v^T + sigma^2 I,
-  // solved with the reported-ridge robust policy (condest_spd inside).
+  // Innovation system on the survivors, in the measured space (header):
+  //   U = (alpha E_v - K G(:,v)) / lambda,  S = G(v,:) U + G_vv + sigma^2 I,
+  // solved with the reported-ridge robust policy.  `ut` holds U^T (k x n_meas).
   const double inv_lambda = 1.0 / options_.forgetting;
-  const linalg::Matrix a_v = predictor_.a_meas.select_rows(survivors);
-  linalg::Matrix u = linalg::multiply_bt(p_, a_v);  // m x k  (= Pf A_v^T)
-  u *= inv_lambda;
-  linalg::Matrix s = linalg::multiply(a_v, u);      // k x k
+  const linalg::Matrix& gram = predictor_.gram_meas;
+  linalg::Matrix ut(k, n_meas);
+  for (std::size_t j = 0; j < k; ++j) {
+    const auto v = static_cast<std::size_t>(survivors[j]);
+    const auto gv = gram.row(v);  // G(:, v), G being symmetric
+    for (std::size_t i = 0; i < n_meas; ++i) {
+      const double e = (i == v) ? alpha_ : 0.0;
+      ut(j, i) = (e - linalg::dot(k_.row(i), gv)) * inv_lambda;
+    }
+  }
+  linalg::Matrix s(k, k);
   {
-    const linalg::Matrix r_die =
-        predictor_.gram_meas.select_rows(survivors).select_cols(survivors);
-    s += r_die;
     const double sigma = predictor_.options.measurement_sigma_ps;
-    for (std::size_t i = 0; i < k; ++i) s(i, i) += sigma * sigma;
+    for (std::size_t a = 0; a < k; ++a) {
+      const auto va = static_cast<std::size_t>(survivors[a]);
+      for (std::size_t c = 0; c < k; ++c) {
+        s(a, c) = linalg::dot(gram.row(va), ut.row(c)) +
+                  gram(va, static_cast<std::size_t>(survivors[c]));
+      }
+      s(a, a) += sigma * sigma;
+    }
   }
   linalg::Vector r(k);
   for (std::size_t j = 0; j < k; ++j) {
@@ -369,15 +428,19 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
     return out;
   }
 
-  // Commit the Kalman/RLS update.  One k x (m + n_rem) solve prices both the
-  // covariance downdate (S^{-1} U^T) and the per-path variance downdate
-  // (S^{-1} V^T with V = A_rem U) off the same factorization policy.
-  const std::size_t n_rem = predictor_.a_rem.rows();
-  const linalg::Matrix v = linalg::multiply(predictor_.a_rem, u);  // n_rem x k
-  linalg::Matrix rhs(k, m_ + n_rem);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < m_; ++j) rhs(i, j) = u(j, i);
-    for (std::size_t j = 0; j < n_rem; ++j) rhs(i, m_ + j) = v(j, i);
+  // Commit the Kalman/RLS update.  One k x (n_meas + n_rem) solve prices
+  // both the K update (X_b = S^{-1} U^T) and the per-path variance downdate
+  // (X_q = S^{-1} V^T with V^T = U^T C, C = A_meas A_rem^T) off the same
+  // factorization policy.
+  const std::size_t n_rem = q_.size();
+  linalg::Matrix rhs(k, n_meas + n_rem);
+  for (std::size_t j = 0; j < k; ++j) {
+    const auto row = rhs.row(j);
+    const auto vt = row.subspan(n_meas);
+    for (std::size_t i = 0; i < n_meas; ++i) {
+      row[i] = ut(j, i);
+      linalg::axpy(ut(j, i), predictor_.cross.row(i), vt);
+    }
   }
   linalg::SpdSolveInfo info2;
   const linalg::Matrix x =
@@ -385,36 +448,36 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
   if (!info2.ok) {
     return gated(die, StreamGate::kIllConditioned, std::move(rp));
   }
-  // b <- b + U w.
-  const linalg::Vector db = linalg::matvec(u, w);
-  for (std::size_t i = 0; i < m_; ++i) b_[i] += db[i];
-  // P <- P/lambda - U X_left, then symmetrize against drift of the two
-  // triangles (X_left = S^{-1} U^T).
-  if (inv_lambda != 1.0) p_ *= inv_lambda;
-  for (std::size_t i = 0; i < m_; ++i) {
-    const double* urow = u.row(i).data();
-    for (std::size_t j = 0; j <= i; ++j) {
+  // beta <- beta + U w.
+  for (std::size_t j = 0; j < k; ++j) {
+    linalg::axpy(w[j], ut.row(j), beta_);
+  }
+  // alpha <- alpha/lambda; K <- K/lambda + U X_b, symmetrized against drift
+  // of the two triangles.
+  alpha_ *= inv_lambda;
+  if (inv_lambda != 1.0) k_ *= inv_lambda;
+  for (std::size_t i = 0; i < n_meas; ++i) {
+    for (std::size_t l = 0; l <= i; ++l) {
       double acc = 0.0;
-      for (std::size_t l = 0; l < k; ++l) acc += urow[l] * x(l, j);
-      const double val = 0.5 * (p_(i, j) + p_(j, i)) - acc;
-      p_(i, j) = val;
-      p_(j, i) = val;
+      for (std::size_t j = 0; j < k; ++j) acc += ut(j, i) * x(j, l);
+      const double val = 0.5 * (k_(i, l) + k_(l, i)) + acc;
+      k_(i, l) = val;
+      k_(l, i) = val;
     }
   }
   // q_i <- q_i/lambda - v_i^T S^{-1} v_i, clamped against roundoff.
   for (std::size_t i = 0; i < n_rem; ++i) {
     double acc = 0.0;
-    for (std::size_t l = 0; l < k; ++l) acc += v(i, l) * x(l, m_ + i);
+    for (std::size_t j = 0; j < k; ++j) {
+      acc += rhs(j, n_meas + i) * x(j, n_meas + i);
+    }
     q_[i] = std::max(0.0, q_[i] * inv_lambda - acc);
   }
 
   // A non-finite posterior means the stream state is lost for good: latch
   // unusable so predictions degrade to the batch robust predictor.
-  bool finite = all_finite(b_) && all_finite(q_);
-  for (std::size_t i = 0; finite && i < m_; ++i) {
-    if (!std::isfinite(p_(i, i))) finite = false;
-  }
-  if (!finite) {
+  if (!std::isfinite(alpha_) || !all_finite(beta_) || !all_finite(q_) ||
+      !all_finite(k_.data())) {
     mark_unusable("non-finite posterior after die " + std::to_string(die));
     DieRecord out = gated(die, StreamGate::kIllConditioned, std::move(rp));
     out.innovation_z = z;
@@ -451,34 +514,9 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
     }
   }
 
-  // Periodic posterior-conditioning audit: a collapsed covariance gets a
-  // reported diagonal floor (and q stays consistent with P).
-  if (++accepted_since_check_ >= options_.condition_check_interval) {
-    accepted_since_check_ = 0;
-    status_.info_condition = linalg::condest_spd(p_);
-    if (!(status_.info_condition <= options_.max_condition)) {
-      double max_diag = 0.0;
-      for (std::size_t i = 0; i < m_; ++i) {
-        max_diag = std::max(max_diag, std::abs(p_(i, i)));
-      }
-      const double floor =
-          std::max(max_diag / options_.max_condition, 1e-300) * 10.0;
-      for (std::size_t i = 0; i < m_; ++i) p_(i, i) += floor;
-      for (std::size_t i = 0; i < n_rem; ++i) {
-        const double a2 = linalg::dot(predictor_.a_rem.row(i),
-                                      predictor_.a_rem.row(i));
-        q_[i] += floor * a2;
-      }
-      status_.last_ridge = floor;
-      ++status_.ridge_events;
-      if (status_.health == StreamHealth::kOk) {
-        status_.health = StreamHealth::kDegraded;
-      }
-      status_.message = "posterior covariance floored (condest " +
-                        std::to_string(status_.info_condition) + ")";
-      util::telemetry::count("core.stream.covariance_floors");
-    }
-  }
+  // Posterior-conditioning audit on every accepted die: a collapsed
+  // covariance gets a reported floor.
+  audit_covariance();
 
   const AdaptiveGuardband g = adaptive_guardband(
       base_sigma_, q_, predictor_.base.mu_rem, options_.guard_kappa);

@@ -15,6 +15,24 @@
 // posterior-mean inversion of core/diagnosis.h, made recursive: one die at a
 // time instead of one batch solve.
 //
+// Measured-space state.  Every update adds a term in the span of the rows
+// of A = A_meas, so the posterior is exactly
+//
+//   P = alpha I - A^T K A,   b_hat = A^T beta,
+//
+// and the calibrator stores the scalar alpha, the n_meas x n_meas matrix K
+// and the n_meas-vector beta — never an m x m matrix.  With G = A A^T and
+// C = A A_rem^T (RobustPredictor::cross), the Kalman recursion on survivors
+// v becomes
+//
+//   U = (alpha E_v - K G(:,v)) / lambda       (P A_v^T / lambda = A^T U)
+//   S = G(v,:) U + G_vv + sigma^2 I
+//   S [X_b | X_q] = [U^T | U^T C]
+//   beta += U w,  alpha <- alpha / lambda,  K <- K / lambda + U X_b,
+//
+// so an observe costs O(n_meas^2 k + k n_rem) plus the O(m n_meas) refresh
+// of the cached b_hat = A^T beta.
+//
 // Robust update gating (PR-2 machinery in front of the state):
 //   * every incoming die passes the RobustPredictor IRLS/Huber calibration
 //     with MAD z-score outlier screening, applied to the *shift-corrected*
@@ -25,10 +43,12 @@
 //     structured reason; dies with no usable measurement, or whose update
 //     system is pathological, are quarantined likewise;
 //   * the per-die innovation system S = A_v (P/lambda) A_v^T + R is solved
-//     via linalg::spd_solve_robust with the condest_spd conditioning gate:
-//     an ill-conditioned S triggers a *reported* ridge fallback (health
-//     degrades, never throws), and the posterior covariance itself is
-//     periodically conditioning-checked and floored when collapsed.
+//     via linalg::spd_solve_robust, whose 1-norm condition estimate gates
+//     it: an ill-conditioned S triggers a *reported* ridge fallback (health
+//     degrades, never throws).  After every accepted die the posterior
+//     covariance's exact 2-norm condition is audited — spec(P) is alpha and
+//     alpha - mu_i, mu_i the eigenvalues of G^1/2 K G^1/2, an O(n_meas^3)
+//     eigenproblem — and a collapsed P is floored.
 //
 // Drift detection: a two-sided CUSUM on the whitened coherent-shift
 // statistic u = r^T S^{-1} 1 / sqrt(1^T S^{-1} 1) over the survivor slots —
@@ -60,10 +80,11 @@
 //
 // Adaptive guard-band: the shift-posterior variance contribution
 // q_i = a_i^T P a_i of every remaining path is maintained exactly across
-// updates and combined with the batch predictor's analytic error sigmas by
-// core::adaptive_guardband (core/guardband.h).  With forgetting = 1 every
-// accepted die shrinks P, so the guard-band is monotonically non-inflating
-// on a clean stream and tightens as fab data accumulates.
+// updates (downdated by the X_q block above) and combined with the batch
+// predictor's analytic error sigmas by core::adaptive_guardband
+// (core/guardband.h).  With forgetting = 1 every accepted die shrinks P, so
+// the guard-band is monotonically non-inflating on a clean stream and
+// tightens as fab data accumulates.
 //
 // Failure contract: mirrors PR 2 — the calibrator never throws on
 // fault-injected input.  Unusable input quarantines the die; a corrupted
@@ -117,13 +138,11 @@ struct StreamingOptions {
   // Prior precision tau: b ~ N(0, I/tau).  Larger = stronger belief that
   // the batch variation model is already centred.
   double prior_precision = 4.0;
-  // Conditioning limit for the innovation system and the posterior
-  // covariance (checked via condest_spd; above it the reported ridge / floor
-  // fallback engages).
+  // Conditioning limit for the innovation system (1-norm estimate inside
+  // spd_solve_robust) and the posterior covariance (exact 2-norm condition,
+  // audited after every accepted die); above it the reported ridge / floor
+  // fallback engages.
   double max_condition = 1e12;
-  // Posterior-covariance conditioning is re-estimated every this many
-  // accepted dies (a full condest_spd is O(m^3)).
-  std::size_t condition_check_interval = 64;
   // Reject a die when more than this fraction of its usable slots was
   // screened by the robust gate.
   double max_screened_fraction = 0.5;
@@ -171,7 +190,8 @@ struct StreamStatus {
   bool drift_flagged = false;        // latched once the CUSUM crossed cusum_h
   std::size_t drift_flag_die = kNoDie;  // first die at which it crossed
   double guardband = 0.0;            // current adaptive guard-band (relative)
-  double info_condition = 0.0;       // last condest_spd of the posterior cov
+  double info_condition = 0.0;       // 2-norm condition of the posterior cov
+                                     // at the last accepted die
   double last_ridge = 0.0;           // ridge applied by the latest update
   std::size_t ridge_events = 0;      // updates that needed ridge or floor
   double shift_norm = 0.0;           // ||b_hat|| (parameter sigmas)
@@ -197,11 +217,11 @@ struct DieRecord {
 
 class StreamingCalibrator {
  public:
-  // The calibrator owns a copy of the batch robust predictor (its screening
-  // gate and degradation target).  An unusable predictor yields an unusable
-  // stream: every die quarantines and predictions are nominal fallbacks.
-  // Never throws on a failed predictor.
-  explicit StreamingCalibrator(const RobustPredictor& predictor,
+  // The calibrator owns the batch robust predictor (its screening gate and
+  // degradation target); pass an rvalue to hand it over without a copy.  An
+  // unusable predictor yields an unusable stream: every die quarantines and
+  // predictions are nominal fallbacks.  Never throws on a failed predictor.
+  explicit StreamingCalibrator(RobustPredictor predictor,
                                const StreamingOptions& options = {});
 
   // Feeds one measured die: robust screening gate, state update (when
@@ -220,7 +240,7 @@ class StreamingCalibrator {
 
   const StreamStatus& status() const { return status_; }
   const RobustPredictor& predictor() const { return predictor_; }
-  // Posterior mean of the systematic shift (parameter sigmas).
+  // Posterior mean of the systematic shift (parameter sigmas), A^T beta.
   const linalg::Vector& shift() const { return b_; }
   // Posterior covariance diagonal contribution per remaining path:
   // q_i = a_i^T P a_i (ps^2), the guard-band's shrinking term.
@@ -232,6 +252,7 @@ class StreamingCalibrator {
  private:
   void publish_telemetry() const;
   void refresh_shift_cache();
+  void audit_covariance();
   void mark_unusable(std::string why);
   DieRecord gated(std::size_t die, StreamGate gate, RobustPrediction&& rp);
 
@@ -239,13 +260,17 @@ class StreamingCalibrator {
   StreamingOptions options_;
   StreamStatus status_;
 
-  std::size_t m_ = 0;       // parameter count
-  linalg::Vector b_;        // posterior mean of the shift
-  linalg::Matrix p_;        // posterior covariance (m x m)
+  // Posterior P = alpha_ I - A^T k_ A and b_hat = A^T beta_ (A = A_meas).
+  double alpha_ = 0.0;
+  linalg::Matrix k_;        // n_meas x n_meas, symmetric PSD
+  linalg::Vector beta_;     // n_meas
+  linalg::Vector b_;        // A^T beta_ (cached for shift(), m)
+  linalg::Matrix gram_root_;   // L = Q Lambda^1/2 with G = L L^T (audit)
+  linalg::Vector rem_norm2_;   // ||a_i||^2 per remaining path (floor)
   linalg::Vector q_;        // a_i^T P a_i per remaining path (ps^2)
   linalg::Vector base_sigma_;  // batch per-path error sigmas (cached)
-  linalg::Vector shift_meas_;  // A_meas b_hat (cached, ps)
-  linalg::Vector shift_rem_;   // A_rem  b_hat (cached, ps)
+  linalg::Vector shift_meas_;  // G beta = A_meas b_hat (cached, ps)
+  linalg::Vector shift_rem_;   // C^T beta = A_rem b_hat (cached, ps)
   // Lagged snapshot of shift_meas_ the drift statistic measures against
   // (refreshed every drift_ref_interval accepted dies).
   linalg::Vector drift_ref_meas_;
@@ -259,7 +284,6 @@ class StreamingCalibrator {
   double drift_sd0_ = 1.0;
   double drift_var0_ = 1.0;
   bool drift_armed_ = false;
-  std::size_t accepted_since_check_ = 0;
 };
 
 }  // namespace repro::core

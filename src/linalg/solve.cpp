@@ -51,13 +51,6 @@ double inverse_one_norm_estimate(const CholFactors& f) {
   return est;
 }
 
-double condest_spd(const Matrix& s) {
-  REPRO_CHECK_DIM(s.rows(), s.cols(), "condest_spd: square input");
-  const CholFactors f = chol_factor(s);
-  if (!f.ok) return std::numeric_limits<double>::infinity();
-  return one_norm(s) * inverse_one_norm_estimate(f);
-}
-
 Matrix spd_solve_robust(const Matrix& s, const Matrix& b, SpdSolveInfo* info,
                         double max_condition) {
   // A caller bug in checked builds; the documented Release behavior below

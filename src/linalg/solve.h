@@ -19,10 +19,6 @@ Vector spd_solve(const Matrix& s, Vector b);
 // LAPACK-xPOCON approach).  Returns +inf when the factorization is not ok.
 double inverse_one_norm_estimate(const CholFactors& f);
 
-// 1-norm condition-number estimate cond_1(S) = ||S||_1 * est(||S^{-1}||_1)
-// for symmetric positive definite S; +inf when S is not factorizable.
-double condest_spd(const Matrix& s);
-
 // Robust Gram solve for noisy-silicon calibration: reports conditioning and
 // the ridge it had to apply instead of throwing.  Policy:
 //   1. factor S; if cond_1(S) <= max_condition, solve plainly;

@@ -174,9 +174,11 @@ std::shared_ptr<Session> build_session(const SessionConfig& cfg,
   ropt.measurement_sigma_ps =
       core::expected_noise_sigma(core::default_fault_spec(),
                                  s->predictor.mu_meas);
-  const core::RobustPredictor robust = core::make_robust_path_predictor(
-      a, mu, s->selection.representatives, {}, ropt);
-  s->calibrator = std::make_unique<core::StreamingCalibrator>(robust);
+  // Handed over, not copied: the robust predictor's a_rem, omega and a_meas
+  // are the largest blocks a session holds.
+  s->calibrator = std::make_unique<core::StreamingCalibrator>(
+      core::make_robust_path_predictor(a, mu, s->selection.representatives,
+                                       {}, ropt));
 
   s->batcher = std::make_unique<PredictBatcher>(&s->predictor);
   return s;

@@ -137,6 +137,20 @@ TEST(RobustPredictor, DeadPathDroppedAndBackupPromoted) {
             p.base.remaining.end());
 }
 
+TEST(RobustPredictor, DuplicateRepresentativesPromoteOneBackupPerDeadPath) {
+  // rep lists path 3 twice; path 5 is dead.  One slot needs refilling, so
+  // exactly one backup is promoted even though rep.size() is 3.
+  const linalg::Matrix a = random_matrix(10, 15, 13);
+  const linalg::Vector mu(10, 300.0);
+  RobustOptions opt;
+  opt.backup_order = {0, 1, 2, 3, 4, 5, 6};
+  const auto p = make_robust_path_predictor(a, mu, {3, 3, 5}, {5}, opt);
+  EXPECT_EQ(p.status.health, PredictorHealth::kDegraded);
+  EXPECT_EQ(p.status.dropped_paths, (std::vector<int>{5}));
+  EXPECT_EQ(p.status.promoted_paths, (std::vector<int>{0}));
+  EXPECT_EQ(p.base.measured_paths, (std::vector<int>{3, 0}));
+}
+
 TEST(RobustPredictor, NoBackupPromotionWhenDisabled) {
   const linalg::Matrix a = random_matrix(10, 15, 7);
   const linalg::Vector mu(10, 300.0);
@@ -254,6 +268,63 @@ TEST(RobustPredictor, GrossOutlierIsScreenedAndContained) {
   // Screening must keep the corrupted prediction close to the clean one
   // while the naive map is dragged far off by the outlier.
   EXPECT_LT(err_robust, 0.2 * err_naive);
+}
+
+TEST(RobustPredictor, MeasuredSpacePredictMatchesParameterSpaceFormula) {
+  // predict() works through cross = A_meas A_rem^T; the parameter-space
+  // formula mu_rem + A_rem A_kept^T z must agree on clean, missing-slot and
+  // screened dies.
+  const linalg::Matrix a = random_matrix(16, 24, 14);
+  const linalg::Vector mu(16, 450.0);
+  const std::vector<int> rep{0, 2, 4, 6, 8, 10, 12};
+  RobustOptions opt;
+  opt.measurement_sigma_ps = 1.0;
+  const auto rp = make_robust_path_predictor(a, mu, rep, {}, opt);
+  ASSERT_TRUE(rp.status.usable());
+
+  util::Rng rng(140);
+  linalg::Vector x(24);
+  for (double& v : x) v = rng.normal();
+  const linalg::Vector d = linalg::matvec(a, x);
+  linalg::Vector clean(rep.size());
+  for (std::size_t k = 0; k < rep.size(); ++k) {
+    clean[k] = mu[static_cast<std::size_t>(rep[k])] +
+               d[static_cast<std::size_t>(rep[k])] + rng.normal();
+  }
+  std::vector<char> one_missing(rep.size(), 1);
+  one_missing[3] = 0;
+  linalg::Vector outlier = clean;
+  outlier[5] += 400.0;
+
+  const auto check = [&](const RobustPrediction& got) {
+    ASSERT_NE(got.health, PredictorHealth::kFailed);
+    std::vector<int> kept;
+    for (std::size_t i = 0; i < rep.size(); ++i) {
+      const int slot = static_cast<int>(i);
+      const auto out_of = [slot](const std::vector<int>& v) {
+        return std::find(v.begin(), v.end(), slot) != v.end();
+      };
+      if (!out_of(got.missing) && !out_of(got.screened)) kept.push_back(slot);
+    }
+    ASSERT_EQ(got.dual.size(), kept.size());
+    const linalg::Vector xk = linalg::matvec_transposed(
+        rp.a_meas.select_rows(kept), got.dual);
+    const linalg::Vector want = linalg::matvec(rp.a_rem, xk);
+    ASSERT_EQ(got.values.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const double w = rp.base.mu_rem[i] + want[i];
+      EXPECT_LE(std::abs(got.values[i] - w), 1e-12 * std::abs(w)) << i;
+    }
+  };
+  const RobustPrediction on_clean = rp.predict(clean);
+  EXPECT_EQ(on_clean.health, PredictorHealth::kOk);
+  check(on_clean);
+  const RobustPrediction on_missing = rp.predict(clean, one_missing);
+  EXPECT_EQ(on_missing.missing, (std::vector<int>{3}));
+  check(on_missing);
+  const RobustPrediction on_outlier = rp.predict(outlier);
+  EXPECT_EQ(on_outlier.screened, (std::vector<int>{5}));
+  check(on_outlier);
 }
 
 TEST(RobustPredictor, ErrorSigmasInflatedByNoisePrior) {

@@ -42,6 +42,15 @@ TEST(SpdSolve, SingularGramRegularized) {
   for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(sx[i], in_range[i], 1e-5);
 }
 
+// The 1-norm condition estimate cond_1(S) = ||S||_1 * est(||S^{-1}||_1)
+// that spd_solve_robust reports for S (+inf when S does not factor).
+double condest_spd(const Matrix& s) {
+  SpdSolveInfo info;
+  spd_solve_robust(s, Vector(s.rows(), 0.0), &info,
+                   std::numeric_limits<double>::infinity());
+  return info.condition;
+}
+
 TEST(Condest, IdentityAndScaledDiagonal) {
   EXPECT_NEAR(condest_spd(Matrix::identity(6)), 1.0, 1e-12);
   // diag(1, ..., 1e-6): cond_1 = 1e6 exactly; the estimator is exact for

@@ -10,8 +10,10 @@
 
 #include "circuit/generator.h"
 #include "circuit/placement.h"
+#include "core/guardband.h"
 #include "core/monte_carlo.h"
 #include "core/subset_select.h"
+#include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
 #include "linalg/solve.h"
 #include "timing/segments.h"
@@ -244,6 +246,271 @@ TEST(StreamingCalibrator, CusumFlagsInjectedShiftQuietOnClean) {
   EXPECT_GE(drifted.status().drift_flag_die, start);
   EXPECT_LE(drifted.status().drift_flag_die, start + 50);
   EXPECT_GT(drifted.status().drift_score, clean.status().drift_score);
+}
+
+// ---------------------------------------------------------------------------
+// The measured-space state against the textbook recursion.
+// ---------------------------------------------------------------------------
+
+// The covariance-form Kalman/RLS recursion with a dense m x m posterior P,
+// gated exactly as StreamingCalibrator::observe documents: screening gate on
+// shift-corrected measurements, innovation solve, drift CUSUM on the lagged
+// shift snapshot, innovation gate, update, exact 2-norm covariance audit.
+class DenseReference {
+ public:
+  DenseReference(const RobustPredictor& p, const StreamingOptions& o)
+      : p_(p), o_(o) {
+    const std::size_t m = p.a_meas.cols();
+    b_.assign(m, 0.0);
+    cov_ = linalg::Matrix(m, m);
+    for (std::size_t i = 0; i < m; ++i) cov_(i, i) = 1.0 / o.prior_precision;
+    for (std::size_t i = 0; i < p.a_rem.rows(); ++i) {
+      q_.push_back(cov_(0, 0) * linalg::dot(p.a_rem.row(i), p.a_rem.row(i)));
+    }
+    sigma_ = p.error_sigmas();
+    shift_meas_ = linalg::matvec(p.a_meas, b_);
+    drift_ref_ = shift_meas_;
+    update_guardband();
+  }
+
+  // Returns the gate (kNone when accepted).
+  StreamGate observe(std::span<const double> measured,
+                     std::span<const char> valid) {
+    const std::size_t n_meas = p_.base.mu_meas.size();
+    linalg::Vector corrected(measured.begin(), measured.end());
+    for (std::size_t i = 0; i < n_meas; ++i) corrected[i] -= shift_meas_[i];
+    const RobustPrediction rp = p_.predict(corrected, valid);
+    if (rp.health == PredictorHealth::kFailed) {
+      return count(StreamGate::kPathologicalSolve);
+    }
+    std::vector<int> v;
+    for (std::size_t i = 0; i < n_meas; ++i) {
+      const int slot = static_cast<int>(i);
+      if (!contains(rp.missing, slot) && !contains(rp.screened, slot)) {
+        v.push_back(slot);
+      }
+    }
+    const double usable = static_cast<double>(n_meas - rp.missing.size());
+    if (v.empty() ||
+        static_cast<double>(rp.screened.size()) >
+            o_.max_screened_fraction * usable) {
+      return count(StreamGate::kExcessScreening);
+    }
+    const std::size_t k = v.size();
+    const double inv_lambda = 1.0 / o_.forgetting;
+    const linalg::Matrix a_v = p_.a_meas.select_rows(v);
+    linalg::Matrix u = linalg::multiply_bt(cov_, a_v);
+    u *= inv_lambda;
+    linalg::Matrix s = linalg::multiply(a_v, u);
+    s += p_.gram_meas.select_rows(v).select_cols(v);
+    const double sig = p_.options.measurement_sigma_ps;
+    for (std::size_t i = 0; i < k; ++i) s(i, i) += sig * sig;
+    linalg::Vector r(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto slot = static_cast<std::size_t>(v[j]);
+      r[j] = measured[slot] - p_.base.mu_meas[slot] - shift_meas_[slot];
+    }
+    linalg::SpdSolveInfo info;
+    const linalg::Vector w = solve(s, r, info);
+    if (!info.ok) return count(StreamGate::kIllConditioned);
+    const double z = (linalg::dot(r, w) - static_cast<double>(k)) /
+                     std::sqrt(2.0 * static_cast<double>(k));
+    linalg::SpdSolveInfo ones_info;
+    const linalg::Vector s1 = solve(s, linalg::Vector(k, 1.0), ones_info);
+    double quad = 0.0, proj = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto slot = static_cast<std::size_t>(v[j]);
+      quad += s1[j];
+      const double r_ref =
+          measured[slot] - p_.base.mu_meas[slot] - drift_ref_[slot];
+      proj += r_ref * s1[j];
+    }
+    monitor(proj / std::sqrt(quad));
+    if (std::abs(z) > o_.innovation_z_max) {
+      return count(StreamGate::kInnovationOutlier);
+    }
+
+    const linalg::Matrix vv = linalg::multiply(p_.a_rem, u);
+    linalg::SpdSolveInfo info_b, info_q;
+    const linalg::Matrix xb = solve(s, u.transposed(), info_b);
+    const linalg::Matrix xq = solve(s, vv.transposed(), info_q);
+    const linalg::Vector db = linalg::matvec(u, w);
+    for (std::size_t i = 0; i < b_.size(); ++i) b_[i] += db[i];
+    cov_ *= inv_lambda;
+    cov_ -= linalg::multiply(u, xb);
+    cov_ = 0.5 * (cov_ + cov_.transposed());
+    for (std::size_t i = 0; i < q_.size(); ++i) {
+      const double down = linalg::dot(vv.row(i), xq.column(i));
+      q_[i] = std::max(0.0, q_[i] * inv_lambda - down);
+    }
+    if (info.regularized || info_b.regularized) ++ridge_events_;
+    shift_meas_ = linalg::matvec(p_.a_meas, b_);
+    if (++drift_ref_age_ >= o_.drift_ref_interval &&
+        (drift_score_ <= 2.0 * o_.cusum_k || drift_flagged_)) {
+      drift_ref_age_ = 0;
+      drift_ref_ = shift_meas_;
+    }
+    // Exact 2-norm condition of the dense P, floored like the calibrator.
+    const linalg::Vector ev = linalg::eigen_sym(cov_).values;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double cond = ev.front() > 0.0 ? ev.back() / ev.front() : inf;
+    if (!(cond <= o_.max_condition)) {
+      const double floor =
+          std::max(std::abs(ev.back()) / o_.max_condition, 1e-300) * 10.0;
+      for (std::size_t i = 0; i < cov_.rows(); ++i) cov_(i, i) += floor;
+      for (std::size_t i = 0; i < q_.size(); ++i) {
+        q_[i] += floor * linalg::dot(p_.a_rem.row(i), p_.a_rem.row(i));
+      }
+      ++ridge_events_;
+      ++floors_;
+    }
+    update_guardband();
+    return count(StreamGate::kNone);
+  }
+
+  const linalg::Vector& b() const { return b_; }
+  const linalg::Vector& q() const { return q_; }
+  double guardband() const { return guardband_; }
+  double drift_score() const { return drift_score_; }
+  std::size_t ridge_events() const { return ridge_events_; }
+  std::size_t floors() const { return floors_; }
+  const std::array<std::size_t, kNumStreamGates>& gate_counts() const {
+    return gates_;
+  }
+
+ private:
+  static bool contains(const std::vector<int>& v, int x) {
+    return std::find(v.begin(), v.end(), x) != v.end();
+  }
+  static double median(linalg::Vector v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t h = v.size() / 2;
+    return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+  }
+  template <class Rhs>
+  Rhs solve(const linalg::Matrix& s, const Rhs& rhs,
+            linalg::SpdSolveInfo& info) const {
+    return linalg::spd_solve_robust(s, rhs, &info, o_.max_condition);
+  }
+  StreamGate count(StreamGate g) {
+    ++gates_[static_cast<std::size_t>(g)];
+    return g;
+  }
+  void update_guardband() {
+    guardband_ =
+        adaptive_guardband(sigma_, q_, p_.base.mu_rem, o_.guard_kappa).eps;
+  }
+  void monitor(double u) {
+    if (!armed_) {
+      warm_.push_back(u);
+      if (warm_.size() < o_.min_dies_for_drift) return;
+      mu0_ = median(warm_);
+      for (double& d : warm_) d = std::abs(d - mu0_);
+      sd0_ = std::max(1.4826 * median(warm_), 1.0);
+      var0_ = sd0_ * sd0_;
+      armed_ = true;
+      return;
+    }
+    const double us = (u - mu0_) / sd0_;
+    const double uc = std::clamp(us, -o_.cusum_clip, o_.cusum_clip);
+    pos_ = std::max(0.0, pos_ + uc - o_.cusum_k);
+    neg_ = std::max(0.0, neg_ - uc - o_.cusum_k);
+    drift_score_ = std::max(pos_, neg_);
+    if (std::abs(us) < 3.0 && drift_score_ <= 0.5 * o_.cusum_h) {
+      mu0_ += o_.baseline_adapt * (u - mu0_);
+      const double dev = u - mu0_;
+      var0_ += o_.baseline_adapt * (dev * dev - var0_);
+      sd0_ = std::max(std::sqrt(var0_), 1.0);
+    }
+    if (drift_score_ > o_.cusum_h) drift_flagged_ = true;
+  }
+
+  const RobustPredictor& p_;
+  StreamingOptions o_;
+  linalg::Vector b_, q_, sigma_, shift_meas_, drift_ref_, warm_;
+  linalg::Matrix cov_;
+  double guardband_ = 0.0, drift_score_ = 0.0, pos_ = 0.0, neg_ = 0.0;
+  double mu0_ = 0.0, sd0_ = 1.0, var0_ = 1.0;
+  bool armed_ = false, drift_flagged_ = false;
+  std::size_t drift_ref_age_ = 0, ridge_events_ = 0, floors_ = 0;
+  std::array<std::size_t, kNumStreamGates> gates_{};
+};
+
+// Feeds the calibrator and the dense reference the same faulty stream,
+// drifting from die `dies / 2`, and compares them die by die; `floors` gets
+// the reference's covariance-floor count.
+void expect_matches_dense_reference(const StreamingOptions& opt,
+                                    std::uint64_t dies, std::size_t& floors) {
+  Synthetic s(30, 16, 6, 27);
+  StreamingCalibrator cal(s.predictor, opt);
+  DenseReference ref(s.predictor, opt);
+  const std::size_t m = s.a.cols();
+  // The min-norm shift raising every measured slot by 6 ps (see
+  // CusumFlagsInjectedShiftQuietOnClean), so the CUSUM has work to do.
+  linalg::SpdSolveInfo info;
+  const linalg::Vector w = linalg::spd_solve_robust(
+      s.predictor.gram_meas, linalg::Vector(s.predictor.a_meas.rows(), 6.0),
+      &info);
+  const linalg::Vector shift = linalg::matvec_transposed(s.predictor.a_meas, w);
+  for (std::uint64_t die = 0; die < dies; ++die) {
+    linalg::Vector y = s.die_measurements(
+        die, die >= dies / 2 ? std::span<const double>(shift)
+                             : std::span<const double>());
+    // Faults: a dropped slot, an outlier reading, a whole-die meltdown.
+    std::vector<char> valid(y.size(), 1);
+    if (die % 7 == 3) valid[die % y.size()] = 0;
+    if (die % 11 == 5) y[(die + 2) % y.size()] += 60.0;
+    if (die % 37 == 20) {
+      for (double& v : y) v += 3000.0;
+    }
+    const DieRecord rec = cal.observe(die, y, valid);
+    const StreamGate want = ref.observe(y, valid);
+    ASSERT_EQ(rec.gate, want) << "die " << die;
+    EXPECT_NEAR(rec.guardband, ref.guardband(), 1e-9 * ref.guardband()) << die;
+    EXPECT_NEAR(rec.drift_score, ref.drift_score(), 1e-8) << die;
+    double bn = 0.0, bd = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      bd = std::max(bd, std::abs(cal.shift()[i] - ref.b()[i]));
+      bn = std::max(bn, std::abs(ref.b()[i]));
+    }
+    EXPECT_LE(bd, 1e-9 * (1.0 + bn)) << die;
+    for (std::size_t i = 0; i < ref.q().size(); ++i) {
+      EXPECT_NEAR(cal.shift_variance()[i], ref.q()[i], 1e-9 * ref.q()[i])
+          << "die " << die << " path " << i;
+    }
+  }
+  EXPECT_EQ(cal.status().gate_counts, ref.gate_counts());
+  EXPECT_EQ(cal.status().ridge_events, ref.ridge_events());
+  EXPECT_GT(cal.status().dies_accepted, dies / 2);
+  EXPECT_GT(cal.status().dies_rejected, 0u);
+  EXPECT_TRUE(cal.status().drift_flagged);
+  floors = ref.floors();
+}
+
+TEST(StreamingCalibrator, MatchesDenseReferenceWithoutForgetting) {
+  StreamingOptions opt;
+  std::size_t floors = 1;
+  expect_matches_dense_reference(opt, 240, floors);
+  EXPECT_EQ(floors, 0u);
+}
+
+TEST(StreamingCalibrator, MatchesDenseReferenceWithForgetting) {
+  // With lambda < 1 the variance of the unmeasured directions grows as
+  // lambda^-n, and both representations lose about log10(lambda^-n) digits
+  // to cancellation; 130 dies at 0.9 keep that growth below 1e6.
+  StreamingOptions opt;
+  opt.forgetting = 0.9;
+  std::size_t floors = 1;
+  expect_matches_dense_reference(opt, 130, floors);
+  EXPECT_EQ(floors, 0u);
+}
+
+TEST(StreamingCalibrator, MatchesDenseReferenceThroughCovarianceFloors) {
+  StreamingOptions opt;
+  opt.max_condition = 20.0;
+  std::size_t floors = 0;
+  expect_matches_dense_reference(opt, 240, floors);
+  EXPECT_GT(floors, 0u);
 }
 
 // ---------------------------------------------------------------------------
