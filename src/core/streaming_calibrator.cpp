@@ -203,7 +203,7 @@ DieRecord StreamingCalibrator::gated(std::size_t die, StreamGate gate,
   rec.screened_slots = rp.screened.size();
   rec.missing_slots = rp.missing.size();
   rec.drift_score = status_.drift_score;
-  rec.drift_flagged = status_.drift_flagged;
+  rec.drift_flagged = status_.drift_score > options_.cusum_h;
   rec.guardband = status_.guardband;
   status_.gate_counts[static_cast<std::size_t>(gate)]++;
   if (quarantine_gate(gate)) {
@@ -320,10 +320,15 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
     const auto slot = static_cast<std::size_t>(survivors[j]);
     r[j] = measured[slot] - predictor_.base.mu_meas[slot] - shift_meas_[slot];
   }
-  linalg::SpdSolveInfo info;
-  const linalg::Vector w =
-      linalg::spd_solve_robust(s, r, &info, options_.max_condition);
-  if (!info.ok || !all_finite(w)) {
+  // One factorization per die serves r, 1 and U^T below; ridge retries are
+  // part of it.
+  const linalg::SpdFactor sf =
+      linalg::spd_factor_robust(s, options_.max_condition);
+  if (!sf.info.ok) {
+    return gated(die, StreamGate::kIllConditioned, std::move(rp));
+  }
+  const linalg::Vector w = linalg::chol_solve(sf.factors, r);
+  if (!all_finite(w)) {
     return gated(die, StreamGate::kIllConditioned, std::move(rp));
   }
 
@@ -347,10 +352,9 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
   // snapshot the shift stays visible for a full drift_ref_interval.
   double u_stat = std::numeric_limits<double>::quiet_NaN();
   {
-    linalg::SpdSolveInfo ones_info;
-    const linalg::Vector s_inv_ones = linalg::spd_solve_robust(
-        s, linalg::Vector(k, 1.0), &ones_info, options_.max_condition);
-    if (ones_info.ok && all_finite(s_inv_ones)) {
+    const linalg::Vector s_inv_ones =
+        linalg::chol_solve(sf.factors, linalg::Vector(k, 1.0));
+    if (all_finite(s_inv_ones)) {
       double quad = 0.0, proj = 0.0;
       for (std::size_t j = 0; j < k; ++j) {
         const auto slot = static_cast<std::size_t>(survivors[j]);
@@ -428,26 +432,13 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
     return out;
   }
 
-  // Commit the Kalman/RLS update.  One k x (n_meas + n_rem) solve prices
-  // both the K update (X_b = S^{-1} U^T) and the per-path variance downdate
-  // (X_q = S^{-1} V^T with V^T = U^T C, C = A_meas A_rem^T) off the same
-  // factorization policy.
-  const std::size_t n_rem = q_.size();
-  linalg::Matrix rhs(k, n_meas + n_rem);
-  for (std::size_t j = 0; j < k; ++j) {
-    const auto row = rhs.row(j);
-    const auto vt = row.subspan(n_meas);
-    for (std::size_t i = 0; i < n_meas; ++i) {
-      row[i] = ut(j, i);
-      linalg::axpy(ut(j, i), predictor_.cross.row(i), vt);
-    }
-  }
-  linalg::SpdSolveInfo info2;
-  const linalg::Matrix x =
-      linalg::spd_solve_robust(s, rhs, &info2, options_.max_condition);
-  if (!info2.ok) {
-    return gated(die, StreamGate::kIllConditioned, std::move(rp));
-  }
+  // Commit the Kalman/RLS update.  With S = L L^T, Y = L^{-1} U^T and
+  // X_b = L^{-T} Y = S^{-1} U^T.  The per-path variance downdate
+  // v_i^T S^{-1} v_i, v_i = U^T c_i (c_i the i-th column of
+  // C = A_meas A_rem^T), is ||Y c_i||^2: priced off the factor with no
+  // solve against the n_rem remaining paths.
+  const linalg::Matrix y = linalg::chol_forward(sf.factors, ut);
+  const linalg::Matrix x = linalg::chol_backward(sf.factors, y);
   // beta <- beta + U w.
   for (std::size_t j = 0; j < k; ++j) {
     linalg::axpy(w[j], ut.row(j), beta_);
@@ -465,13 +456,21 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
       k_(l, i) = val;
     }
   }
-  // q_i <- q_i/lambda - v_i^T S^{-1} v_i, clamped against roundoff.
-  for (std::size_t i = 0; i < n_rem; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < k; ++j) {
-      acc += rhs(j, n_meas + i) * x(j, n_meas + i);
+  // q_i <- q_i/lambda - ||Y c_i||^2, clamped against roundoff.  The sum of
+  // squares is as accurate as solving for S^{-1} v_i; the equal quadratic
+  // form c_i^T (U X_b) c_i loses about a digit to cancellation.
+  const std::size_t n_rem = q_.size();
+  linalg::Vector down(n_rem, 0.0);
+  linalg::Vector yc(n_rem);
+  for (std::size_t j = 0; j < k; ++j) {
+    std::fill(yc.begin(), yc.end(), 0.0);
+    for (std::size_t l = 0; l < n_meas; ++l) {
+      linalg::axpy(y(j, l), predictor_.cross.row(l), yc);
     }
-    q_[i] = std::max(0.0, q_[i] * inv_lambda - acc);
+    for (std::size_t i = 0; i < n_rem; ++i) down[i] += yc[i] * yc[i];
+  }
+  for (std::size_t i = 0; i < n_rem; ++i) {
+    q_[i] = std::max(0.0, q_[i] * inv_lambda - down[i]);
   }
 
   // A non-finite posterior means the stream state is lost for good: latch
@@ -484,9 +483,8 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
     return out;
   }
 
-  const bool ridged = info.regularized || info2.regularized;
-  if (ridged) {
-    rec.ridge = std::max(info.ridge, info2.ridge);
+  if (sf.info.regularized) {
+    rec.ridge = sf.info.ridge;
     status_.last_ridge = rec.ridge;
     ++status_.ridge_events;
     if (status_.health == StreamHealth::kOk) {

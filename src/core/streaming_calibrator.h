@@ -27,11 +27,13 @@
 //
 //   U = (alpha E_v - K G(:,v)) / lambda       (P A_v^T / lambda = A^T U)
 //   S = G(v,:) U + G_vv + sigma^2 I
-//   S [X_b | X_q] = [U^T | U^T C]
-//   beta += U w,  alpha <- alpha / lambda,  K <- K / lambda + U X_b,
+//   S X_b = U^T,  dK = U X_b
+//   beta += U w,  alpha <- alpha / lambda,  K <- K / lambda + dK,
+//   q_i <- q_i / lambda - c_i^T dK c_i        (c_i = column i of C)
 //
-// so an observe costs O(n_meas^2 k + k n_rem) plus the O(m n_meas) refresh
-// of the cached b_hat = A^T beta.
+// with S factored once per die and the q downdate taken as ||L^{-1} U^T c_i||^2
+// off that factor (S = L L^T), so an observe costs O(n_meas^2 (k + n_rem))
+// plus the O(m n_meas) refresh of the cached b_hat = A^T beta.
 //
 // Robust update gating (PR-2 machinery in front of the state):
 //   * every incoming die passes the RobustPredictor IRLS/Huber calibration
@@ -42,10 +44,10 @@
 //     innovation is a gross outlier, are rejected (no state update) with a
 //     structured reason; dies with no usable measurement, or whose update
 //     system is pathological, are quarantined likewise;
-//   * the per-die innovation system S = A_v (P/lambda) A_v^T + R is solved
-//     via linalg::spd_solve_robust, whose 1-norm condition estimate gates
-//     it: an ill-conditioned S triggers a *reported* ridge fallback (health
-//     degrades, never throws).  After every accepted die the posterior
+//   * the per-die innovation system S = A_v (P/lambda) A_v^T + R is factored
+//     once via linalg::spd_factor_robust, whose 1-norm condition estimate
+//     gates it: an ill-conditioned S triggers one *reported* ridge fallback
+//     (health degrades, never throws) shared by every solve of the die.  After every accepted die the posterior
 //     covariance's exact 2-norm condition is audited — spec(P) is alpha and
 //     alpha - mu_i, mu_i the eigenvalues of G^1/2 K G^1/2, an O(n_meas^3)
 //     eigenproblem — and a collapsed P is floored.
@@ -80,7 +82,7 @@
 //
 // Adaptive guard-band: the shift-posterior variance contribution
 // q_i = a_i^T P a_i of every remaining path is maintained exactly across
-// updates (downdated by the X_q block above) and combined with the batch
+// updates (downdated by c_i^T dK c_i above) and combined with the batch
 // predictor's analytic error sigmas by core::adaptive_guardband
 // (core/guardband.h).  With forgetting = 1 every accepted die shrinks P, so
 // the guard-band is monotonically non-inflating on a clean stream and
@@ -139,7 +141,7 @@ struct StreamingOptions {
   // the batch variation model is already centred.
   double prior_precision = 4.0;
   // Conditioning limit for the innovation system (1-norm estimate inside
-  // spd_solve_robust) and the posterior covariance (exact 2-norm condition,
+  // spd_factor_robust) and the posterior covariance (exact 2-norm condition,
   // audited after every accepted die); above it the reported ridge / floor
   // fallback engages.
   double max_condition = 1e12;

@@ -13,6 +13,43 @@
 
 namespace repro::linalg {
 
+namespace {
+
+// L y = b and L^T x = y, overwriting the contiguous n-vector b.  Every
+// triangular solve goes through these two loops, so a right-hand side gets
+// the same bits whether it is solved alone or as one row of a transposed
+// block (the loop body, including how the compiler contracts it, is shared).
+void forward_in_place(const Matrix& l, double* b) {
+  const std::size_t n = l.rows();
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    const double* li = l.row(i).data();
+    for (std::size_t j = 0; j < i; ++j) s -= li[j] * b[j];
+    b[i] = s / li[i];
+  }
+}
+
+void backward_in_place(const Matrix& l, double* b) {
+  const std::size_t n = l.rows();
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = b[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) s -= l(j, ii) * b[j];
+    b[ii] = s / l(ii, ii);
+  }
+}
+
+// Runs `sweep` over every column of B as a contiguous row of B^T: two copies
+// for the whole block instead of three allocations per column, and the same
+// bits as sweeping b.column(j) on its own.
+template <class Sweep>
+Matrix sweep_columns(const Matrix& b, Sweep sweep) {
+  Matrix xt = b.transposed();
+  for (std::size_t j = 0; j < xt.rows(); ++j) sweep(xt.row(j).data());
+  return xt.transposed();
+}
+
+}  // namespace
+
 CholFactors chol_factor(Matrix s) {
   REPRO_CHECK_DIM(s.rows(), s.cols(), "chol_factor: square input");
   if (s.rows() != s.cols()) throw std::invalid_argument("chol: not square");
@@ -101,27 +138,16 @@ RegularizedChol chol_factor_regularized(const Matrix& s, double initial_jitter) 
 Vector chol_forward(const CholFactors& f, Vector b) {
   REPRO_CHECK(f.ok, "chol_forward: factorization must have succeeded");
   REPRO_CHECK_DIM(b.size(), f.l.rows(), "chol_forward: rhs length");
-  const std::size_t n = f.l.rows();
-  if (b.size() != n) throw std::invalid_argument("chol_forward size");
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    const double* li = f.l.row(i).data();
-    for (std::size_t j = 0; j < i; ++j) s -= li[j] * b[j];
-    b[i] = s / li[i];
-  }
+  if (b.size() != f.l.rows()) throw std::invalid_argument("chol_forward size");
+  forward_in_place(f.l, b.data());
   return b;
 }
 
 Vector chol_backward(const CholFactors& f, Vector b) {
   REPRO_CHECK(f.ok, "chol_backward: factorization must have succeeded");
   REPRO_CHECK_DIM(b.size(), f.l.rows(), "chol_backward: rhs length");
-  const std::size_t n = f.l.rows();
-  if (b.size() != n) throw std::invalid_argument("chol_backward size");
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = b[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= f.l(j, ii) * b[j];
-    b[ii] = s / f.l(ii, ii);
-  }
+  if (b.size() != f.l.rows()) throw std::invalid_argument("chol_backward size");
+  backward_in_place(f.l, b.data());
   return b;
 }
 
@@ -217,11 +243,23 @@ Vector chol_solve(const CholFactors& f, Vector b) {
 
 Matrix chol_solve(const CholFactors& f, const Matrix& b) {
   REPRO_CHECK_DIM(b.rows(), f.l.rows(), "chol_solve: rhs rows");
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    x.set_column(j, chol_solve(f, b.column(j)));
-  }
-  return x;
+  if (!f.ok) throw std::runtime_error("chol_solve: factorization failed");
+  return sweep_columns(b, [&f](double* x) {
+    forward_in_place(f.l, x);
+    backward_in_place(f.l, x);
+  });
+}
+
+Matrix chol_forward(const CholFactors& f, const Matrix& b) {
+  REPRO_CHECK_DIM(b.rows(), f.l.rows(), "chol_forward: rhs rows");
+  if (!f.ok) throw std::runtime_error("chol_forward: factorization failed");
+  return sweep_columns(b, [&f](double* x) { forward_in_place(f.l, x); });
+}
+
+Matrix chol_backward(const CholFactors& f, const Matrix& b) {
+  REPRO_CHECK_DIM(b.rows(), f.l.rows(), "chol_backward: rhs rows");
+  if (!f.ok) throw std::runtime_error("chol_backward: factorization failed");
+  return sweep_columns(b, [&f](double* x) { backward_in_place(f.l, x); });
 }
 
 }  // namespace repro::linalg

@@ -36,13 +36,19 @@ RegularizedChol chol_factor_regularized(const Matrix& s,
 RegularizedChol try_chol_factor_regularized(const Matrix& s,
                                             double initial_jitter = 0.0);
 
+// The Matrix forms solve every column of B and give each column the same
+// bits as the Vector form applied to it alone.
 Vector chol_solve(const CholFactors& f, Vector b);
 Matrix chol_solve(const CholFactors& f, const Matrix& b);
 
 // Solve L y = b (forward) and L^T x = y (backward) separately; used by the
-// ADMM ellipsoid projection.
+// ADMM ellipsoid projection and the streaming calibrator, which needs
+// L^{-1} B as well as S^{-1} B.  chol_backward(f, chol_forward(f, b)) has
+// the bits of chol_solve(f, b).
 Vector chol_forward(const CholFactors& f, Vector b);
 Vector chol_backward(const CholFactors& f, Vector b);
+Matrix chol_forward(const CholFactors& f, const Matrix& b);
+Matrix chol_backward(const CholFactors& f, const Matrix& b);
 
 // Pivoted (rank-revealing) Cholesky for PSD matrices: P^T S P = L L^T with
 // diagonal pivoting.  Stops when the largest remaining diagonal falls below

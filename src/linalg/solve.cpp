@@ -51,28 +51,24 @@ double inverse_one_norm_estimate(const CholFactors& f) {
   return est;
 }
 
-Matrix spd_solve_robust(const Matrix& s, const Matrix& b, SpdSolveInfo* info,
-                        double max_condition) {
+SpdFactor spd_factor_robust(const Matrix& s, double max_condition) {
   // A caller bug in checked builds; the documented Release behavior below
-  // (condition = inf, zero solution) is kept for fault-injected flows.
-  REPRO_CHECK_DIM(s.rows(), s.cols(), "spd_solve_robust: square system");
-  REPRO_CHECK_DIM(b.rows(), s.rows(), "spd_solve_robust: rhs rows");
-  SpdSolveInfo local;
-  SpdSolveInfo& out = info ? *info : local;
-  out = SpdSolveInfo{};
+  // (condition = inf, no factor) is kept for fault-injected flows.
+  REPRO_CHECK_DIM(s.rows(), s.cols(), "spd_factor_robust: square system");
+  SpdFactor out;
   util::telemetry::count("linalg.spd_solve.calls");
-  if (s.rows() != s.cols() || s.rows() != b.rows()) {
-    out.condition = std::numeric_limits<double>::infinity();
-    return Matrix(s.rows(), b.cols());
+  if (s.rows() != s.cols()) {
+    out.info.condition = std::numeric_limits<double>::infinity();
+    return out;
   }
   const double anorm = one_norm(s);
-  CholFactors f = chol_factor(s);
-  out.condition =
-      f.ok ? anorm * inverse_one_norm_estimate(f)
-           : std::numeric_limits<double>::infinity();
-  if (f.ok && out.condition <= max_condition) {
-    out.ok = true;
-    return chol_solve(f, b);
+  out.factors = chol_factor(s);
+  out.info.condition =
+      out.factors.ok ? anorm * inverse_one_norm_estimate(out.factors)
+                     : std::numeric_limits<double>::infinity();
+  if (out.factors.ok && out.info.condition <= max_condition) {
+    out.info.ok = true;
+    return out;
   }
   // Ridge fallback: grow the ridge until the regularized system factorizes
   // and is acceptably conditioned.  A ridge of order ||S|| always succeeds
@@ -83,32 +79,49 @@ Matrix spd_solve_robust(const Matrix& s, const Matrix& b, SpdSolveInfo* info,
   for (int attempt = 0; attempt < 40; ++attempt) {
     Matrix sj = s;
     for (std::size_t i = 0; i < sj.rows(); ++i) sj(i, i) += ridge;
-    f = chol_factor(std::move(sj));
-    if (f.ok) {
-      const double cond = (anorm + ridge) * inverse_one_norm_estimate(f);
+    out.factors = chol_factor(std::move(sj));
+    if (out.factors.ok) {
+      const double cond =
+          (anorm + ridge) * inverse_one_norm_estimate(out.factors);
       if (cond <= max_condition || ridge >= scale) {
-        out.ok = true;
-        out.regularized = true;
-        out.ridge = ridge;
+        out.info.ok = true;
+        out.info.regularized = true;
+        out.info.ridge = ridge;
         util::telemetry::count("linalg.spd_solve.ridge_fallbacks");
-        return chol_solve(f, b);
+        return out;
       }
     }
     ridge *= 10.0;
     if (ridge > scale * 10.0) break;
   }
-  return Matrix(s.rows(), b.cols());
+  out.factors = CholFactors{};
+  return out;
+}
+
+Matrix spd_solve_robust(const Matrix& s, const Matrix& b, SpdSolveInfo* info,
+                        double max_condition) {
+  REPRO_CHECK_DIM(b.rows(), s.rows(), "spd_solve_robust: rhs rows");
+  if (b.rows() != s.rows()) {
+    if (info) *info = {.condition = std::numeric_limits<double>::infinity()};
+    return Matrix(s.rows(), b.cols());
+  }
+  const SpdFactor sf = spd_factor_robust(s, max_condition);
+  if (info) *info = sf.info;
+  if (!sf.info.ok) return Matrix(s.rows(), b.cols());
+  return chol_solve(sf.factors, b);
 }
 
 Vector spd_solve_robust(const Matrix& s, const Vector& b, SpdSolveInfo* info,
                         double max_condition) {
   REPRO_CHECK_DIM(b.size(), s.rows(), "spd_solve_robust: rhs length");
-  Matrix col(b.size(), 1);
-  for (std::size_t i = 0; i < b.size(); ++i) col(i, 0) = b[i];
-  const Matrix x = spd_solve_robust(s, col, info, max_condition);
-  Vector v(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) v[i] = x(i, 0);
-  return v;
+  if (b.size() != s.rows()) {
+    if (info) *info = {.condition = std::numeric_limits<double>::infinity()};
+    return Vector(s.rows(), 0.0);
+  }
+  const SpdFactor sf = spd_factor_robust(s, max_condition);
+  if (info) *info = sf.info;
+  if (!sf.info.ok) return Vector(s.rows(), 0.0);
+  return chol_solve(sf.factors, b);
 }
 
 }  // namespace repro::linalg

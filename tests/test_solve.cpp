@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "linalg/gemm.h"
@@ -178,6 +179,93 @@ TEST(SpdSolveRobust, VectorOverloadMatchesMatrix) {
   const Matrix xm = spd_solve_robust(s, bm, &im);
   ASSERT_TRUE(iv.ok);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(xv[i], xm(i, 0));
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * 8) == 0);
+}
+
+// One factor, then any number of solves, must reproduce the one-shot robust
+// solve bit for bit — on the plain path and on the ridge path.
+void expect_factor_then_solve_matches(const Matrix& s, bool ridged) {
+  const Matrix b = random_matrix(s.rows(), 5, 31);
+  Vector bv(s.rows());
+  for (std::size_t i = 0; i < bv.size(); ++i) bv[i] = b(i, 2);
+  const SpdFactor sf = spd_factor_robust(s);
+  ASSERT_TRUE(sf.info.ok);
+  ASSERT_EQ(sf.factors.ok, sf.info.ok);
+  EXPECT_EQ(sf.info.regularized, ridged);
+  SpdSolveInfo im, iv;
+  const Matrix xm = spd_solve_robust(s, b, &im);
+  const Vector xv = spd_solve_robust(s, bv, &iv);
+  for (const SpdSolveInfo& i : {im, iv}) {
+    EXPECT_EQ(i.ok, sf.info.ok);
+    EXPECT_EQ(i.regularized, sf.info.regularized);
+    EXPECT_TRUE(same_bits({&i.ridge, 1}, {&sf.info.ridge, 1}));
+    EXPECT_TRUE(same_bits({&i.condition, 1}, {&sf.info.condition, 1}));
+  }
+  EXPECT_TRUE(same_bits(chol_solve(sf.factors, b).data(), xm.data()));
+  EXPECT_TRUE(same_bits(chol_solve(sf.factors, bv), xv));
+  EXPECT_TRUE(same_bits(
+      chol_backward(sf.factors, chol_forward(sf.factors, b)).data(),
+      xm.data()));
+}
+
+TEST(SpdFactorRobust, FactorThenSolveIsBitIdenticalToRobustSolve) {
+  expect_factor_then_solve_matches(gram(random_matrix(8, 10, 22)), false);
+  // Rank-2 Gram: singular, so the factor comes from the ridge search.
+  expect_factor_then_solve_matches(
+      gram(multiply(random_matrix(6, 2, 24), random_matrix(2, 9, 25))), true);
+}
+
+TEST(SpdFactorRobust, NonFiniteInputReportsNoFactor) {
+  Matrix s = Matrix::identity(3);
+  s(1, 1) = std::numeric_limits<double>::quiet_NaN();
+  const SpdFactor sf = spd_factor_robust(s);
+  EXPECT_FALSE(sf.info.ok);
+  EXPECT_FALSE(sf.factors.ok);
+}
+
+// The textbook recurrences the Cholesky solves have always used, written
+// out here so a change to the shared sweep that moves a bit shows up.
+Vector textbook_chol_solve(const Matrix& l, Vector b) {
+  const std::size_t n = l.rows();
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t j = 0; j < i; ++j) s -= l(i, j) * b[j];
+    b[i] = s / l(i, i);
+  }
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = b[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) s -= l(j, ii) * b[j];
+    b[ii] = s / l(ii, ii);
+  }
+  return b;
+}
+
+TEST(CholSolve, MatrixFormIsBitIdenticalToPerColumnSolves) {
+  for (std::size_t n : {1, 2, 3, 4, 7, 20, 33}) {
+    const CholFactors f =
+        chol_factor(gram(random_matrix(n, n + 3, 40 + n)));
+    ASSERT_TRUE(f.ok);
+    for (std::size_t width : {0, 1, 7, 2001}) {
+      const Matrix b = random_matrix(n, width, 50 + n + width);
+      const Matrix x = chol_solve(f, b);
+      const Matrix y = chol_forward(f, b);
+      const Matrix xb = chol_backward(f, b);
+      ASSERT_EQ(x.rows(), n);
+      ASSERT_EQ(x.cols(), width);
+      for (std::size_t j = 0; j < width; ++j) {
+        ASSERT_TRUE(same_bits(x.column(j), chol_solve(f, b.column(j))))
+            << "n " << n << " width " << width << " column " << j;
+        ASSERT_TRUE(same_bits(x.column(j), textbook_chol_solve(f.l, b.column(j))))
+            << "n " << n << " width " << width << " column " << j;
+        ASSERT_TRUE(same_bits(y.column(j), chol_forward(f, b.column(j))));
+        ASSERT_TRUE(same_bits(xb.column(j), chol_backward(f, b.column(j))));
+      }
+    }
+  }
 }
 
 }  // namespace

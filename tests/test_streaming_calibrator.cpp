@@ -18,6 +18,7 @@
 #include "linalg/solve.h"
 #include "timing/segments.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 #include "util/thread_pool.h"
 #include "variation/variation_model.h"
 
@@ -246,6 +247,121 @@ TEST(StreamingCalibrator, CusumFlagsInjectedShiftQuietOnClean) {
   EXPECT_GE(drifted.status().drift_flag_die, start);
   EXPECT_LE(drifted.status().drift_flag_die, start + 50);
   EXPECT_GT(drifted.status().drift_score, clean.status().drift_score);
+}
+
+// The min-norm parameter shift raising every measured slot by `ps`.
+linalg::Vector uniform_slot_shift(const RobustPredictor& p, double ps) {
+  linalg::SpdSolveInfo info;
+  const linalg::Vector w = linalg::spd_solve_robust(
+      p.gram_meas, linalg::Vector(p.a_meas.rows(), ps), &info);
+  return linalg::matvec_transposed(p.a_meas, w);
+}
+
+TEST(StreamingCalibrator, GatedRecordsReportTheScoreAtThisDieNotTheLatch) {
+  // A drift burst (dies 100..119) with malformed and meltdown dies mixed in:
+  // every record's drift_flagged is "score above cusum_h at this die", while
+  // the status flag latches at the first crossing and holds after the score
+  // has decayed.
+  Synthetic s(30, 16, 6, 27);
+  StreamingCalibrator cal(s.predictor);
+  const linalg::Vector shift = uniform_slot_shift(s.predictor, 6.0);
+  const double h = cal.options().cusum_h;
+  std::size_t gated_after_flag = 0, gated_below_h_after_flag = 0;
+  for (std::uint64_t die = 0; die < 400; ++die) {
+    linalg::Vector y = s.die_measurements(
+        die, die >= 100 && die < 120 ? std::span<const double>(shift)
+                                     : std::span<const double>());
+    if (die % 5 == 1) y.push_back(0.0);  // size mismatch
+    if (die % 7 == 3) {
+      for (double& v : y) v = std::numeric_limits<double>::quiet_NaN();
+    }
+    if (die % 11 == 5) {
+      for (double& v : y) v += 3000.0;
+    }
+    const bool was_flagged = cal.status().drift_flagged;
+    const DieRecord rec = cal.observe(die, y);
+    EXPECT_EQ(rec.drift_flagged, rec.drift_score > h) << "die " << die;
+    if (was_flagged) {
+      EXPECT_TRUE(cal.status().drift_flagged) << "die " << die;
+      if (!rec.accepted) {
+        ++gated_after_flag;
+        if (rec.drift_score <= h) ++gated_below_h_after_flag;
+      }
+    }
+  }
+  ASSERT_TRUE(cal.status().drift_flagged);
+  EXPECT_GT(gated_after_flag, 0u);
+  // Gated dies below h after the latch: where the two meanings differ.
+  EXPECT_GT(gated_below_h_after_flag, 0u);
+}
+
+std::uint64_t counter_value(std::string_view name) {
+  for (const auto& c : util::telemetry::snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+// Robust solves (and ridge searches) observe() runs beyond the screening
+// gate, which cal.predict() replays on the same state.
+struct SolveCounts {
+  std::uint64_t calls = 0;
+  std::uint64_t ridges = 0;
+};
+SolveCounts observe_own_solves(StreamingCalibrator& cal, std::size_t die,
+                               const linalg::Vector& y, DieRecord& rec) {
+  const auto calls = [] { return counter_value("linalg.spd_solve.calls"); };
+  const auto ridges = [] {
+    return counter_value("linalg.spd_solve.ridge_fallbacks");
+  };
+  const std::uint64_t c0 = calls(), r0 = ridges();
+  (void)cal.predict(y);
+  const std::uint64_t c1 = calls(), r1 = ridges();
+  rec = cal.observe(die, y);
+  return {calls() - c1 - (c1 - c0), ridges() - r1 - (r1 - r0)};
+}
+
+TEST(StreamingCalibrator, FactorsTheInnovationSystemOncePerAcceptedDie) {
+  const bool was_enabled = util::telemetry::enabled();
+  util::telemetry::set_enabled(true);
+  Synthetic s(30, 16, 6, 28);
+  StreamingCalibrator cal(s.predictor);
+  std::size_t accepted = 0;
+  for (std::uint64_t die = 0; die < 40; ++die) {
+    DieRecord rec;
+    const SolveCounts own =
+        observe_own_solves(cal, die, s.die_measurements(die, {}), rec);
+    if (!rec.accepted) continue;
+    ++accepted;
+    // One factorization serves r, 1 and U^T.
+    EXPECT_EQ(own.calls, 1u) << "die " << die;
+    EXPECT_EQ(own.ridges, 0u) << "die " << die;
+  }
+  EXPECT_GT(accepted, 30u);
+  util::telemetry::set_enabled(was_enabled);
+}
+
+TEST(StreamingCalibrator, RidgedDieRecordsOneRidge) {
+  // A condition limit below cond(S) forces the first die's innovation system
+  // onto the ridge path, while the posterior stays well inside it (no
+  // covariance floor).
+  const bool was_enabled = util::telemetry::enabled();
+  util::telemetry::set_enabled(true);
+  Synthetic s(30, 16, 6, 28);
+  StreamingOptions opt;
+  opt.max_condition = 2.0;
+  StreamingCalibrator cal(s.predictor, opt);
+  DieRecord rec;
+  const SolveCounts own =
+      observe_own_solves(cal, 0, s.die_measurements(0, {}), rec);
+  ASSERT_TRUE(rec.accepted);
+  EXPECT_GT(rec.ridge, 0.0);
+  EXPECT_EQ(cal.status().last_ridge, rec.ridge);
+  EXPECT_EQ(cal.status().ridge_events, 1u);
+  EXPECT_LE(cal.status().info_condition, opt.max_condition);
+  EXPECT_EQ(own.calls, 1u);
+  EXPECT_EQ(own.ridges, 1u);  // one ridge search, not one per solve
+  util::telemetry::set_enabled(was_enabled);
 }
 
 // ---------------------------------------------------------------------------
