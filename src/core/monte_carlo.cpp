@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "linalg/gemm.h"
@@ -40,7 +41,8 @@ McMetrics finalize(ErrorAcc acc, std::size_t samples) {
   out.eps_mean = std::move(acc.sum);
   const std::size_t n = out.eps_max.size();
   for (std::size_t i = 0; i < n; ++i) {
-    out.eps_mean[i] /= static_cast<double>(samples);
+    // No dies leave the sums at zero: report zero errors, not 0 / 0.
+    if (samples > 0) out.eps_mean[i] /= static_cast<double>(samples);
     out.e1 += out.eps_max[i];
     out.e2 += out.eps_mean[i];
     out.worst_eps = std::max(out.worst_eps, out.eps_max[i]);
@@ -66,15 +68,20 @@ struct DieChunk {
 // The die-block engine every evaluator runs on.  Die k draws its parameter
 // sample from its own indexed RNG stream (seed, k), so its values depend on
 // k alone; dies are grouped into fixed chunks [ci * chunk, (ci + 1) * chunk)
-// whose GEMM shapes depend only on the chunk size.  Neither the thread count
-// nor the generation wave of for_each_in_order changes a bit.
+// whose product shapes depend only on the chunk size.  Neither the thread
+// count nor the generation wave of for_each_in_order changes a bit.
+//
+// A_rem and A_meas are held row-compressed: a path's row touches only its
+// own gates' variables and the regions it crosses.  linalg::multiply on
+// SparseRows keeps the dense product's bits on every tier, so the sparse
+// layout changes the time per chunk and nothing else.
 class DieStream {
  public:
-  DieStream(std::size_t num_params, const linalg::Matrix& a_rem,
-            const linalg::Matrix& a_meas, const McOptions& options)
+  DieStream(std::size_t num_params, linalg::SparseRows a_rem,
+            linalg::SparseRows a_meas, const McOptions& options)
       : m_(num_params),
-        a_rem_(a_rem),
-        a_meas_(a_meas),
+        a_rem_(std::move(a_rem)),
+        a_meas_(std::move(a_meas)),
         samples_(options.samples),
         chunk_(std::max<std::size_t>(1, options.chunk)),
         seed_(options.seed) {}
@@ -85,10 +92,14 @@ class DieStream {
     const std::size_t first = ci * chunk_;
     const std::size_t c = std::min(chunk_, samples_ - first);
     linalg::Matrix x(m_, c);
-    for (std::size_t j = 0; j < c; ++j) {
-      util::Rng rng = util::Rng::stream(seed_, first + j);
-      for (std::size_t i = 0; i < m_; ++i) x(i, j) = rng.normal();
+    {
+      const util::telemetry::Span span("core.mc.draw");
+      for (std::size_t j = 0; j < c; ++j) {
+        util::Rng rng = util::Rng::stream(seed_, first + j);
+        for (std::size_t i = 0; i < m_; ++i) x(i, j) = rng.normal();
+      }
     }
+    const util::telemetry::Span span("core.mc.product");
     return {first, linalg::multiply(a_rem_, x), linalg::multiply(a_meas_, x)};
   }
 
@@ -128,8 +139,8 @@ class DieStream {
 
  private:
   std::size_t m_;
-  const linalg::Matrix& a_rem_;
-  const linalg::Matrix& a_meas_;
+  linalg::SparseRows a_rem_;
+  linalg::SparseRows a_meas_;
   std::size_t samples_;
   std::size_t chunk_;
   std::uint64_t seed_;
@@ -183,20 +194,24 @@ McMetrics evaluate_predictor(const variation::VariationModel& model,
   const util::telemetry::Span span("core.mc.evaluate");
   util::telemetry::count("core.mc.samples", options.samples);
 
-  // Measurement sensitivity rows stacked once (paths first, then segments,
-  // matching LinearPredictor's mu_meas layout).
-  linalg::Matrix meas_rows(predictor.mu_meas.size(), model.num_params());
-  {
-    std::size_t row = 0;
-    for (int i : predictor.measured_paths) {
-      meas_rows.set_row(row++, model.a().row(static_cast<std::size_t>(i)));
+  // Sensitivity rows taken by id straight from the model: remaining paths,
+  // then the measured paths and segments in LinearPredictor's mu_meas order.
+  const linalg::Matrix& a = model.a();
+  const linalg::Matrix& sigma = model.sigma();
+  const auto append = [](linalg::SparseRows& rows, const linalg::Matrix& src,
+                         int id) {
+    const auto i = static_cast<std::size_t>(id);
+    if (id < 0 || i >= src.rows()) {
+      throw std::out_of_range("evaluate_predictor: bad row index");
     }
-    for (int s : predictor.measured_segments) {
-      meas_rows.set_row(row++, model.sigma().row(static_cast<std::size_t>(s)));
-    }
-  }
-  const linalg::Matrix a_rem_rows = model.a().select_rows(predictor.remaining);
-  const DieStream dies(model.num_params(), a_rem_rows, meas_rows, options);
+    rows.append_row(src.row(i));
+  };
+  linalg::SparseRows a_rem(model.num_params()), a_meas(model.num_params());
+  for (int i : predictor.remaining) append(a_rem, a, i);
+  for (int i : predictor.measured_paths) append(a_meas, a, i);
+  for (int s : predictor.measured_segments) append(a_meas, sigma, s);
+  const DieStream dies(model.num_params(), std::move(a_rem), std::move(a_meas),
+                       options);
 
   // Clean policy: one coef x y GEMM per chunk gives the centered predictions.
   const std::vector<ErrorAcc> slots =
@@ -237,7 +252,9 @@ FaultyMcMetrics evaluate_predictor_under_faults(
 
   // Faulty policy: die k's fault schedule comes from stream(faults.seed, k)
   // inside apply_faults, then a robust or naive predict per die.
-  const DieStream dies(model.num_params(), predictor.a_rem, predictor.a_meas,
+  const DieStream dies(model.num_params(),
+                       linalg::SparseRows::from_dense(predictor.a_rem),
+                       linalg::SparseRows::from_dense(predictor.a_meas),
                        options.mc);
   const std::vector<FaultSlot> slots = dies.map(
       FaultSlot{ErrorAcc(n_rem), {}},
@@ -381,7 +398,9 @@ StreamingMcMetrics evaluate_predictor_streaming(
 
   // Streaming policy: the calibrator recursion is order-dependent, so it
   // consumes dies in strict index order into one die-ordered accumulator.
-  const DieStream dies(m, predictor.a_rem, predictor.a_meas, options.mc);
+  const DieStream dies(m, linalg::SparseRows::from_dense(predictor.a_rem),
+                       linalg::SparseRows::from_dense(predictor.a_meas),
+                       options.mc);
   ErrorAcc err(n_rem);
   double prev_guard = out.initial_guardband;
   linalg::Vector clean(n_meas);

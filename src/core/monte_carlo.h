@@ -28,7 +28,7 @@ namespace repro::core {
 
 struct McOptions {
   std::size_t samples = 10000;
-  // Samples per GEMM batch; also the unit of work handed to pool threads.
+  // Dies per product batch; also the unit of work handed to pool threads.
   // Affects performance only, never the sampled values.
   std::size_t chunk = 256;
   std::uint64_t seed = 0x5eed;
@@ -125,7 +125,7 @@ struct DriftScenario {
 };
 
 struct StreamingMcOptions {
-  McOptions mc;              // samples = dies in the stream; chunk = GEMM batch
+  McOptions mc;              // samples = dies in the stream; chunk = product batch
   FaultSpec faults;
   StreamingOptions stream;
   DriftScenario drift;

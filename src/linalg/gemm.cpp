@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -160,6 +161,14 @@ void gemm_packed(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
+// The legacy route's row update C_i += a_ip * B_p.  multiply() and the
+// sparse product share this one loop so that, when the compiler contracts
+// it into FMA (-march=native), both contract it the same way.
+inline void legacy_row_update(double* ci, double aip, const double* bp,
+                              std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
+}
+
 // Threads the throughput gauge actually spans: the pool count when the
 // problem is big enough to have been distributed, else one.
 std::size_t gemm_threads_used(std::size_t flops) {
@@ -237,13 +246,85 @@ Matrix multiply(const Matrix& a, const Matrix& b) {
         for (std::size_t p = 0; p < k; ++p) {
           const double aip = a(i, p);
           if (aip == 0.0) continue;  // sensitivity matrices are fairly sparse
-          const double* bp = b.row(p).data();
-          for (std::size_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
+          legacy_row_update(ci, aip, b.row(p).data(), n);
         }
       }
     });
   }
   record_kernel_throughput("gemm", flops, sw.seconds(),
+                           gemm_threads_used(flops));
+  return c;
+}
+
+void SparseRows::append_row(std::span<const double> values) {
+  REPRO_CHECK_DIM(values.size(), cols_, "SparseRows::append_row: row width");
+  if (values.size() != cols_) {
+    throw std::invalid_argument("SparseRows::append_row: row of " +
+                                std::to_string(values.size()) +
+                                " values, expected " + std::to_string(cols_));
+  }
+  for (std::size_t j = 0; j < cols_; ++j) {
+    if (values[j] == 0.0) continue;
+    col_.push_back(j);
+    val_.push_back(values[j]);
+  }
+  start_.push_back(val_.size());
+}
+
+// Why the bits match multiply() on the dense A (finite B):
+//   * SIMD route.  gemm_packed forms each C element as a sum over kKc-deep
+//     k-panels in panel order; each panel sum starts at +0 and adds a_ip *
+//     b_pj by sequential FMA in ascending p (every tier's micro-kernel).
+//     Here each row runs the same panels: acc = 0, one tier axpy per entry
+//     (fused on every element, tail included), then C_i += acc.  A zero
+//     a_ip is an exact no-op there, fma(0, b, s) = s up to the sign of a
+//     zero acc, and C_i never holds -0, so C_i + acc cannot tell the
+//     difference; a panel with no entries adds nothing, like C_i + 0.
+//   * Legacy route (scalar tier, or a dense shape at or below the SIMD
+//     threshold): multiply() runs legacy_row_update over the nonzero a_ip
+//     in ascending p, which is exactly the stored entries in order.
+// The route is chosen by use_simd_gemm on the dense shape, as multiply()
+// chooses it, so the two agree on every tier and every shape.
+Matrix multiply(const SparseRows& a, const Matrix& b) {
+  REPRO_CHECK_DIM(a.cols(), b.rows(), "multiply: sparse inner dimensions");
+  if (a.cols() != b.rows()) {
+    throw std::invalid_argument(
+        "multiply: sparse " + std::to_string(a.rows()) + "x" +
+        std::to_string(a.cols()) + " * " + b.shape_string());
+  }
+  const std::size_t m = a.rows(), n = b.cols();
+  const std::size_t flops = 2 * a.nnz() * n;
+  util::telemetry::count("linalg.spmm.calls");
+  util::telemetry::count("linalg.spmm.flops", flops);
+  const util::Stopwatch sw;
+  const simd::KernelOps& t = simd::ops();
+  const bool simd_route = use_simd_gemm(2 * m * a.cols() * n);
+  Matrix c(m, n);
+  const auto run_rows = [&](std::size_t rb, std::size_t re) {
+    // One panel accumulator per task, reused by every row it runs.
+    std::vector<double> acc(simd_route ? n : 0);
+    for (std::size_t i = rb; i < re; ++i) {
+      double* ci = c.row(i).data();
+      const std::size_t end = a.row_end(i);
+      std::size_t e = a.row_begin(i);
+      if (!simd_route) {
+        for (; e < end; ++e) {
+          legacy_row_update(ci, a.value(e), b.row(a.col_index(e)).data(), n);
+        }
+        continue;
+      }
+      while (e < end) {
+        const std::size_t panel_end = (a.col_index(e) / kKc + 1) * kKc;
+        std::fill(acc.begin(), acc.end(), 0.0);
+        for (; e < end && a.col_index(e) < panel_end; ++e) {
+          t.axpy(n, a.value(e), b.row(a.col_index(e)).data(), acc.data());
+        }
+        for (std::size_t j = 0; j < n; ++j) ci[j] += acc[j];
+      }
+    }
+  };
+  parallel_rows(m, flops / std::max<std::size_t>(m, 1), run_rows);
+  record_kernel_throughput("spmm", flops, sw.seconds(),
                            gemm_threads_used(flops));
   return c;
 }

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "linalg/matrix.h"
 
@@ -37,6 +39,47 @@ void add_multiply_bt_trailing(const Matrix& a, const Matrix& b, Matrix& c,
 // pairs, then mirrored (~half the flops of the full-GEMM route; the saving
 // is recorded under linalg.syrk.flops_saved).
 Matrix gram(const Matrix& a);
+
+// Row-compressed sparse matrix: each row keeps its nonzero entries as
+// ascending column indices with their values.  Built once, row by row, then
+// only read; the Monte-Carlo engine stores A_rem and A_meas this way (a
+// path touches only its own gates' variables and the regions it crosses,
+// so ~5-16 % of A = G Sigma is nonzero on the Table 1 circuits).
+class SparseRows {
+ public:
+  explicit SparseRows(std::size_t cols) : cols_(cols) {}
+  // The nonzero entries of a dense matrix, row by row.
+  static SparseRows from_dense(const Matrix& a) {
+    SparseRows s(a.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) s.append_row(a.row(i));
+    return s;
+  }
+
+  // Appends a row of cols() values; zeros (either sign) are dropped.
+  void append_row(std::span<const double> values);
+
+  std::size_t rows() const { return start_.size() - 1; }
+  std::size_t cols() const { return cols_; }
+  std::size_t nnz() const { return val_.size(); }
+  // Entries [row_begin(i), row_end(i)) of col_index() / value() form row i.
+  std::size_t row_begin(std::size_t i) const { return start_[i]; }
+  std::size_t row_end(std::size_t i) const { return start_[i + 1]; }
+  std::size_t col_index(std::size_t e) const { return col_[e]; }
+  double value(std::size_t e) const { return val_[e]; }
+
+ private:
+  std::size_t cols_;
+  std::vector<std::size_t> start_{0};
+  std::vector<std::size_t> col_;
+  std::vector<double> val_;
+};
+
+// C = A * B for a row-compressed A, with the same bits as multiply() on the
+// dense A for finite B, under every dispatch tier: it takes the route the
+// dense product takes for the dense shape and keeps that route's order of
+// floating-point operations, skipping only the exact no-ops of the zero
+// entries (see gemm.cpp).  Counted under linalg.spmm.*, not linalg.gemm.*.
+Matrix multiply(const SparseRows& a, const Matrix& b);
 
 // Thread configuration for large products.  Kernels run on the shared
 // util::ThreadPool; these forward to util::set_threads / util::thread_count

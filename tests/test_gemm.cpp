@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "linalg/simd/dispatch.h"
 #include "util/rng.h"
 
@@ -104,6 +107,89 @@ TEST(Gemm, CorrectUnderEveryDispatchTier) {
     EXPECT_LT(max_abs_diff(multiply(a, b), ref), 1e-10) << simd::tier_name(t);
   }
   simd::set_tier(before);
+}
+
+// A sparse m x k matrix (about one entry in five) with the structures the
+// sparse product must handle: an empty row, a row with no entries in its
+// second k-panel, a fully dense row and negative zeros (dropped by both
+// products alike).
+Matrix sparse_matrix(std::size_t m, std::size_t k, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Matrix a(m, k);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      const double u = rng.uniform();
+      if (i == 2 || u < 0.2) a(i, p) = rng.normal();
+      if (i != 2 && u > 0.95) a(i, p) = -0.0;
+    }
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    a(0, p) = 0.0;
+    if (p >= 256 && p < 512) a(1, p) = 0.0;
+  }
+  return a;
+}
+
+TEST(Gemm, SparseRowsProductIsBitIdenticalToDense) {
+  // Every tier, both routes (2 m k n on either side of the 65,536-flop SIMD
+  // threshold), k around and across the 256-deep panel, n across every
+  // micro-kernel width and axpy tail; the 200-row case is large enough to
+  // split rows over the pool.
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  std::vector<Shape> shapes;
+  for (std::size_t k : {1u, 255u, 256u, 257u, 600u}) {
+    for (std::size_t n : {1u, 3u, 7u, 8u, 9u, 16u, 256u}) {
+      shapes.push_back({13, k, n});
+    }
+  }
+  shapes.push_back({200, 600, 256});
+  std::size_t below = 0, above = 0;
+  for (const Shape& s : shapes) {
+    ++(2 * s.m * s.k * s.n > 65'536 ? above : below);
+  }
+  ASSERT_GT(below, 0u);
+  ASSERT_GT(above, 0u);
+
+  const std::string before = simd::tier_name(simd::active_tier());
+  for (simd::Tier t : simd::available_tiers()) {
+    ASSERT_TRUE(simd::set_tier(simd::tier_name(t)));
+    for (const Shape& s : shapes) {
+      const Matrix a = sparse_matrix(s.m, s.k, 31 + s.k);
+      const Matrix b = random_matrix(s.k, s.n, 57 + s.n);
+      const SparseRows sa = SparseRows::from_dense(a);
+      ASSERT_EQ(sa.rows(), s.m);
+      ASSERT_EQ(sa.row_begin(0), sa.row_end(0));  // the empty row
+      const Matrix dense = multiply(a, b);
+      const Matrix sparse = multiply(sa, b);
+      ASSERT_EQ(sparse.rows(), dense.rows());
+      ASSERT_EQ(sparse.cols(), dense.cols());
+      EXPECT_EQ(std::memcmp(sparse.data().data(), dense.data().data(),
+                            dense.data().size() * sizeof(double)),
+                0)
+          << simd::tier_name(t) << " m=" << s.m << " k=" << s.k
+          << " n=" << s.n;
+    }
+  }
+  simd::set_tier(before);
+}
+
+TEST(Gemm, SparseRowsDropZerosAndCheckShapes) {
+  SparseRows s(4);
+  s.append_row(std::vector<double>{0.0, 2.0, -0.0, -1.5});
+  s.append_row(std::vector<double>{0.0, 0.0, 0.0, 0.0});
+  EXPECT_EQ(s.rows(), 2u);
+  EXPECT_EQ(s.cols(), 4u);
+  ASSERT_EQ(s.nnz(), 2u);
+  EXPECT_EQ(s.col_index(0), 1u);
+  EXPECT_EQ(s.value(1), -1.5);
+  EXPECT_EQ(s.row_begin(1), s.row_end(1));
+  EXPECT_ANY_THROW(s.append_row(std::vector<double>{1.0, 2.0}));
+  EXPECT_THROW((void)multiply(s, Matrix(3, 2)), std::invalid_argument);
+  const Matrix c = multiply(SparseRows(3), Matrix(3, 5));
+  EXPECT_EQ(c.rows(), 0u);
+  EXPECT_EQ(c.cols(), 5u);
 }
 
 TEST(Gemm, IdentityIsNeutral) {

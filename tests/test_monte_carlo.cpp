@@ -4,19 +4,27 @@
 
 #include <algorithm>
 #include <cmath>
-
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "circuit/generator.h"
 #include "circuit/placement.h"
+#include "core/guardband.h"
+#include "core/measurement.h"
 #include "core/path_selection.h"
 #include "linalg/gemm.h"
+#include "linalg/simd/dispatch.h"
 #include "timing/segments.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 #include "variation/variation_model.h"
 
 namespace repro::core {
 namespace {
+
+namespace simd = linalg::simd;
 
 struct Fixture {
   circuit::Netlist nl;
@@ -204,6 +212,210 @@ TEST(MonteCarlo, McErrorConsistentWithAnalyticSigma) {
     if (expected_mean_rel < 1e-12) continue;
     EXPECT_NEAR(m.eps_mean[i], expected_mean_rel, 0.2 * expected_mean_rel);
   }
+}
+
+// Dense reference of the die-stream engine: chunk ci holds dies
+// [ci * chunk, ...), die k draws x from stream(seed, k), and both products
+// are dense linalg::multiply calls.  score(first, truth, meas) sees every
+// chunk in order.
+template <class Score>
+void dense_die_chunks(const linalg::Matrix& a_rem, const linalg::Matrix& a_meas,
+                      const McOptions& opt, Score&& score) {
+  const std::size_t m = a_rem.cols();
+  for (std::size_t first = 0; first < opt.samples; first += opt.chunk) {
+    const std::size_t c = std::min(opt.chunk, opt.samples - first);
+    linalg::Matrix x(m, c);
+    for (std::size_t j = 0; j < c; ++j) {
+      util::Rng rng = util::Rng::stream(opt.seed, first + j);
+      for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
+    }
+    score(first, linalg::multiply(a_rem, x), linalg::multiply(a_meas, x));
+  }
+}
+
+// Per-path max and chunk-ordered sum of |pred - truth| / |truth|, as the
+// engine reduces them.
+struct RefErr {
+  std::vector<double> max, sum;
+  explicit RefErr(std::size_t n) : max(n, 0.0), sum(n, 0.0) {}
+  void merge(const RefErr& part) {
+    for (std::size_t i = 0; i < max.size(); ++i) {
+      max[i] = std::max(max[i], part.max[i]);
+      sum[i] += part.sum[i];
+    }
+  }
+  void add(std::size_t i, double pred, double truth) {
+    const double rel = std::abs(pred - truth) / std::abs(truth);
+    max[i] = std::max(max[i], rel);
+    sum[i] += rel;
+  }
+};
+
+void expect_same_bits(const linalg::Vector& got,
+                      const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)),
+            0)
+      << what;
+}
+
+TEST(MonteCarlo, SparseEngineKeepsDenseBits) {
+  // The engine multiplies row-compressed A_rem / A_meas; the reference runs
+  // the dense products.  400 dies in chunks of 128 end in a 16-die tail
+  // chunk, whose A_meas product falls below the SIMD threshold, so both
+  // GEMM routes are compared on every tier the host runs.
+  Fixture f;
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
+  const auto rep = sel.select(5);
+  const LinearPredictor p =
+      make_path_predictor(f.model->a(), f.model->mu_paths(), rep);
+  const RobustPredictor rp =
+      make_robust_path_predictor(f.model->a(), f.model->mu_paths(), rep);
+  ASSERT_TRUE(rp.status.usable());
+  const std::size_t n_rem = p.remaining.size();
+  const std::size_t n_meas = p.mu_meas.size();
+  McOptions opt;
+  opt.samples = 400;
+  opt.chunk = 128;
+  opt.seed = 99;
+  FaultyMcOptions fopt;
+  fopt.mc = opt;
+  fopt.faults.noise_sigma_frac = 0.01;
+  fopt.faults.outlier_rate = 0.1;
+  fopt.faults.dropout_rate = 0.1;
+  const linalg::Matrix a_rem = f.model->a().select_rows(p.remaining);
+  const linalg::Matrix a_meas = f.model->a().select_rows(p.measured_paths);
+  ASSERT_EQ(a_meas.rows(), n_meas);  // a path predictor measures no segments
+  const std::size_t tail = opt.samples % opt.chunk;
+  const std::size_t m = f.model->num_params();
+  ASSERT_GT(2 * n_meas * m * opt.chunk, 65'536u);
+  ASSERT_LE(2 * n_meas * m * tail, 65'536u);
+
+  const std::string before = simd::tier_name(simd::active_tier());
+  for (simd::Tier t : simd::available_tiers()) {
+    ASSERT_TRUE(simd::set_tier(simd::tier_name(t)));
+    const std::string tier = simd::tier_name(t);
+
+    // Clean: per-chunk slots merged in chunk order.
+    RefErr clean(n_rem);
+    dense_die_chunks(
+        a_rem, a_meas, opt,
+        [&](std::size_t, const linalg::Matrix& truth,
+            const linalg::Matrix& meas) {
+          const linalg::Matrix pred = linalg::multiply(p.coef, meas);
+          RefErr part(n_rem);
+          for (std::size_t i = 0; i < n_rem; ++i) {
+            for (std::size_t j = 0; j < pred.cols(); ++j) {
+              part.add(i, p.mu_rem[i] + pred(i, j), p.mu_rem[i] + truth(i, j));
+            }
+          }
+          clean.merge(part);
+        });
+    for (double& v : clean.sum) v /= static_cast<double>(opt.samples);
+    const McMetrics m = evaluate_predictor(*f.model, p, opt);
+    expect_same_bits(m.eps_max, clean.max, tier + " clean eps_max");
+    expect_same_bits(m.eps_mean, clean.sum, tier + " clean eps_mean");
+
+    // Fault-injected robust policy, counters included.
+    RefErr faulty(n_rem);
+    std::size_t failed = 0, screened = 0, missing = 0, outliers = 0,
+                screened_outlier = 0, dead = 0, dropout = 0;
+    dense_die_chunks(
+        rp.a_rem, rp.a_meas, opt,
+        [&](std::size_t first, const linalg::Matrix& truth,
+            const linalg::Matrix& meas) {
+          RefErr part(n_rem);
+          linalg::Vector y(n_meas);
+          for (std::size_t j = 0; j < meas.cols(); ++j) {
+            for (std::size_t i = 0; i < n_meas; ++i) {
+              y[i] = rp.base.mu_meas[i] + meas(i, j);
+            }
+            const NoisyMeasurements noisy =
+                apply_faults(y, rp.base.mu_meas, fopt.faults, first + j);
+            outliers += static_cast<std::size_t>(noisy.outliers);
+            missing += static_cast<std::size_t>(noisy.dropped);
+            dead += static_cast<std::size_t>(noisy.dead);
+            dropout += static_cast<std::size_t>(noisy.dropout);
+            const RobustPrediction pr = rp.predict(noisy.values, noisy.valid);
+            screened += pr.screened.size();
+            for (int sl : pr.screened) {
+              screened_outlier +=
+                  std::count(noisy.outlier_slots.begin(),
+                             noisy.outlier_slots.end(), sl) > 0;
+            }
+            failed += pr.health == PredictorHealth::kFailed;
+            for (std::size_t i = 0; i < n_rem; ++i) {
+              part.add(i, pr.values[i], rp.base.mu_rem[i] + truth(i, j));
+            }
+          }
+          faulty.merge(part);
+        });
+    for (double& v : faulty.sum) v /= static_cast<double>(opt.samples);
+    const FaultyMcMetrics fm =
+        evaluate_predictor_under_faults(*f.model, rp, fopt);
+    expect_same_bits(fm.metrics.eps_max, faulty.max, tier + " faulty max");
+    expect_same_bits(fm.metrics.eps_mean, faulty.sum, tier + " faulty mean");
+    const auto per_die = [&](std::size_t n) {
+      return static_cast<double>(n) / static_cast<double>(opt.samples);
+    };
+    EXPECT_EQ(fm.failed_dies, failed) << tier;
+    EXPECT_EQ(fm.mean_screened, per_die(screened)) << tier;
+    EXPECT_EQ(fm.mean_missing, per_die(missing)) << tier;
+    EXPECT_EQ(fm.mean_outliers, per_die(outliers)) << tier;
+    EXPECT_EQ(fm.mean_screened_outlier, per_die(screened_outlier)) << tier;
+    EXPECT_EQ(fm.mean_screened_noise, per_die(screened - screened_outlier))
+        << tier;
+    EXPECT_EQ(fm.mean_dead, per_die(dead)) << tier;
+    EXPECT_EQ(fm.mean_dropout, per_die(dropout)) << tier;
+    EXPECT_GT(outliers + missing, 0u) << tier;  // the faults did fire
+  }
+  simd::set_tier(before);
+}
+
+TEST(MonteCarlo, ZeroSamplesReportZerosNotNaN) {
+  Fixture f;
+  const SubsetSelector sel =
+      make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
+  const auto rep = sel.select(5);
+  const LinearPredictor p =
+      make_path_predictor(f.model->a(), f.model->mu_paths(), rep);
+  const RobustPredictor rp =
+      make_robust_path_predictor(f.model->a(), f.model->mu_paths(), rep);
+  ASSERT_TRUE(rp.status.usable());
+  McOptions opt;
+  opt.samples = 0;
+  const auto expect_zero = [&](const McMetrics& m, const std::string& what) {
+    EXPECT_EQ(m.samples, 0u) << what;
+    EXPECT_EQ(m.e1, 0.0) << what;
+    EXPECT_EQ(m.e2, 0.0) << what;
+    EXPECT_EQ(m.worst_eps, 0.0) << what;
+    ASSERT_EQ(m.eps_mean.size(), p.remaining.size()) << what;
+    for (std::size_t i = 0; i < m.eps_mean.size(); ++i) {
+      EXPECT_EQ(m.eps_max[i], 0.0) << what;
+      EXPECT_EQ(m.eps_mean[i], 0.0) << what;
+    }
+  };
+  expect_zero(evaluate_predictor(*f.model, p, opt), "clean");
+
+  const GuardbandReport g = guardband_analysis(
+      *f.model, p, linalg::Vector(p.remaining.size(), 0.05), 1.0, 0.05, opt);
+  expect_zero(g.mc, "guardband");
+  EXPECT_EQ(g.observations, 0u);
+  EXPECT_EQ(g.flagged, 0u);
+
+  FaultyMcOptions fopt;
+  fopt.mc = opt;
+  expect_zero(evaluate_predictor_under_faults(*f.model, rp, fopt).metrics,
+              "faulty");
+
+  StreamingMcOptions sopt;
+  sopt.mc = opt;
+  const StreamingMcMetrics sm =
+      evaluate_predictor_streaming(*f.model, rp, sopt);
+  expect_zero(sm.metrics, "streaming");
+  EXPECT_EQ(sm.dies, 0u);
 }
 
 TEST(MonteCarlo, NoRemainingPathsThrows) {
