@@ -1,7 +1,7 @@
 #include "timing/path_enum.h"
 
 #include <algorithm>
-#include <queue>
+#include <cstdint>
 #include <unordered_set>
 
 #include "util/telemetry.h"
@@ -12,9 +12,13 @@ namespace {
 
 constexpr double kNegInf = -1e300;
 
+// Suffix sweeps for per-endpoint enumeration run this many capture points
+// per reverse pass, one lane each (a 512-bit vector of doubles).
+constexpr std::size_t kSinkLanes = 8;
+
 struct ArenaNode {
-  circuit::GateId gate;
-  int parent;  // index into arena, -1 for path start
+  std::uint32_t pos;  // topological position of the gate
+  int parent;         // index into arena, -1 for path start
 };
 
 struct HeapEntry {
@@ -22,6 +26,12 @@ struct HeapEntry {
   double prefix;  // score accumulated up to (and including) node
   int arena_idx;
   bool operator<(const HeapEntry& other) const { return bound < other.bound; }
+};
+
+// Search state reused across the sinks one worker enumerates.
+struct SearchScratch {
+  std::vector<ArenaNode> arena;
+  std::vector<HeapEntry> heap;  // max-heap under HeapEntry::operator<
 };
 
 std::vector<double> gate_scores(const TimingGraph& graph,
@@ -36,66 +46,88 @@ std::vector<double> gate_scores(const TimingGraph& graph,
   return score;
 }
 
-// Exact suffix bound toward the capture set marked in `is_sink` (best
-// remaining score from each gate to any marked sink; kNegInf if none
-// reachable).
-std::vector<double> suffix_bounds(const TimingGraph& graph,
-                                  const std::vector<double>& score,
-                                  const std::vector<char>& is_sink) {
-  const circuit::Netlist& nl = graph.netlist();
-  std::vector<double> suffix(nl.size(), kNegInf);
+// gate_scores indexed by topological position.
+std::vector<double> position_scores(const TimingGraph& graph,
+                                    const PathEnumOptions& options) {
+  const std::vector<double> by_gate = gate_scores(graph, options);
+  std::vector<double> score(by_gate.size());
   const auto& topo = graph.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const circuit::GateId id = *it;
-    const auto i = static_cast<std::size_t>(id);
-    if (is_sink[i]) {
-      suffix[i] = 0.0;
-      continue;
-    }
-    double best = kNegInf;
-    for (circuit::GateId s : nl.gate(id).fanout) {
-      const double sfx = suffix[static_cast<std::size_t>(s)];
-      if (sfx <= kNegInf) continue;
-      best = std::max(best, score[static_cast<std::size_t>(s)] + sfx);
-    }
-    suffix[i] = best;
+  for (std::size_t t = 0; t < topo.size(); ++t) {
+    score[t] = by_gate[static_cast<std::size_t>(topo[t])];
   }
-  return suffix;
+  return score;
+}
+
+// Exact suffix bounds toward L capture sets at once, over topological
+// positions [0, top]: suffix[t * L + l] is the best remaining score from
+// position t to a sink of lane l (kNegInf if none is reachable), where bit l
+// of sink_lanes[t] marks t as a sink of lane l.  Positions above `top` are
+// read, never written, and must hold kNegInf in every lane: a gate there
+// comes after every sink of the sweep, so it reaches none of them.  Only
+// max and + touch the bounds, so each lane has the bits of a one-sink sweep.
+template <std::size_t L>
+void suffix_sweep(const TimingGraph& graph, const std::vector<double>& score,
+                  const std::vector<std::uint8_t>& sink_lanes, std::size_t top,
+                  double* suffix) {
+  for (std::size_t t = top + 1; t-- > 0;) {
+    double best[L];
+    for (std::size_t l = 0; l < L; ++l) best[l] = kNegInf;
+    for (std::uint32_t q : graph.fanout_positions(t)) {
+      const double sq = score[q];
+      const double* sfx = suffix + static_cast<std::size_t>(q) * L;
+      for (std::size_t l = 0; l < L; ++l) {
+        const double c = sfx[l] > kNegInf ? sq + sfx[l] : kNegInf;
+        best[l] = std::max(best[l], c);
+      }
+    }
+    const unsigned mask = sink_lanes[t];
+    double* out = suffix + t * L;
+    for (std::size_t l = 0; l < L; ++l) {
+      out[l] = ((mask >> l) & 1u) != 0 ? 0.0 : best[l];
+    }
+  }
 }
 
 // Best-first enumeration with the implicit path tree; emits at most
-// max_paths paths ending at marked sinks, in non-increasing score order.
+// max_paths paths ending at sinks of `lane`, in non-increasing score order.
+// The lane's suffix bound of position t is suffix[t * stride].
 std::vector<Path> best_first(const TimingGraph& graph,
                              const std::vector<double>& score,
-                             const std::vector<double>& suffix,
-                             const std::vector<char>& is_sink,
-                             std::size_t max_paths,
-                             double min_score_fraction) {
-  const circuit::Netlist& nl = graph.netlist();
-  std::vector<ArenaNode> arena;
-  std::priority_queue<HeapEntry> heap;
-  for (circuit::GateId id : nl.inputs()) {
-    if (suffix[static_cast<std::size_t>(id)] <= kNegInf) continue;
-    const double prefix = score[static_cast<std::size_t>(id)];
-    arena.push_back({id, -1});
-    heap.push({prefix + suffix[static_cast<std::size_t>(id)], prefix,
-               static_cast<int>(arena.size()) - 1});
+                             const double* suffix, std::size_t stride,
+                             const std::vector<std::uint8_t>& sink_lanes,
+                             unsigned lane, std::size_t max_paths,
+                             double min_score_fraction,
+                             SearchScratch& scratch) {
+  const auto& topo = graph.topological_order();
+  std::vector<ArenaNode>& arena = scratch.arena;
+  std::vector<HeapEntry>& heap = scratch.heap;
+  arena.clear();
+  heap.clear();
+  auto push = [&](std::uint32_t pos, int parent, double prefix, double sfx) {
+    arena.push_back({pos, parent});
+    heap.push_back({prefix + sfx, prefix, static_cast<int>(arena.size()) - 1});
+    std::push_heap(heap.begin(), heap.end());
+  };
+  for (circuit::GateId id : graph.netlist().inputs()) {
+    const auto pos = static_cast<std::uint32_t>(graph.topo_position(id));
+    const double sfx = suffix[pos * stride];
+    if (sfx <= kNegInf) continue;
+    push(pos, -1, score[pos], sfx);
   }
 
   std::vector<Path> out;
   double best_score = -1.0;
   while (!heap.empty() && out.size() < max_paths) {
-    const HeapEntry e = heap.top();
-    heap.pop();
-    const circuit::GateId gid =
-        arena[static_cast<std::size_t>(e.arena_idx)].gate;
-    const auto gi = static_cast<std::size_t>(gid);
-    if (is_sink[gi]) {
+    std::pop_heap(heap.begin(), heap.end());
+    const HeapEntry e = heap.back();
+    heap.pop_back();
+    const std::uint32_t pos = arena[static_cast<std::size_t>(e.arena_idx)].pos;
+    if (((sink_lanes[pos] >> lane) & 1u) != 0) {
       Path p;
       p.score = e.prefix;
       for (int cur = e.arena_idx; cur >= 0;
            cur = arena[static_cast<std::size_t>(cur)].parent) {
-        p.gates.push_back(arena[static_cast<std::size_t>(cur)].gate);
+        p.gates.push_back(topo[arena[static_cast<std::size_t>(cur)].pos]);
       }
       std::reverse(p.gates.begin(), p.gates.end());
       if (best_score < 0.0) best_score = p.score;
@@ -106,12 +138,10 @@ std::vector<Path> best_first(const TimingGraph& graph,
       out.push_back(std::move(p));
       continue;
     }
-    for (circuit::GateId s : nl.gate(gid).fanout) {
-      const double sfx = suffix[static_cast<std::size_t>(s)];
+    for (std::uint32_t q : graph.fanout_positions(pos)) {
+      const double sfx = suffix[q * stride];
       if (sfx <= kNegInf) continue;
-      const double prefix = e.prefix + score[static_cast<std::size_t>(s)];
-      arena.push_back({s, e.arena_idx});
-      heap.push({prefix + sfx, prefix, static_cast<int>(arena.size()) - 1});
+      push(q, e.arena_idx, e.prefix + score[q], sfx);
     }
   }
   return out;
@@ -122,15 +152,16 @@ std::vector<Path> best_first(const TimingGraph& graph,
 std::vector<Path> enumerate_worst_paths(const TimingGraph& graph,
                                         const PathEnumOptions& options) {
   const circuit::Netlist& nl = graph.netlist();
-  const std::vector<double> score = gate_scores(graph, options);
-  std::vector<char> is_sink(nl.size(), 0);
-  for (circuit::GateId id : nl.outputs()) {
-    is_sink[static_cast<std::size_t>(id)] = 1;
-  }
-  const std::vector<double> suffix = suffix_bounds(graph, score, is_sink);
-  std::vector<Path> out = best_first(graph, score, suffix, is_sink,
-                                     options.max_paths,
-                                     options.min_score_fraction);
+  const std::size_t n = nl.size();
+  const std::vector<double> score = position_scores(graph, options);
+  std::vector<std::uint8_t> sink_lanes(n, 0);
+  for (circuit::GateId id : nl.outputs()) sink_lanes[graph.topo_position(id)] = 1;
+  std::vector<double> suffix(n, kNegInf);
+  if (n > 0) suffix_sweep<1>(graph, score, sink_lanes, n - 1, suffix.data());
+  SearchScratch scratch;
+  std::vector<Path> out =
+      best_first(graph, score, suffix.data(), 1, sink_lanes, 0,
+                 options.max_paths, options.min_score_fraction, scratch);
   util::telemetry::count("timing.paths_enumerated", out.size());
   return out;
 }
@@ -141,24 +172,49 @@ std::vector<Path> enumerate_worst_paths_per_endpoint(
   const circuit::Netlist& nl = graph.netlist();
   const auto& outputs = nl.outputs();
   if (outputs.empty()) return {};
-  const std::vector<double> score = gate_scores(graph, options);
+  const std::size_t n = nl.size();
+  const std::vector<double> score = position_scores(graph, options);
   const std::size_t quota = std::max(
       min_quota, options.max_paths / std::max<std::size_t>(outputs.size(), 1));
 
-  // Every endpoint's cone is enumerated independently, so fan the per-sink
-  // searches out over the shared pool and merge in endpoint order — the
-  // result is identical to the serial loop for any thread count.
+  // Every endpoint's cone is enumerated independently: consecutive
+  // endpoints share one suffix sweep, kSinkLanes at a time, and the sweep
+  // groups fan out over the shared pool.  Results merge in endpoint order,
+  // so they are identical to the serial per-sink loop for any thread count.
   const util::telemetry::Span span("timing.path_enum.per_endpoint");
   util::telemetry::count("timing.endpoints", outputs.size());
   std::vector<std::vector<Path>> per_endpoint(outputs.size());
-  util::parallel_for(0, outputs.size(), 1, [&](std::size_t b, std::size_t e) {
-    std::vector<char> is_sink(nl.size(), 0);
-    for (std::size_t k = b; k < e; ++k) {
-      std::fill(is_sink.begin(), is_sink.end(), 0);
-      is_sink[static_cast<std::size_t>(outputs[k])] = 1;
-      const std::vector<double> suffix = suffix_bounds(graph, score, is_sink);
-      per_endpoint[k] = best_first(graph, score, suffix, is_sink, quota,
-                                   options.min_score_fraction);
+  const std::size_t groups = (outputs.size() + kSinkLanes - 1) / kSinkLanes;
+  util::parallel_for(0, groups, 1, [&](std::size_t b, std::size_t e) {
+    std::vector<double> suffix(n * kSinkLanes, kNegInf);
+    std::vector<std::uint8_t> sink_lanes(n, 0);
+    SearchScratch scratch;
+    std::size_t written = 0;  // positions [0, written) may be stale
+    for (std::size_t g = b; g < e; ++g) {
+      const std::size_t k0 = g * kSinkLanes;
+      const std::size_t k1 = std::min(outputs.size(), k0 + kSinkLanes);
+      std::size_t top = 0;
+      for (std::size_t k = k0; k < k1; ++k) {
+        const std::size_t pos = graph.topo_position(outputs[k]);
+        sink_lanes[pos] |= static_cast<std::uint8_t>(1u << (k - k0));
+        top = std::max(top, pos);
+      }
+      if (written > top + 1) {
+        std::fill(suffix.begin() + static_cast<std::ptrdiff_t>((top + 1) * kSinkLanes),
+                  suffix.begin() + static_cast<std::ptrdiff_t>(written * kSinkLanes),
+                  kNegInf);
+      }
+      suffix_sweep<kSinkLanes>(graph, score, sink_lanes, top, suffix.data());
+      written = top + 1;
+      for (std::size_t k = k0; k < k1; ++k) {
+        const auto lane = static_cast<unsigned>(k - k0);
+        per_endpoint[k] = best_first(graph, score, suffix.data() + lane,
+                                     kSinkLanes, sink_lanes, lane, quota,
+                                     options.min_score_fraction, scratch);
+      }
+      for (std::size_t k = k0; k < k1; ++k) {
+        sink_lanes[graph.topo_position(outputs[k])] = 0;
+      }
     }
   });
   // Telemetry after the join: counting inside the workers would contend on

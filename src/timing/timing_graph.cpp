@@ -16,6 +16,25 @@ TimingGraph::TimingGraph(const circuit::Netlist& netlist,
     sigmas_[i] = library.delay_sigmas_ps(g.type, nominal_delay_[i]);
   }
   topo_ = netlist.topological_order();
+
+  position_.resize(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    position_[static_cast<std::size_t>(topo_[t])] =
+        static_cast<std::uint32_t>(t);
+  }
+  fanin_begin_.assign(1, 0);
+  fanout_begin_.assign(1, 0);
+  for (circuit::GateId id : topo_) {
+    const circuit::Gate& g = netlist.gate(id);
+    for (circuit::GateId d : g.fanin) {
+      fanin_.push_back(position_[static_cast<std::size_t>(d)]);
+    }
+    for (circuit::GateId s : g.fanout) {
+      fanout_.push_back(position_[static_cast<std::size_t>(s)]);
+    }
+    fanin_begin_.push_back(static_cast<std::uint32_t>(fanin_.size()));
+    fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_.size()));
+  }
 }
 
 void TimingGraph::set_gate_delay_ps(circuit::GateId id, double delay_ps) {

@@ -7,6 +7,8 @@
 // linear structure the paper's Eqn (1)/(2) relies on.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "circuit/gate_library.h"
@@ -47,12 +49,32 @@ class TimingGraph {
     return topo_;
   }
 
+  // Topological-order CSR adjacency for the sweeps that visit every gate
+  // per sample or per sink group (yield Monte Carlo, suffix bounds): gate
+  // topological_order()[t] sits at position t, and fanin_positions(t) /
+  // fanout_positions(t) list its drivers' / sinks' positions in the
+  // netlist's pin order.  Built once; sizing changes only delays.
+  std::size_t topo_position(circuit::GateId id) const {
+    return position_[static_cast<std::size_t>(id)];
+  }
+  std::span<const std::uint32_t> fanin_positions(std::size_t t) const {
+    return {fanin_.data() + fanin_begin_[t],
+            fanin_begin_[t + 1] - fanin_begin_[t]};
+  }
+  std::span<const std::uint32_t> fanout_positions(std::size_t t) const {
+    return {fanout_.data() + fanout_begin_[t],
+            fanout_begin_[t + 1] - fanout_begin_[t]};
+  }
+
  private:
   const circuit::Netlist* netlist_;
   const circuit::GateLibrary* library_;
   std::vector<double> nominal_delay_;
   std::vector<circuit::GateLibrary::DelaySigmas> sigmas_;
   std::vector<circuit::GateId> topo_;
+  std::vector<std::uint32_t> position_;  // gate id -> topological position
+  std::vector<std::uint32_t> fanin_begin_, fanin_;
+  std::vector<std::uint32_t> fanout_begin_, fanout_;
 };
 
 }  // namespace repro::timing

@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "linalg/gemm.h"
+#include "util/rng.h"
 #include "util/stats.h"
+#include "util/telemetry.h"
+#include "util/thread_pool.h"
 
 namespace repro::core {
 namespace {
@@ -18,6 +22,127 @@ ExperimentConfig small_config(const std::string& bench = "s1196") {
   cfg.max_candidates = 3000;
   cfg.yield_mc_samples = 300;
   return cfg;
+}
+
+// Serial reference for estimate_circuit_yield: one die at a time, delays
+// computed gate by gate from the graph and the spatial model while drawing,
+// then a forward arrival pass over the netlist's own fanin lists.  Returns
+// each die's worst capture arrival.
+std::vector<double> reference_worst_delays(
+    const timing::TimingGraph& graph, const variation::SpatialModel& spatial,
+    std::size_t samples, std::uint64_t seed, double random_scale) {
+  const circuit::Netlist& nl = graph.netlist();
+  std::vector<std::vector<std::size_t>> gate_regions(nl.size());
+  for (std::size_t i = 0; i < nl.size(); ++i) {
+    const circuit::Gate& g = nl.gate(static_cast<circuit::GateId>(i));
+    if (!circuit::is_combinational(g.type)) continue;
+    gate_regions[i] = spatial.covering_regions(g.x, g.y);
+  }
+  std::vector<double> leff(spatial.num_regions()), vt(spatial.num_regions());
+  std::vector<double> delay(nl.size()), arrival(nl.size());
+  std::vector<double> worst_per_die(samples);
+  for (std::size_t s = 0; s < samples; ++s) {
+    util::Rng rng = util::Rng::stream(seed, s);
+    for (double& v : leff) v = rng.normal();
+    for (double& v : vt) v = rng.normal();
+    for (std::size_t i = 0; i < nl.size(); ++i) {
+      const auto id = static_cast<circuit::GateId>(i);
+      const circuit::Gate& g = nl.gate(id);
+      if (!circuit::is_combinational(g.type)) {
+        delay[i] = 0.0;
+        continue;
+      }
+      const auto& sig = graph.gate_sigmas(id);
+      double dl = 0.0, dv = 0.0;
+      for (int l = 0; l < spatial.levels(); ++l) {
+        const double w = spatial.level_weight(l);
+        dl += w * leff[gate_regions[i][static_cast<std::size_t>(l)]];
+        dv += w * vt[gate_regions[i][static_cast<std::size_t>(l)]];
+      }
+      delay[i] = graph.gate_delay_ps(id) + sig.leff * dl + sig.vt * dv +
+                 sig.random * random_scale * rng.normal();
+    }
+    double worst = 0.0;
+    for (circuit::GateId id : graph.topological_order()) {
+      const circuit::Gate& g = nl.gate(id);
+      double arr = 0.0;
+      for (circuit::GateId d : g.fanin) {
+        arr = std::max(arr, arrival[static_cast<std::size_t>(d)]);
+      }
+      arrival[static_cast<std::size_t>(id)] =
+          arr + delay[static_cast<std::size_t>(id)];
+      if (g.type == circuit::GateType::kOutput) {
+        worst = std::max(worst, arrival[static_cast<std::size_t>(id)]);
+      }
+    }
+    worst_per_die[s] = worst;
+  }
+  return worst_per_die;
+}
+
+double reference_yield(const std::vector<double>& worst_per_die,
+                       double t_cons) {
+  std::size_t pass = 0;
+  for (double w : worst_per_die) pass += w <= t_cons ? 1 : 0;
+  return static_cast<double>(pass) /
+         static_cast<double>(worst_per_die.size());
+}
+
+TEST(Experiment, YieldMatchesReferenceSampler) {
+  // 203 dies: six full 32-die chunks and a short 11-die chunk whose last
+  // lane group holds three dies.
+  constexpr std::size_t kSamples = 203;
+  constexpr std::uint64_t kSeed = 0x5eed;
+  const std::size_t saved_threads = util::thread_count();
+  for (const char* bench : {"s1196", "s1423", "s5378"}) {
+    for (double random_scale : {1.0, 3.0}) {
+      SCOPED_TRACE(std::string(bench) + " random_scale " +
+                   std::to_string(random_scale));
+      ExperimentConfig cfg = small_config(bench);
+      cfg.random_scale = random_scale;
+      const Experiment e(cfg);
+      const std::vector<double> worst = reference_worst_delays(
+          e.graph(), e.spatial(), kSamples, kSeed, random_scale);
+      // Tcons around nominal, plus probes on both sides of a few dies' exact
+      // worst delays: a one-ulp move of any probed die flips its verdict.
+      std::vector<double> t_cons;
+      for (double f : {0.97, 1.0, 1.03}) t_cons.push_back(f * e.nominal_delay_ps());
+      for (std::size_t s : {0u, 7u, 8u, 31u, 100u, 202u}) {
+        t_cons.push_back(worst[s]);
+        t_cons.push_back(std::nextafter(worst[s], 0.0));
+      }
+      for (std::size_t threads : {1u, 4u}) {
+        util::set_threads(threads);
+        for (double t : t_cons) {
+          EXPECT_EQ(estimate_circuit_yield(e.graph(), e.spatial(), t, kSamples,
+                                           kSeed, random_scale),
+                    reference_yield(worst, t))
+              << "threads " << threads << ", t_cons " << t;
+        }
+      }
+    }
+  }
+  util::set_threads(saved_threads);
+}
+
+TEST(Experiment, RecordsOneSpanPerStage) {
+  const bool was_enabled = util::telemetry::enabled();
+  util::telemetry::set_enabled(true);
+  util::telemetry::reset();
+  const Experiment first(small_config());
+  const Experiment second(small_config("s1423"));
+  const util::telemetry::Snapshot snap = util::telemetry::snapshot();
+  util::telemetry::reset();
+  util::telemetry::set_enabled(was_enabled);
+  for (const char* stage : {"generate", "sta", "yield_mc", "enumerate",
+                            "filter", "model"}) {
+    const std::string name = std::string("core.experiment.") + stage;
+    const auto it = std::find_if(
+        snap.spans.begin(), snap.spans.end(),
+        [&](const util::telemetry::SpanSample& sp) { return sp.name == name; });
+    ASSERT_NE(it, snap.spans.end()) << name;
+    EXPECT_EQ(it->count, 2u) << name;
+  }
 }
 
 TEST(Experiment, BuildsSmallBenchmark) {

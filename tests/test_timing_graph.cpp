@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "circuit/generator.h"
 #include "test_helpers.h"
+#include "timing/sizing.h"
 
 namespace repro::timing {
 namespace {
@@ -62,6 +64,32 @@ TEST(TimingGraph, TopologicalOrderCached) {
   const circuit::GateLibrary lib;
   const TimingGraph tg(nl, lib);
   EXPECT_EQ(tg.topological_order().size(), nl.size());
+}
+
+TEST(TimingGraph, TopologicalCsrMirrorsNetlistPins) {
+  const circuit::Netlist nl = circuit::generate_benchmark("s1423");
+  const circuit::GateLibrary lib;
+  TimingGraph tg(nl, lib);
+  // Sizing rewrites delays only; the adjacency built in the constructor
+  // must still describe the netlist.
+  emulate_area_recovery(tg);
+  const auto& topo = tg.topological_order();
+  for (std::size_t t = 0; t < topo.size(); ++t) {
+    ASSERT_EQ(tg.topo_position(topo[t]), t);
+    const circuit::Gate& g = nl.gate(topo[t]);
+    const auto fanin = tg.fanin_positions(t);
+    const auto fanout = tg.fanout_positions(t);
+    ASSERT_EQ(fanin.size(), g.fanin.size());
+    ASSERT_EQ(fanout.size(), g.fanout.size());
+    for (std::size_t k = 0; k < fanin.size(); ++k) {
+      EXPECT_EQ(topo[fanin[k]], g.fanin[k]);
+      EXPECT_LT(fanin[k], t);
+    }
+    for (std::size_t k = 0; k < fanout.size(); ++k) {
+      EXPECT_EQ(topo[fanout[k]], g.fanout[k]);
+      EXPECT_GT(fanout[k], t);
+    }
+  }
 }
 
 }  // namespace
