@@ -116,7 +116,8 @@ BENCHMARK(BM_Gram)->Arg(128)->Arg(256);
 
 void BM_QrColPivot(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = random_matrix(n, 2 * n, 6);
+  // 2n candidates of length n (candidate-major), the wide shape of U_r^T.
+  const linalg::Matrix a = random_matrix(2 * n, n, 6);
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::qr_colpivot(a));
   }

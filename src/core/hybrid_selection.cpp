@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "core/path_selection.h"
 #include "core/subset_select.h"
@@ -49,8 +50,9 @@ void prune_measurements(const linalg::Matrix& a, const linalg::Matrix& sigma,
   for (int s : rep_segments) {
     m.set_row(row++, sigma.row(static_cast<std::size_t>(s)));
   }
-  // Pivoted QR on M^T: pivot columns = linearly independent measurement rows.
-  const linalg::QrcpResult f = linalg::qr_colpivot(m.transposed());
+  // Pivoted QR on M^T (its candidates are the rows of M): pivot candidates =
+  // linearly independent measurement rows.
+  const linalg::QrcpResult f = linalg::qr_colpivot(std::move(m));
   const std::size_t rank = linalg::qrcp_rank(f);
   std::vector<char> keep(n_meas, 0);
   for (std::size_t k = 0; k < rank; ++k) {

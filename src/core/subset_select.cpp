@@ -76,12 +76,13 @@ std::vector<int> SubsetSelector::select(std::size_t r) const {
   const auto hit = select_memo_.find(r);
   if (hit != select_memo_.end()) return hit->second;
   ensure_captured(r);
-  // U_r^T is r x n; column pivoting needs only the first r pivot steps.
-  linalg::Matrix urt(r, rows_);
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < rows_; ++j) urt(i, j) = u_(j, i);
+  // QRCP on U_r^T, whose columns are the rows of U_r: candidate j is the
+  // first r entries of row j of u_.  Only the first r pivots are needed.
+  linalg::Matrix ur(rows_, r);
+  for (std::size_t j = 0; j < rows_; ++j) {
+    std::copy_n(u_.row(j).data(), r, ur.row(j).data());
   }
-  const linalg::QrcpResult f = linalg::qr_colpivot(std::move(urt), r);
+  const linalg::QrcpResult f = linalg::qr_colpivot(std::move(ur), r);
   std::vector<int> rows(f.perm.begin(),
                         f.perm.begin() + static_cast<std::ptrdiff_t>(r));
   return select_memo_.emplace(r, std::move(rows)).first->second;

@@ -74,8 +74,10 @@ void tred2(Matrix& a, Vector& d, Vector& e) {
 }
 
 // Implicit-shift QL iteration on the tridiagonal (d, e); accumulates the
-// rotations into `a`.
-bool tql2(Matrix& a, Vector& d, Vector& e) {
+// rotations into `z`, which holds the transform transposed: row k is
+// eigenvector k.  Each Givens rotation then combines two contiguous rows,
+// with the same per-element arithmetic as on the columns of the transform.
+bool tql2(Matrix& z, Vector& d, Vector& e) {
   const int n = static_cast<int>(d.size());
   for (int i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
@@ -113,10 +115,12 @@ bool tql2(Matrix& a, Vector& d, Vector& e) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
+          double* zi = z.row(static_cast<std::size_t>(i)).data();
+          double* zi1 = z.row(static_cast<std::size_t>(i) + 1).data();
           for (int k = 0; k < n; ++k) {
-            f = a(k, i + 1);
-            a(k, i + 1) = s * a(k, i) + c * f;
-            a(k, i) = c * a(k, i) - s * f;
+            f = zi1[k];
+            zi1[k] = s * zi[k] + c * f;
+            zi[k] = c * zi[k] - s * f;
           }
         }
         if (r == 0.0 && i >= l) continue;
@@ -139,24 +143,23 @@ EigenSymResult eigen_sym(Matrix s) {
   if (s.rows() == 0) return out;
   Vector e;
   tred2(s, out.values, e);
-  out.converged = tql2(s, out.values, e);
-  out.vectors = std::move(s);
+  Matrix z = s.transposed();
+  out.converged = tql2(z, out.values, e);
 
-  // Sort ascending with matching eigenvector columns (insertion sort; QL
+  // Sort ascending with matching eigenvector rows (insertion sort; QL
   // output is nearly sorted already).
   const std::size_t n = out.values.size();
   for (std::size_t i = 1; i < n; ++i) {
     const double val = out.values[i];
-    const Vector col = out.vectors.column(i);
     std::size_t j = i;
     while (j > 0 && out.values[j - 1] > val) {
       out.values[j] = out.values[j - 1];
-      out.vectors.set_column(j, out.vectors.column(j - 1));
+      z.swap_rows(j, j - 1);
       --j;
     }
     out.values[j] = val;
-    out.vectors.set_column(j, col);
   }
+  out.vectors = z.transposed();
   return out;
 }
 

@@ -65,8 +65,7 @@ TEST_P(SelectorShapeProperty, RankSpectrumAndExactSelection) {
   for (std::size_t k = 1; k < s.size(); ++k) EXPECT_LE(s[k], s[k - 1]);
   // Theorem 1: the exact selection's rows are independent.
   const linalg::Matrix a_r = a.select_rows(sel.select(sel.rank()));
-  EXPECT_EQ(linalg::qrcp_rank(linalg::qr_colpivot(a_r.transposed())),
-            expected_rank);
+  EXPECT_EQ(linalg::qrcp_rank(linalg::qr_colpivot(a_r)), expected_rank);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -52,12 +52,12 @@ SubsetSelector selector_for(const linalg::Matrix& a) {
 std::vector<int> dense_reference_select(const linalg::EigenSymResult& eig,
                                         std::size_t r) {
   const std::size_t n = eig.values.size();
-  linalg::Matrix urt(r, n);
-  for (std::size_t i = 0; i < r; ++i) {
+  linalg::Matrix ur(n, r);  // candidate-major U_r^T: row j is path j
+  for (std::size_t j = 0; j < n; ++j) {
     // Eigenvalues come ascending; U_r takes the r largest.
-    for (std::size_t j = 0; j < n; ++j) urt(i, j) = eig.vectors(j, n - 1 - i);
+    for (std::size_t i = 0; i < r; ++i) ur(j, i) = eig.vectors(j, n - 1 - i);
   }
-  const linalg::QrcpResult q = linalg::qr_colpivot(std::move(urt), r);
+  const linalg::QrcpResult q = linalg::qr_colpivot(std::move(ur), r);
   return {q.perm.begin(), q.perm.begin() + static_cast<std::ptrdiff_t>(r)};
 }
 
@@ -112,10 +112,10 @@ TEST(SubsetSelect, SelectedRowsAreIndependent) {
   const linalg::Matrix a = random_matrix(30, 12, 5);
   const SubsetSelector sel = selector_for(a);
   EXPECT_EQ(sel.rank(), 12u);
-  // Rank of A_r by QR with column pivoting on A_r^T, a route the selector
-  // never takes.
+  // Rank of A_r by QR with column pivoting on A_r^T (candidate-major input:
+  // the rows of A_r), a route the selector never takes.
   const linalg::Matrix a_r = a.select_rows(sel.select(sel.rank()));
-  EXPECT_EQ(linalg::qrcp_rank(linalg::qr_colpivot(a_r.transposed())), 12u);
+  EXPECT_EQ(linalg::qrcp_rank(linalg::qr_colpivot(a_r)), 12u);
 }
 
 TEST(SubsetSelect, PivotOrderPrefersDominantRows) {
