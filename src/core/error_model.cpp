@@ -137,8 +137,4 @@ SelectionErrors selection_errors(const linalg::Matrix& a,
   return selection_errors_from_gram(linalg::gram(a), rep, t_cons, kappa);
 }
 
-double worst_case_gaussian(double mean, double sigma, double kappa) {
-  return std::abs(mean) + kappa * sigma;
-}
-
 }  // namespace repro::core

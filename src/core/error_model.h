@@ -47,8 +47,4 @@ SelectionErrors selection_errors(const linalg::Matrix& a,
                                  const std::vector<int>& rep, double t_cons,
                                  double kappa);
 
-// Worst-case value of a Gaussian(mean, sigma): |mean| + kappa * sigma.  Used
-// wherever the error has a nonzero mean (hybrid segment modeling).
-double worst_case_gaussian(double mean, double sigma, double kappa);
-
 }  // namespace repro::core

@@ -65,6 +65,33 @@ struct DieChunk {
   linalg::Matrix meas;   // A_meas x, n_meas x c
 };
 
+// The engine's row-compressed sensitivities of one predictor, taken by id
+// from the model: remaining paths, then the measured paths and segments in
+// LinearPredictor's mu_meas order.  Every evaluator reads its rows here, so
+// no predictor carries an n_rem x m copy of A.
+struct PredictorRows {
+  linalg::SparseRows rem;   // A_rem
+  linalg::SparseRows meas;  // A_meas
+};
+
+PredictorRows predictor_rows(const variation::VariationModel& model,
+                             const LinearPredictor& p) {
+  const auto append = [](linalg::SparseRows& rows, const linalg::Matrix& src,
+                         int id) {
+    const auto i = static_cast<std::size_t>(id);
+    if (id < 0 || i >= src.rows()) {
+      throw std::out_of_range("predictor_rows: bad row index");
+    }
+    rows.append_row(src.row(i));
+  };
+  PredictorRows out{linalg::SparseRows(model.num_params()),
+                    linalg::SparseRows(model.num_params())};
+  for (int i : p.remaining) append(out.rem, model.a(), i);
+  for (int i : p.measured_paths) append(out.meas, model.a(), i);
+  for (int s : p.measured_segments) append(out.meas, model.sigma(), s);
+  return out;
+}
+
 // The die-block engine every evaluator runs on.  Die k draws its parameter
 // sample from its own indexed RNG stream (seed, k), so its values depend on
 // k alone; dies are grouped into fixed chunks [ci * chunk, (ci + 1) * chunk)
@@ -77,11 +104,10 @@ struct DieChunk {
 // layout changes the time per chunk and nothing else.
 class DieStream {
  public:
-  DieStream(std::size_t num_params, linalg::SparseRows a_rem,
-            linalg::SparseRows a_meas, const McOptions& options)
+  DieStream(std::size_t num_params, PredictorRows rows,
+            const McOptions& options)
       : m_(num_params),
-        a_rem_(std::move(a_rem)),
-        a_meas_(std::move(a_meas)),
+        rows_(std::move(rows)),
         samples_(options.samples),
         chunk_(std::max<std::size_t>(1, options.chunk)),
         seed_(options.seed) {}
@@ -100,7 +126,8 @@ class DieStream {
       }
     }
     const util::telemetry::Span span("core.mc.product");
-    return {first, linalg::multiply(a_rem_, x), linalg::multiply(a_meas_, x)};
+    return {first, linalg::multiply(rows_.rem, x),
+            linalg::multiply(rows_.meas, x)};
   }
 
   // Parallel policy: score(chunk, slot) runs on any pool thread, one slot per
@@ -139,8 +166,7 @@ class DieStream {
 
  private:
   std::size_t m_;
-  linalg::SparseRows a_rem_;
-  linalg::SparseRows a_meas_;
+  PredictorRows rows_;
   std::size_t samples_;
   std::size_t chunk_;
   std::uint64_t seed_;
@@ -194,23 +220,7 @@ McMetrics evaluate_predictor(const variation::VariationModel& model,
   const util::telemetry::Span span("core.mc.evaluate");
   util::telemetry::count("core.mc.samples", options.samples);
 
-  // Sensitivity rows taken by id straight from the model: remaining paths,
-  // then the measured paths and segments in LinearPredictor's mu_meas order.
-  const linalg::Matrix& a = model.a();
-  const linalg::Matrix& sigma = model.sigma();
-  const auto append = [](linalg::SparseRows& rows, const linalg::Matrix& src,
-                         int id) {
-    const auto i = static_cast<std::size_t>(id);
-    if (id < 0 || i >= src.rows()) {
-      throw std::out_of_range("evaluate_predictor: bad row index");
-    }
-    rows.append_row(src.row(i));
-  };
-  linalg::SparseRows a_rem(model.num_params()), a_meas(model.num_params());
-  for (int i : predictor.remaining) append(a_rem, a, i);
-  for (int i : predictor.measured_paths) append(a_meas, a, i);
-  for (int s : predictor.measured_segments) append(a_meas, sigma, s);
-  const DieStream dies(model.num_params(), std::move(a_rem), std::move(a_meas),
+  const DieStream dies(model.num_params(), predictor_rows(model, predictor),
                        options);
 
   // Clean policy: one coef x y GEMM per chunk gives the centered predictions.
@@ -253,9 +263,7 @@ FaultyMcMetrics evaluate_predictor_under_faults(
   // Faulty policy: die k's fault schedule comes from stream(faults.seed, k)
   // inside apply_faults, then a robust or naive predict per die.
   const DieStream dies(model.num_params(),
-                       linalg::SparseRows::from_dense(predictor.a_rem),
-                       linalg::SparseRows::from_dense(predictor.a_meas),
-                       options.mc);
+                       predictor_rows(model, predictor.base), options.mc);
   const std::vector<FaultSlot> slots = dies.map(
       FaultSlot{ErrorAcc(n_rem), {}},
       [&](const DieChunk& ch, FaultSlot& slot) {
@@ -367,6 +375,9 @@ StreamingMcMetrics evaluate_predictor_streaming(
     return out;
   }
 
+  // Building the rows also checks every id the drift images read.
+  const DieStream dies(m, predictor_rows(model, predictor.base), options.mc);
+
   // Shift images of the injected drift scenario (once, outside the loop):
   // the silicon mean moves by `delta`, so measured slots shift by
   // A_meas delta and true remaining delays by A_rem delta.
@@ -389,8 +400,16 @@ StreamingMcMetrics evaluate_predictor_streaming(
                        std::sqrt(static_cast<double>(std::max<std::size_t>(m, 1)));
       for (std::size_t i = 0; i < m; ++i) delta[i] = s;
     }
-    drift_meas = linalg::matvec(predictor.a_meas, delta);
-    drift_rem = linalg::matvec(predictor.a_rem, delta);
+    const auto image = [&](const std::vector<int>& ids) {
+      linalg::Vector v(ids.size());
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        v[k] = linalg::dot(model.a().row(static_cast<std::size_t>(ids[k])),
+                           delta);
+      }
+      return v;
+    };
+    drift_meas = image(predictor.base.measured_paths);
+    drift_rem = image(predictor.base.remaining);
   }
 
   out.guardband_trajectory.reserve(options.mc.samples);
@@ -398,9 +417,6 @@ StreamingMcMetrics evaluate_predictor_streaming(
 
   // Streaming policy: the calibrator recursion is order-dependent, so it
   // consumes dies in strict index order into one die-ordered accumulator.
-  const DieStream dies(m, linalg::SparseRows::from_dense(predictor.a_rem),
-                       linalg::SparseRows::from_dense(predictor.a_meas),
-                       options.mc);
   ErrorAcc err(n_rem);
   double prev_guard = out.initial_guardband;
   linalg::Vector clean(n_meas);

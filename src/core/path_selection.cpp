@@ -119,15 +119,14 @@ PathSelectionResult select_representative_paths(
   return out;
 }
 
+// The Gram overload validates t_cons and the rank; the selector checks the
+// Gram shape.
+// repro-lint: allow(contracts)
 PathSelectionResult select_representative_paths(
-    const linalg::Matrix& a, double t_cons, const PathSelectionOptions& options,
-    const linalg::Matrix* gram) {
-  REPRO_CHECK(gram == nullptr || gram->rows() == a.rows(),
-              "select_representative_paths: precomputed Gram vs path count");
+    const linalg::Matrix& a, double t_cons,
+    const PathSelectionOptions& options) {
   linalg::Matrix w;
-  if (gram != nullptr) {
-    w = *gram;
-  } else {
+  {
     const util::telemetry::Span span("core.select.gram");
     w = linalg::gram(a);
   }

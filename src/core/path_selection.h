@@ -46,12 +46,12 @@ struct PathSelectionResult {
   std::size_t candidates_evaluated = 0;
 };
 
-// Selects representative paths from A (rows = target paths).  `gram` may be
-// passed in when precomputed (A A^T; the selector keeps a copy); pass nullptr
-// to compute it internally.
+// Selects representative paths from A (rows = target paths), forming the
+// Gram matrix A A^T internally.  A caller that already holds it builds a
+// SubsetSelector and uses the overload below.
 PathSelectionResult select_representative_paths(
-    const linalg::Matrix& a, double t_cons, const PathSelectionOptions& options,
-    const linalg::Matrix* gram = nullptr);
+    const linalg::Matrix& a, double t_cons,
+    const PathSelectionOptions& options);
 
 // Same, reusing an existing SubsetSelector (shared factors); `gram` is W,
 // usually selector.gram().

@@ -2,32 +2,108 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "linalg/gemm.h"
 #include "linalg/solve.h"
 #include "util/contracts.h"
+#include "util/stats.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace repro::core {
 namespace {
 
-// Shared core: given the measurement matrix m_y (n_meas x m) and the
-// remaining-path sensitivities a_rem, build coef = A_rem M_y^T (M_y M_y^T)^+
-// and omega = coef * M_y - A_rem.
-void build(LinearPredictor& p, const linalg::Matrix& a_rem,
-           const linalg::Matrix& m_y) {
-  // Gram of the measurements (n_meas x n_meas) and cross block.
-  const linalg::Matrix s = linalg::gram(m_y);
-  const linalg::Matrix cross = linalg::multiply_bt(a_rem, m_y);
-  // coef^T = S^+ cross^T  ->  solve S Z = cross^T.
-  // S can be singular when measurements are redundant; pseudo-inverse via
-  // regularized Cholesky matches the paper's () ^+ notation.
-  const linalg::Matrix z = linalg::spd_solve(s, cross.transposed());
-  p.coef = z.transposed();
-  p.omega = linalg::multiply(p.coef, m_y);
-  p.omega -= a_rem;
+// `id` as an index into n rows; throws std::out_of_range outside [0, n).
+std::size_t row_index(int id, std::size_t n) {
+  if (id < 0 || static_cast<std::size_t>(id) >= n) {
+    throw std::out_of_range("row index " + std::to_string(id) +
+                            " outside [0, " + std::to_string(n) + ")");
+  }
+  return static_cast<std::size_t>(id);
+}
+
+// Path indices in [0, n) outside `measured`, ascending.
+std::vector<int> complement(std::size_t n, const std::vector<int>& measured) {
+  std::vector<char> in(n, 0);
+  for (int i : measured) in[row_index(i, n)] = 1;
+  std::vector<int> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!in[i]) out.push_back(static_cast<int>(i));
+  }
+  return out;
+}
+
+// What the Theorem-2 build forms on the way to coef; the robust builder keeps
+// all three.
+struct Theorem2Blocks {
+  linalg::Matrix m_y;    // measured rows M_y (n_meas x m)
+  linalg::Matrix gram;   // M_y M_y^T
+  linalg::Matrix cross;  // M_y A_rem^T (n_meas x n_rem)
+};
+
+// The Theorem-2 build every predictor goes through.  The caller sets p's
+// measured_paths, measured_segments and remaining; this gathers their means
+// and rows (paths from `a`, segments from `sigma`), forms gram(M_y) and the
+// cross block, and solves gram * coef^T = cross against `factor(gram)`, a
+// Cholesky factor carrying the caller's regularization policy.  The per-path
+// error sigmas are the row norms of Omega = coef * M_y - A_rem, which lives
+// only inside this call.  Returns nothing, with coef left empty, when the
+// factor is not ok.
+template <class Factor>
+std::optional<Theorem2Blocks> build(
+    LinearPredictor& p, Factor&& factor, const linalg::Matrix& a,
+    const linalg::Vector& mu_paths, const linalg::Matrix* sigma = nullptr,
+    const linalg::Vector* mu_segments = nullptr) {
+  const std::size_t n_meas =
+      p.measured_paths.size() + p.measured_segments.size();
+  const std::size_t n_paths = std::min(a.rows(), mu_paths.size());
+  Theorem2Blocks t;
+  t.m_y = linalg::Matrix(n_meas, a.cols());
+  p.mu_meas.resize(n_meas);
+  std::size_t row = 0;
+  for (int id : p.measured_paths) {
+    const std::size_t i = row_index(id, n_paths);
+    t.m_y.set_row(row, a.row(i));
+    p.mu_meas[row++] = mu_paths[i];
+  }
+  for (int id : p.measured_segments) {
+    const std::size_t s =
+        row_index(id, std::min(sigma->rows(), mu_segments->size()));
+    t.m_y.set_row(row, sigma->row(s));
+    p.mu_meas[row++] = (*mu_segments)[s];
+  }
+  p.mu_rem.resize(p.remaining.size());
+  for (std::size_t k = 0; k < p.remaining.size(); ++k) {
+    p.mu_rem[k] = mu_paths[row_index(p.remaining[k], n_paths)];
+  }
+
+  t.gram = linalg::gram(t.m_y);
+  t.cross = linalg::multiply_bt(a.select_rows(p.remaining), t.m_y).transposed();
+  const linalg::CholFactors f = factor(t.gram);
+  if (!f.ok) return std::nullopt;
+  p.coef = linalg::chol_solve(f, t.cross).transposed();
+  // Omega row by row: subtracting a_i in place is the elementwise
+  // Matrix -= A_rem, without a second n_rem x m block.
+  linalg::Matrix omega = linalg::multiply(p.coef, t.m_y);
+  p.sigma.resize(omega.rows());
+  for (std::size_t i = 0; i < omega.rows(); ++i) {
+    const auto row = omega.row(i);
+    const auto a_i = a.row(static_cast<std::size_t>(p.remaining[i]));
+    for (std::size_t j = 0; j < row.size(); ++j) row[j] -= a_i[j];
+    p.sigma[i] = linalg::norm2(row);
+  }
+  return t;
+}
+
+// The clean builders' policy: the smallest jitter that lets S factor, which
+// matches the paper's ( )^+ when measurements are redundant.  Throws when no
+// jitter up to max_abs(S) helps.
+linalg::CholFactors factor_regularized(const linalg::Matrix& s) {
+  return linalg::chol_factor_regularized(s).factors;
 }
 
 }  // namespace
@@ -44,14 +120,6 @@ linalg::Vector LinearPredictor::predict(
   linalg::Vector out = linalg::matvec(coef, centered);
   for (std::size_t i = 0; i < out.size(); ++i) out[i] += mu_rem[i];
   return out;
-}
-
-linalg::Vector LinearPredictor::error_sigmas() const {
-  linalg::Vector s(omega.rows());
-  for (std::size_t i = 0; i < omega.rows(); ++i) {
-    s[i] = linalg::norm2(omega.row(i));
-  }
-  return s;
 }
 
 linalg::Matrix predict_panel(const LinearPredictor& p,
@@ -102,22 +170,8 @@ LinearPredictor make_path_predictor(const linalg::Matrix& a,
   }
   LinearPredictor p;
   p.measured_paths = rep;
-  std::vector<char> is_rep(a.rows(), 0);
-  for (int i : rep) is_rep[static_cast<std::size_t>(i)] = 1;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    if (!is_rep[i]) p.remaining.push_back(static_cast<int>(i));
-  }
-  const linalg::Matrix a_r = a.select_rows(rep);
-  const linalg::Matrix a_m = a.select_rows(p.remaining);
-  p.mu_meas.resize(rep.size());
-  for (std::size_t k = 0; k < rep.size(); ++k) {
-    p.mu_meas[k] = mu[static_cast<std::size_t>(rep[k])];
-  }
-  p.mu_rem.resize(p.remaining.size());
-  for (std::size_t k = 0; k < p.remaining.size(); ++k) {
-    p.mu_rem[k] = mu[static_cast<std::size_t>(p.remaining[k])];
-  }
-  build(p, a_m, a_r);
+  p.remaining = complement(a.rows(), rep);
+  build(p, factor_regularized, a, mu);
   return p;
 }
 
@@ -139,28 +193,7 @@ LinearPredictor make_joint_predictor(const linalg::Matrix& a,
   p.measured_paths = rep_paths;
   p.measured_segments = rep_segments;
   p.remaining = remaining;
-
-  const std::size_t n_meas = rep_paths.size() + rep_segments.size();
-  linalg::Matrix m_y(n_meas, a.cols());
-  p.mu_meas.resize(n_meas);
-  std::size_t row = 0;
-  for (int i : rep_paths) {
-    m_y.set_row(row, a.row(static_cast<std::size_t>(i)));
-    p.mu_meas[row] = mu_paths[static_cast<std::size_t>(i)];
-    ++row;
-  }
-  for (int s : rep_segments) {
-    m_y.set_row(row, sigma.row(static_cast<std::size_t>(s)));
-    p.mu_meas[row] = mu_segments[static_cast<std::size_t>(s)];
-    ++row;
-  }
-
-  const linalg::Matrix a_m = a.select_rows(remaining);
-  p.mu_rem.resize(remaining.size());
-  for (std::size_t k = 0; k < remaining.size(); ++k) {
-    p.mu_rem[k] = mu_paths[static_cast<std::size_t>(remaining[k])];
-  }
-  build(p, a_m, m_y);
+  build(p, factor_regularized, a, mu_paths, &sigma, &mu_segments);
   return p;
 }
 
@@ -176,26 +209,6 @@ const char* to_string(PredictorHealth h) {
   }
   return "?";
 }
-
-namespace {
-
-double median_abs(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  for (double& x : v) x = std::abs(x);
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
-                   v.end());
-  double m = v[mid];
-  if (v.size() % 2 == 0) {
-    // Lower-half max completes the even-size median.
-    double lo = v[0];
-    for (std::size_t i = 1; i < mid; ++i) lo = std::max(lo, v[i]);
-    m = 0.5 * (m + lo);
-  }
-  return m;
-}
-
-}  // namespace
 
 linalg::Vector RobustPredictor::error_sigmas() const {
   linalg::Vector s = base.error_sigmas();
@@ -271,13 +284,15 @@ RobustPrediction RobustPredictor::predict(std::span<const double> measured,
     // Residuals and a robust scale estimate (MAD, floored at the sensor
     // noise so a lucky die cannot declare everything an outlier).
     const linalg::Vector sz = linalg::matvec(s0, z);
-    std::vector<double> resid(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) resid[i] = r0[i] - sz[i];
+    std::vector<double> abs_resid(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      abs_resid[i] = std::abs(r0[i] - sz[i]);
+    }
     scale = std::max(options.measurement_sigma_ps,
-                     1.4826 * median_abs(resid));
+                     1.4826 * util::median(abs_resid));
     double max_dw = 0.0;
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      const double ar = std::abs(resid[i]);
+      const double ar = abs_resid[i];
       const double wi =
           (ar <= options.huber_delta * scale || ar == 0.0)
               ? 1.0
@@ -398,34 +413,31 @@ RobustPredictor make_robust_path_predictor(const linalg::Matrix& a,
 
   LinearPredictor& p = rp.base;
   p.measured_paths = live;
-  for (int i = 0; i < n; ++i) {
-    if (!in_meas[static_cast<std::size_t>(i)]) p.remaining.push_back(i);
-  }
-  rp.a_meas = a.select_rows(live);
-  rp.a_rem = a.select_rows(p.remaining);
-  p.mu_meas.resize(live.size());
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    p.mu_meas[k] = mu[static_cast<std::size_t>(live[k])];
-  }
-  p.mu_rem.resize(p.remaining.size());
-  for (std::size_t k = 0; k < p.remaining.size(); ++k) {
-    p.mu_rem[k] = mu[static_cast<std::size_t>(p.remaining[k])];
-  }
-
-  // Reported robust Gram solve instead of the throwing spd_solve.
-  rp.gram_meas = linalg::gram(rp.a_meas);
-  rp.cross = linalg::multiply_bt(rp.a_rem, rp.a_meas).transposed();
+  p.remaining = complement(a.rows(), live);
+  // Reported condition-gated ridge instead of the throwing jitter policy.
   linalg::SpdSolveInfo info;
-  const linalg::Matrix z = linalg::spd_solve_robust(
-      rp.gram_meas, rp.cross, &info, options.max_condition);
+  std::optional<Theorem2Blocks> t = build(
+      p,
+      [&](const linalg::Matrix& s) {
+        linalg::SpdFactor sf =
+            linalg::spd_factor_robust(s, options.max_condition);
+        info = sf.info;
+        return std::move(sf.factors);
+      },
+      a, mu);
   rp.status.gram_condition = info.condition;
   rp.status.ridge = info.ridge;
-  if (!info.ok) {
+  if (!t) {
     return fail("measured Gram system unsolvable (non-finite sensitivities?)");
   }
-  p.coef = z.transposed();
-  p.omega = linalg::multiply(p.coef, rp.a_meas);
-  p.omega -= rp.a_rem;
+  rp.a_meas = std::move(t->m_y);
+  rp.gram_meas = std::move(t->gram);
+  rp.cross = std::move(t->cross);
+  rp.rem_norm2.resize(p.remaining.size());
+  for (std::size_t k = 0; k < p.remaining.size(); ++k) {
+    const auto row = a.row(static_cast<std::size_t>(p.remaining[k]));
+    rp.rem_norm2[k] = linalg::dot(row, row);
+  }
 
   // Status roll-up: ridge fallback or dead-path drop => degraded.
   const bool degraded = info.regularized || !rp.status.dropped_paths.empty();

@@ -28,14 +28,14 @@ struct LinearPredictor {
   std::vector<int> measured_paths;     // target-path indices measured
   std::vector<int> measured_segments;  // segment ids measured (may be empty)
 
-  // The error-shape matrix Omega = coef * M_y - A_rem (paper Eqn (6)):
-  // prediction error Delta = -Omega... stored as rows so that
-  // Delta_i = omega_i . x; per-path error sigma = ||omega row i||.
-  linalg::Matrix omega;
+  // Per-remaining-path one-sigma prediction error (ps): the row norms of
+  // the error shape Omega = coef * M_y - A_rem (paper Eqn (6)), whose row i
+  // maps x to the error Delta_i = omega_i . x.  Omega itself is formed only
+  // during the build, to take these norms.
+  linalg::Vector sigma;
 
   linalg::Vector predict(std::span<const double> measured) const;
-  // Per-remaining-path one-sigma prediction error (ps).
-  linalg::Vector error_sigmas() const;
+  const linalg::Vector& error_sigmas() const { return sigma; }
 };
 
 // Paper Eqn (5): measure the rows `rep` of A; predict all remaining rows.
@@ -141,7 +141,9 @@ struct RobustPrediction {
 struct RobustPredictor {
   LinearPredictor base;    // Theorem-2 predictor on the surviving rep set
   linalg::Matrix a_meas;   // surviving measurement sensitivities (n_meas x m)
-  linalg::Matrix a_rem;    // remaining-path sensitivities   (n_rem x m)
+  // ||a_i||^2 of every remaining path: the streaming calibrator's prior and
+  // covariance floor.  The rows a_i themselves stay in the variation model.
+  linalg::Vector rem_norm2;
   linalg::Matrix gram_meas;  // A_r A_r^T, cached for per-die subset solves
   // A_r A_rem^T (n_meas x n_rem): the measured-space image of every
   // remaining path, through which predict() maps the dual solution.

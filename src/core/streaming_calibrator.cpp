@@ -12,6 +12,7 @@
 #include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
 #include "linalg/solve.h"
+#include "util/stats.h"
 #include "util/telemetry.h"
 
 namespace repro::core {
@@ -69,19 +70,6 @@ bool all_finite(std::span<const double> v) {
   return true;
 }
 
-double median_of(linalg::Vector v) {
-  const std::size_t n = v.size();
-  const std::size_t h = n / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(h),
-                   v.end());
-  double med = v[h];
-  if (n % 2 == 0) {
-    med = 0.5 * (med + *std::max_element(
-                           v.begin(), v.begin() + static_cast<std::ptrdiff_t>(h)));
-  }
-  return med;
-}
-
 }  // namespace
 
 // The streaming entry points deliberately convert every precondition
@@ -103,7 +91,7 @@ StreamingCalibrator::StreamingCalibrator(RobustPredictor predictor,
     return;
   }
   const std::size_t n_meas = predictor_.base.mu_meas.size();
-  const std::size_t n_rem = predictor_.a_rem.rows();
+  const std::size_t n_rem = predictor_.rem_norm2.size();
   // Prior P = I / tau: alpha = 1/tau, K = 0, beta = 0.
   alpha_ = 1.0 / options_.prior_precision;
   k_ = linalg::Matrix(n_meas, n_meas);
@@ -117,12 +105,9 @@ StreamingCalibrator::StreamingCalibrator(RobustPredictor predictor,
     const double root = std::sqrt(std::max(eg.values[j], 0.0));
     for (std::size_t i = 0; i < n_meas; ++i) gram_root_(i, j) *= root;
   }
-  rem_norm2_.resize(n_rem);
   q_.resize(n_rem);
   for (std::size_t i = 0; i < n_rem; ++i) {
-    rem_norm2_[i] = linalg::dot(predictor_.a_rem.row(i),
-                                predictor_.a_rem.row(i));
-    q_[i] = alpha_ * rem_norm2_[i];
+    q_[i] = alpha_ * predictor_.rem_norm2[i];
   }
   base_sigma_ = predictor_.error_sigmas();
   shift_meas_.assign(n_meas, 0.0);
@@ -176,7 +161,9 @@ void StreamingCalibrator::audit_covariance() {
   const double floor =
       std::max(std::abs(hi) / options_.max_condition, 1e-300) * 10.0;
   alpha_ += floor;
-  for (std::size_t i = 0; i < q_.size(); ++i) q_[i] += floor * rem_norm2_[i];
+  for (std::size_t i = 0; i < q_.size(); ++i) {
+    q_[i] += floor * predictor_.rem_norm2[i];
+  }
   status_.last_ridge = floor;
   ++status_.ridge_events;
   if (status_.health == StreamHealth::kOk) {
@@ -381,12 +368,12 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
     if (!drift_armed_) {
       drift_warmup_.push_back(u_stat);
       if (drift_warmup_.size() >= options_.min_dies_for_drift) {
-        drift_mu0_ = median_of(drift_warmup_);
+        drift_mu0_ = util::median(drift_warmup_);
         linalg::Vector dev = drift_warmup_;
         for (double& d : dev) d = std::abs(d - drift_mu0_);
         // MAD -> sigma, floored at the theoretical unit sigma: an over-quiet
         // warmup must not make the monitor trigger-happy.
-        drift_sd0_ = std::max(1.4826 * median_of(std::move(dev)), 1.0);
+        drift_sd0_ = std::max(1.4826 * util::median(std::move(dev)), 1.0);
         drift_var0_ = drift_sd0_ * drift_sd0_;
         drift_armed_ = true;
         drift_warmup_.clear();

@@ -268,7 +268,6 @@ class StreamingCalibrator {
   linalg::Vector beta_;     // n_meas
   linalg::Vector b_;        // A^T beta_ (cached for shift(), m)
   linalg::Matrix gram_root_;   // L = Q Lambda^1/2 with G = L L^T (audit)
-  linalg::Vector rem_norm2_;   // ||a_i||^2 per remaining path (floor)
   linalg::Vector q_;        // a_i^T P a_i per remaining path (ps^2)
   linalg::Vector base_sigma_;  // batch per-path error sigmas (cached)
   linalg::Vector shift_meas_;  // G beta = A_meas b_hat (cached, ps)

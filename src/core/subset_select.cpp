@@ -34,8 +34,13 @@ SubsetSelector::SubsetSelector(const linalg::Matrix& a, linalg::Matrix gram)
   util::telemetry::count("core.select.gram_route");
   // rank(A) from the greedy pivoted Cholesky (O(n rank^2)); eigenpairs are
   // captured on demand by ensure_captured().
-  ensure_greedy();
-  rank_ = greedy_sigma_.size();
+  const double tol = gram_rank_rel_tol(rows_, cols_);
+  linalg::PivotedChol pc =
+      linalg::pivoted_cholesky(gram_, tol * tol);  // eigenvalue-scale tol
+  greedy_sigma_.resize(pc.rank);
+  for (std::size_t k = 0; k < pc.rank; ++k) greedy_sigma_[k] = pc.l(k, k);
+  greedy_order_ = std::move(pc.perm);
+  rank_ = pc.rank;
 }
 
 void SubsetSelector::ensure_captured(std::size_t k) const {
@@ -88,16 +93,6 @@ std::vector<int> SubsetSelector::select(std::size_t r) const {
   return select_memo_.emplace(r, std::move(rows)).first->second;
 }
 
-void SubsetSelector::ensure_greedy() const {
-  if (!greedy_order_.empty()) return;
-  const double tol = gram_rank_rel_tol(rows_, cols_);
-  linalg::PivotedChol pc =
-      linalg::pivoted_cholesky(gram_, tol * tol);  // eigenvalue-scale tol
-  greedy_sigma_.resize(pc.rank);
-  for (std::size_t k = 0; k < pc.rank; ++k) greedy_sigma_[k] = pc.l(k, k);
-  greedy_order_ = std::move(pc.perm);
-}
-
 const std::vector<int>& SubsetSelector::greedy_order(
     const linalg::Matrix& gram) const {
   REPRO_CHECK_DIM(gram.rows(), gram.cols(),
@@ -106,13 +101,7 @@ const std::vector<int>& SubsetSelector::greedy_order(
     throw std::invalid_argument(
         "SubsetSelector::greedy_order: Gram order vs path count");
   }
-  ensure_greedy();
   return greedy_order_;
-}
-
-const linalg::Vector& SubsetSelector::greedy_sigma() const {
-  ensure_greedy();
-  return greedy_sigma_;
 }
 
 }  // namespace repro::core

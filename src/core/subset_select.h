@@ -53,7 +53,7 @@ class SubsetSelector {
   // Greedy residual-variance selection: the pivot order of a rank-revealing
   // Cholesky of W (equivalently, QR with column pivoting on A^T, without the
   // SVD truncation of Algorithm 2).  Every prefix is a selection, so one
-  // factorization serves every r.  Computed once and cached.  Only the
+  // factorization serves every r.  Computed by the constructor.  Only the
   // first greedy_sigma().size() entries are pivots; the tail lists the
   // never-chosen indices.  `gram` must be this selector's W (usually
   // gram()); only its order is checked.
@@ -64,22 +64,21 @@ class SubsetSelector {
   // entry k is max_i sqrt(Var(Delta_i)) over the paths outside the first
   // k pivots: the worst-case error of that prefix is kappa * sigma[k].  The
   // entries are non-increasing; the size is the pivoted rank.
-  const linalg::Vector& greedy_sigma() const;
+  const linalg::Vector& greedy_sigma() const { return greedy_sigma_; }
 
  private:
   void ensure_captured(std::size_t k) const;
-  void ensure_greedy() const;
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t rank_ = 0;
   linalg::Matrix gram_;
+  std::vector<int> greedy_order_;  // pivoted-Cholesky order of W
+  linalg::Vector greedy_sigma_;    // its diagonal; size = rank_
   // Captured leading singular values of A and their left singular vectors
   // (columns of u_), grown on demand.
   mutable linalg::Vector s_;
   mutable linalg::Matrix u_;
-  mutable std::vector<int> greedy_order_;  // pivoted-Cholesky order, lazy
-  mutable linalg::Vector greedy_sigma_;    // its diagonal, same lifetime
   // Memoized select(r) results (selector is logically const; probes repeat).
   mutable std::map<std::size_t, std::vector<int>> select_memo_;
 };

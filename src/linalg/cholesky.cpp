@@ -60,7 +60,7 @@ CholFactors chol_factor(Matrix s) {
   // REPRO_KERNEL=scalar reproduces the pre-SIMD factor bit for bit.  The
   // positivity check runs on whichever value the active tier produced, so a
   // borderline-indefinite matrix may flip ok across tiers — callers already
-  // treat that as the jitter path (see try_chol_factor_regularized).
+  // treat that as the jitter path (see chol_factor_regularized).
   const simd::KernelOps& t = simd::ops();
   const bool use_simd = t.tier != simd::Tier::kScalar && n >= 32;
   for (std::size_t j = 0; j < n; ++j) {
@@ -97,11 +97,11 @@ CholFactors chol_factor(Matrix s) {
   return f;
 }
 
-RegularizedChol try_chol_factor_regularized(const Matrix& s,
-                                            double initial_jitter) {
-  REPRO_CHECK_DIM(s.rows(), s.cols(), "try_chol_factor_regularized: square");
+RegularizedChol chol_factor_regularized(const Matrix& s,
+                                        double initial_jitter) {
+  REPRO_CHECK_DIM(s.rows(), s.cols(), "chol_factor_regularized: square");
   REPRO_CHECK(initial_jitter >= 0.0,
-              "try_chol_factor_regularized: jitter must be non-negative");
+              "chol_factor_regularized: jitter must be non-negative");
   RegularizedChol out;
   double scale = s.max_abs();
   if (scale == 0.0 || !std::isfinite(scale)) scale = 1.0;
@@ -122,17 +122,7 @@ RegularizedChol try_chol_factor_regularized(const Matrix& s,
     jitter = (jitter == 0.0) ? scale * 1e-14 : jitter * 10.0;
     if (jitter > scale) break;
   }
-  out.factors.ok = false;
-  return out;
-}
-
-RegularizedChol chol_factor_regularized(const Matrix& s, double initial_jitter) {
-  REPRO_CHECK_DIM(s.rows(), s.cols(), "chol_factor_regularized: square");
-  RegularizedChol out = try_chol_factor_regularized(s, initial_jitter);
-  if (!out.factors.ok) {
-    throw std::runtime_error("chol_factor_regularized: matrix far from PSD");
-  }
-  return out;
+  throw std::runtime_error("chol_factor_regularized: matrix far from PSD");
 }
 
 Vector chol_forward(const CholFactors& f, Vector b) {

@@ -21,20 +21,15 @@ struct CholFactors {
 CholFactors chol_factor(Matrix s);
 
 // Factorize S + jitter*I, growing jitter from `initial_jitter` by 10x until
-// success (or until jitter exceeds max_abs(S)).  Records the jitter used.
+// success.  Records the jitter used; throws std::runtime_error when no
+// jitter up to max_abs(S) makes the factorization succeed (e.g. NaN/Inf
+// entries or a matrix far from PSD).
 struct RegularizedChol {
   CholFactors factors;
   double jitter = 0.0;
 };
 RegularizedChol chol_factor_regularized(const Matrix& s,
                                         double initial_jitter = 0.0);
-
-// Non-throwing variant for pipelines that must degrade gracefully instead of
-// unwinding (see core::make_robust_path_predictor): factors.ok == false when
-// no jitter up to max_abs(S) makes the factorization succeed (e.g. NaN/Inf
-// entries or a matrix far from PSD).
-RegularizedChol try_chol_factor_regularized(const Matrix& s,
-                                            double initial_jitter = 0.0);
 
 // The Matrix forms solve every column of B and give each column the same
 // bits as the Vector form applied to it alone.

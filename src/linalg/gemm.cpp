@@ -220,9 +220,6 @@ Matrix multiply_at_block(const Matrix& a, std::size_t r0, std::size_t c0,
 
 }  // namespace
 
-void set_gemm_threads(std::size_t n) { util::set_threads(n); }
-std::size_t gemm_threads() { return util::thread_count(); }
-
 Matrix multiply(const Matrix& a, const Matrix& b) {
   REPRO_CHECK_DIM(a.cols(), b.rows(), "multiply: inner dimensions");
   if (a.cols() != b.rows()) {

@@ -48,12 +48,6 @@ Matrix gram(const Matrix& a);
 class SparseRows {
  public:
   explicit SparseRows(std::size_t cols) : cols_(cols) {}
-  // The nonzero entries of a dense matrix, row by row.
-  static SparseRows from_dense(const Matrix& a) {
-    SparseRows s(a.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i) s.append_row(a.row(i));
-    return s;
-  }
 
   // Appends a row of cols() values; zeros (either sign) are dropped.
   void append_row(std::span<const double> values);
@@ -80,11 +74,5 @@ class SparseRows {
 // floating-point operations, skipping only the exact no-ops of the zero
 // entries (see gemm.cpp).  Counted under linalg.spmm.*, not linalg.gemm.*.
 Matrix multiply(const SparseRows& a, const Matrix& b);
-
-// Thread configuration for large products.  Kernels run on the shared
-// util::ThreadPool; these forward to util::set_threads / util::thread_count
-// and are kept for source compatibility — prefer the util API directly.
-void set_gemm_threads(std::size_t n);
-std::size_t gemm_threads();
 
 }  // namespace repro::linalg

@@ -10,20 +10,6 @@
 
 namespace repro::linalg {
 
-Matrix spd_solve(const Matrix& s, const Matrix& b) {
-  REPRO_CHECK_DIM(s.rows(), s.cols(), "spd_solve: square system");
-  REPRO_CHECK_DIM(b.rows(), s.rows(), "spd_solve: rhs rows");
-  const RegularizedChol rc = chol_factor_regularized(s);
-  return chol_solve(rc.factors, b);
-}
-
-Vector spd_solve(const Matrix& s, Vector b) {
-  REPRO_CHECK_DIM(s.rows(), s.cols(), "spd_solve: square system");
-  REPRO_CHECK_DIM(b.size(), s.rows(), "spd_solve: rhs length");
-  const RegularizedChol rc = chol_factor_regularized(s);
-  return chol_solve(rc.factors, std::move(b));
-}
-
 double inverse_one_norm_estimate(const CholFactors& f) {
   if (!f.ok) return std::numeric_limits<double>::infinity();
   const std::size_t n = f.l.rows();

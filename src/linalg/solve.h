@@ -1,18 +1,12 @@
-// Higher-level solvers built on the Cholesky factorization: the "Gram solve"
-// kernel used throughout the selection algorithms, its condition estimate,
-// and the ridge-regularized variant for noisy-silicon calibration.
+// Higher-level solvers built on the Cholesky factorization: a condition
+// estimate of a Gram system and the condition-gated, ridge-regularized
+// factorization for noisy-silicon calibration.
 #pragma once
 
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 
 namespace repro::linalg {
-
-// Solves (S + jitter I) X = B for symmetric positive semi-definite S using
-// regularized Cholesky; the workhorse for A_r A_r^T systems in the predictor
-// and error model.
-Matrix spd_solve(const Matrix& s, const Matrix& b);
-Vector spd_solve(const Matrix& s, Vector b);
 
 // Hager/Higham estimate of ||S^{-1}||_1 from a Cholesky factorization of the
 // symmetric S (a few solves instead of an explicit inverse; the standard

@@ -1,6 +1,8 @@
 #include "server/session.h"
 
+#include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "core/measurement.h"
 #include "core/panel_source.h"
@@ -164,21 +166,28 @@ std::shared_ptr<Session> build_session(const SessionConfig& cfg,
         selector, gram, s->experiment->t_cons_ps(), opt);
   }
 
-  s->predictor =
-      core::make_path_predictor(a, mu, s->selection.representatives);
-
-  // Streamed dies go through the robust gate; backups come from the greedy
-  // pivot order and the noise prior matches the default tester fault model.
+  // One Theorem-2 build serves both surfaces: streamed dies go through the
+  // robust gate, whose backups come from the greedy pivot order and whose
+  // noise prior matches the default tester fault model; batch predicts read
+  // a copy of its base predictor.
+  const std::vector<int>& rep = s->selection.representatives;
+  linalg::Vector mu_meas(rep.size());
+  for (std::size_t k = 0; k < rep.size(); ++k) {
+    mu_meas[k] = mu[static_cast<std::size_t>(rep[k])];
+  }
   core::RobustOptions ropt;
   ropt.backup_order = selector.greedy_order(gram);
   ropt.measurement_sigma_ps =
-      core::expected_noise_sigma(core::default_fault_spec(),
-                                 s->predictor.mu_meas);
-  // Handed over, not copied: the robust predictor's a_rem, omega and a_meas
-  // are the largest blocks a session holds.
-  s->calibrator = std::make_unique<core::StreamingCalibrator>(
-      core::make_robust_path_predictor(a, mu, s->selection.representatives,
-                                       {}, ropt));
+      core::expected_noise_sigma(core::default_fault_spec(), mu_meas);
+  core::RobustPredictor robust =
+      core::make_robust_path_predictor(a, mu, rep, {}, ropt);
+  if (!robust.status.usable()) {
+    throw std::runtime_error("build_session: no usable predictor: " +
+                             robust.status.message);
+  }
+  s->predictor = robust.base;
+  s->calibrator =
+      std::make_unique<core::StreamingCalibrator>(std::move(robust));
 
   s->batcher = std::make_unique<PredictBatcher>(&s->predictor);
   return s;

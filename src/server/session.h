@@ -99,7 +99,7 @@ class Session {
   // Immutable after build.
   std::unique_ptr<core::Experiment> experiment;
   core::PathSelectionResult selection;
-  core::LinearPredictor predictor;
+  core::LinearPredictor predictor;  // copy of the calibrator's base predictor
 
   // Streamed-die state; hold stream_mu for calibrator access.  next_die is
   // the global die index of the next observe (the stream is one sequence

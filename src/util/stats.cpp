@@ -48,6 +48,18 @@ double quantile(std::vector<double> v, double q) {
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
+double median(std::vector<double> v) {
+  if (v.empty()) throw std::invalid_argument("median of empty sample");
+  const auto h = static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), v.begin() + h, v.end());
+  double med = v[static_cast<std::size_t>(h)];
+  if (v.size() % 2 == 0) {
+    // nth_element leaves the lower half in front of the upper middle.
+    med = 0.5 * (med + *std::max_element(v.begin(), v.begin() + h));
+  }
+  return med;
+}
+
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::numbers::sqrt2); }
 
 double normal_icdf(double p) {

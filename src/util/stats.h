@@ -17,6 +17,11 @@ double max_value(std::span<const double> v);
 // q in [0,1]; linear interpolation between order statistics.
 double quantile(std::vector<double> v, double q);
 
+// Sample median by selection, O(n): the middle element, or for an even size
+// 0.5 * (upper middle + largest of the lower half).  Throws on an empty
+// sample.
+double median(std::vector<double> v);
+
 // Standard normal CDF / inverse CDF.  The inverse uses the Acklam rational
 // approximation refined by one Halley step (relative error < 1e-13), enough
 // for yield thresholds like 0.01 * (1 - Y).

@@ -173,11 +173,6 @@ TEST(ErrorModel, DuplicateRepresentativeThrows) {
                std::invalid_argument);
 }
 
-TEST(ErrorModel, WorstCaseGaussianHelper) {
-  EXPECT_DOUBLE_EQ(worst_case_gaussian(0.0, 2.0, 3.0), 6.0);
-  EXPECT_DOUBLE_EQ(worst_case_gaussian(-4.0, 1.0, 3.0), 7.0);
-}
-
 TEST(ErrorModel, RemainingExcludesSelection) {
   const linalg::Matrix a = random_matrix(6, 6, 9);
   const SelectionErrors se = selection_errors(a, {1, 3}, 100.0, 3.0);

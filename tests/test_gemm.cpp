@@ -7,6 +7,7 @@
 
 #include "linalg/simd/dispatch.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace repro::linalg {
 namespace {
@@ -85,13 +86,13 @@ TEST(Gemm, LargeThreadedPathMatchesNaive) {
 }
 
 TEST(Gemm, ThreadCountConfigurable) {
-  const std::size_t before = gemm_threads();
-  set_gemm_threads(2);
-  EXPECT_EQ(gemm_threads(), 2u);
+  const std::size_t before = util::thread_count();
+  util::set_threads(2);
+  EXPECT_EQ(util::thread_count(), 2u);
   const Matrix a = random_matrix(64, 64, 11);
   const Matrix b = random_matrix(64, 64, 12);
   EXPECT_LT(max_abs_diff(multiply(a, b), naive_multiply(a, b)), 1e-11);
-  set_gemm_threads(before);
+  util::set_threads(before);
 }
 
 TEST(Gemm, CorrectUnderEveryDispatchTier) {
@@ -158,7 +159,8 @@ TEST(Gemm, SparseRowsProductIsBitIdenticalToDense) {
     for (const Shape& s : shapes) {
       const Matrix a = sparse_matrix(s.m, s.k, 31 + s.k);
       const Matrix b = random_matrix(s.k, s.n, 57 + s.n);
-      const SparseRows sa = SparseRows::from_dense(a);
+      SparseRows sa(s.k);
+      for (std::size_t i = 0; i < s.m; ++i) sa.append_row(a.row(i));
       ASSERT_EQ(sa.rows(), s.m);
       ASSERT_EQ(sa.row_begin(0), sa.row_end(0));  // the empty row
       const Matrix dense = multiply(a, b);

@@ -14,6 +14,7 @@
 #include "core/guardband.h"
 #include "core/measurement.h"
 #include "core/path_selection.h"
+#include "dense_mc_reference.h"
 #include "linalg/gemm.h"
 #include "linalg/simd/dispatch.h"
 #include "timing/segments.h"
@@ -214,42 +215,8 @@ TEST(MonteCarlo, McErrorConsistentWithAnalyticSigma) {
   }
 }
 
-// Dense reference of the die-stream engine: chunk ci holds dies
-// [ci * chunk, ...), die k draws x from stream(seed, k), and both products
-// are dense linalg::multiply calls.  score(first, truth, meas) sees every
-// chunk in order.
-template <class Score>
-void dense_die_chunks(const linalg::Matrix& a_rem, const linalg::Matrix& a_meas,
-                      const McOptions& opt, Score&& score) {
-  const std::size_t m = a_rem.cols();
-  for (std::size_t first = 0; first < opt.samples; first += opt.chunk) {
-    const std::size_t c = std::min(opt.chunk, opt.samples - first);
-    linalg::Matrix x(m, c);
-    for (std::size_t j = 0; j < c; ++j) {
-      util::Rng rng = util::Rng::stream(opt.seed, first + j);
-      for (std::size_t i = 0; i < m; ++i) x(i, j) = rng.normal();
-    }
-    score(first, linalg::multiply(a_rem, x), linalg::multiply(a_meas, x));
-  }
-}
-
-// Per-path max and chunk-ordered sum of |pred - truth| / |truth|, as the
-// engine reduces them.
-struct RefErr {
-  std::vector<double> max, sum;
-  explicit RefErr(std::size_t n) : max(n, 0.0), sum(n, 0.0) {}
-  void merge(const RefErr& part) {
-    for (std::size_t i = 0; i < max.size(); ++i) {
-      max[i] = std::max(max[i], part.max[i]);
-      sum[i] += part.sum[i];
-    }
-  }
-  void add(std::size_t i, double pred, double truth) {
-    const double rel = std::abs(pred - truth) / std::abs(truth);
-    max[i] = std::max(max[i], rel);
-    sum[i] += rel;
-  }
-};
+using test::dense_die_chunks;
+using test::RefErr;
 
 void expect_same_bits(const linalg::Vector& got,
                       const std::vector<double>& want,
@@ -323,7 +290,7 @@ TEST(MonteCarlo, SparseEngineKeepsDenseBits) {
     std::size_t failed = 0, screened = 0, missing = 0, outliers = 0,
                 screened_outlier = 0, dead = 0, dropout = 0;
     dense_die_chunks(
-        rp.a_rem, rp.a_meas, opt,
+        a_rem, rp.a_meas, opt,
         [&](std::size_t first, const linalg::Matrix& truth,
             const linalg::Matrix& meas) {
           RefErr part(n_rem);

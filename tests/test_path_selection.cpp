@@ -163,14 +163,18 @@ TEST(PathSelection, ZeroRankThrows) {
 }
 
 TEST(PathSelection, PrecomputedGramMatchesInternal) {
+  // A caller holding W = A A^T selects through its own SubsetSelector; the
+  // result must be the one the matrix overload computes from A alone.
   const linalg::Matrix a = correlated_rows(30, 20, 3, 0.05, 9);
   const linalg::Matrix w = linalg::gram(a);
+  const SubsetSelector selector(a, w);
   PathSelectionOptions opt;
   opt.epsilon = 0.05;
   const auto r1 = select_representative_paths(a, 1000.0, opt);
-  const auto r2 = select_representative_paths(a, 1000.0, opt, &w);
+  const auto r2 = select_representative_paths(selector, w, 1000.0, opt);
   EXPECT_EQ(r1.representatives, r2.representatives);
-  EXPECT_DOUBLE_EQ(r1.eps_r, r2.eps_r);
+  EXPECT_EQ(r1.eps_r, r2.eps_r);
+  EXPECT_EQ(r1.exact_rank, r2.exact_rank);
 }
 
 TEST(PathSelection, PinnedGoldenSelection) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "circuit/placement.h"
 #include "linalg/gemm.h"
@@ -133,16 +134,33 @@ TEST(Predictor, PredictSizeMismatchThrows) {
                std::invalid_argument);
 }
 
+TEST(Predictor, OutOfRangeRepresentativeThrows) {
+  const linalg::Matrix a = random_matrix(5, 8, 7);
+  const linalg::Vector mu(5, 0.0);
+  EXPECT_THROW((void)make_path_predictor(a, mu, {5}), std::out_of_range);
+  EXPECT_THROW((void)make_path_predictor(a, mu, {0, -1}), std::out_of_range);
+  const linalg::Matrix sigma(3, 8);
+  const linalg::Vector mu_seg(3, 0.0);
+  EXPECT_THROW(
+      (void)make_joint_predictor(a, mu, sigma, mu_seg, {0}, {3}, {1, 2}),
+      std::out_of_range);
+  EXPECT_THROW(
+      (void)make_joint_predictor(a, mu, sigma, mu_seg, {0}, {1}, {1, 7}),
+      std::out_of_range);
+}
+
 TEST(Predictor, JointPredictorMatchesPathOnlyWhenNoSegments) {
   const linalg::Matrix a = random_matrix(7, 12, 8);
   linalg::Vector mu(7, 10.0);
   const LinearPredictor path_only = make_path_predictor(a, mu, {1, 4});
-  // Joint with empty segment list over the same remaining set.
+  // Joint with empty segment list over the same remaining set: both run the
+  // one Theorem-2 build on the same rows, so they agree bit for bit.
   const linalg::Matrix sigma(3, 12);  // unused rows
   const LinearPredictor joint =
       make_joint_predictor(a, mu, sigma, linalg::Vector(3, 0.0), {1, 4}, {},
                            path_only.remaining);
-  EXPECT_LT(linalg::max_abs_diff(path_only.coef, joint.coef), 1e-9);
+  EXPECT_EQ(linalg::max_abs_diff(path_only.coef, joint.coef), 0.0);
+  EXPECT_EQ(path_only.error_sigmas(), joint.error_sigmas());
 }
 
 TEST(Predictor, SegmentsMeasurementsImprovePrediction) {

@@ -10,9 +10,9 @@
 #include <utility>
 
 #include "core/benchmarks.h"
+#include "linalg/cholesky.h"
 #include "linalg/gemm.h"
 #include "linalg/randomized_eig.h"
-#include "linalg/solve.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -106,7 +106,7 @@ TEST(Qrcp, SelectedColumnsSpanRowSpace) {
   // normal equations G X = A_sel^T A.
   const Matrix g = multiply_at(a_sel, a_sel);  // 4 x 4
   const Matrix cross = multiply_at(a_sel, a);  // 4 x 30
-  const Matrix x = spd_solve(g, cross);
+  const Matrix x = chol_solve(chol_factor_regularized(g).factors, cross);
   EXPECT_LT(max_abs_diff(multiply(a_sel, x), a), 1e-9);
 }
 

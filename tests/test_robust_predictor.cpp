@@ -4,13 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "circuit/generator.h"
 #include "circuit/placement.h"
 #include "core/monte_carlo.h"
 #include "core/subset_select.h"
+#include "dense_mc_reference.h"
 #include "linalg/gemm.h"
 #include "timing/segments.h"
 #include "util/rng.h"
@@ -309,7 +313,8 @@ TEST(RobustPredictor, MeasuredSpacePredictMatchesParameterSpaceFormula) {
     ASSERT_EQ(got.dual.size(), kept.size());
     const linalg::Vector xk = linalg::matvec_transposed(
         rp.a_meas.select_rows(kept), got.dual);
-    const linalg::Vector want = linalg::matvec(rp.a_rem, xk);
+    const linalg::Vector want =
+        linalg::matvec(a.select_rows(rp.base.remaining), xk);
     ASSERT_EQ(got.values.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       const double w = rp.base.mu_rem[i] + want[i];
@@ -615,6 +620,212 @@ TEST(FaultyMonteCarlo, NoLinalgEscapeOnPathologicalInputs) {
   none.mc.samples = 0;
   EXPECT_NO_THROW(m = evaluate_predictor_under_faults(*f.model, rp, none));
   EXPECT_EQ(m.metrics.samples, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One Theorem-2 build: the robust builder's base is the clean predictor, and
+// the evaluators that read their rows from the model keep the bits they had
+// when they read dense copies held by the predictor.
+// ---------------------------------------------------------------------------
+
+bool same_bits(std::span<const double> got, std::span<const double> want) {
+  return got.size() == want.size() &&
+         std::memcmp(got.data(), want.data(), want.size() * sizeof(double)) ==
+             0;
+}
+
+// A predictor's measured and remaining rows of A, copied densely: the
+// sensitivities the evaluators used to read from the predictor.
+struct DenseRows {
+  linalg::Matrix rem, meas;
+  DenseRows(const linalg::Matrix& a, const LinearPredictor& p)
+      : rem(a.select_rows(p.remaining)),
+        meas(a.select_rows(p.measured_paths)) {}
+};
+
+struct ParityFixture {
+  Fixture f;
+  std::vector<int> rep;
+  RobustOptions opt;
+  ParityFixture() {
+    const SubsetSelector sel =
+        make_subset_selector(f.model->a(), linalg::gram(f.model->a()));
+    rep = sel.select(std::min<std::size_t>(sel.rank(), 8));
+    opt.backup_order = sel.greedy_order(sel.gram());
+    opt.measurement_sigma_ps =
+        expected_noise_sigma(default_fault_spec(), f.model->mu_paths());
+  }
+  RobustPredictor robust() const {
+    return make_robust_path_predictor(f.model->a(), f.model->mu_paths(), rep,
+                                      {}, opt);
+  }
+};
+
+TEST(TheoremTwoBuild, RobustBaseIsTheCleanPredictorBitForBit) {
+  const ParityFixture pf;
+  const linalg::Matrix& a = pf.f.model->a();
+  const LinearPredictor lp =
+      make_path_predictor(a, pf.f.model->mu_paths(), pf.rep);
+  const RobustPredictor rp = pf.robust();
+  // Well conditioned and no dead path: the robust policy keeps the plain
+  // Cholesky factor, so both builds solve against the same factor.
+  ASSERT_EQ(rp.status.health, PredictorHealth::kOk);
+  EXPECT_EQ(rp.status.ridge, 0.0);
+  const LinearPredictor& base = rp.base;
+  EXPECT_EQ(base.measured_paths, lp.measured_paths);
+  EXPECT_EQ(base.remaining, lp.remaining);
+  EXPECT_TRUE(base.measured_segments.empty());
+  EXPECT_EQ(base.coef.rows(), lp.coef.rows());
+  EXPECT_EQ(base.coef.cols(), lp.coef.cols());
+  EXPECT_TRUE(same_bits(base.coef.data(), lp.coef.data()));
+  EXPECT_TRUE(same_bits(base.mu_meas, lp.mu_meas));
+  EXPECT_TRUE(same_bits(base.mu_rem, lp.mu_rem));
+  EXPECT_TRUE(same_bits(base.error_sigmas(), lp.error_sigmas()));
+
+  // Both equal the row norms of Omega = coef * A_r - A_rem (Eqn (6)).
+  const DenseRows rows(a, lp);
+  linalg::Matrix omega = linalg::multiply(lp.coef, rows.meas);
+  omega -= rows.rem;
+  std::vector<double> want(omega.rows());
+  for (std::size_t i = 0; i < omega.rows(); ++i) {
+    want[i] = linalg::norm2(omega.row(i));
+  }
+  EXPECT_TRUE(same_bits(lp.error_sigmas(), want));
+  EXPECT_TRUE(same_bits(base.error_sigmas(), want));
+
+  // The kept blocks: A_r, its Gram, the cross block and ||a_i||^2.
+  EXPECT_TRUE(same_bits(rp.a_meas.data(), rows.meas.data()));
+  EXPECT_TRUE(same_bits(rp.gram_meas.data(), linalg::gram(rows.meas).data()));
+  EXPECT_TRUE(same_bits(rp.cross.data(),
+                        linalg::multiply_bt(rows.rem, rows.meas)
+                            .transposed()
+                            .data()));
+  std::vector<double> norm2(rows.rem.rows());
+  for (std::size_t i = 0; i < rows.rem.rows(); ++i) {
+    norm2[i] = linalg::dot(rows.rem.row(i), rows.rem.row(i));
+  }
+  EXPECT_TRUE(same_bits(rp.rem_norm2, norm2));
+}
+
+TEST(TheoremTwoBuild, FaultyEvaluatorKeepsDenseRowBits) {
+  const ParityFixture pf;
+  const RobustPredictor rp = pf.robust();
+  ASSERT_TRUE(rp.status.usable());
+  const DenseRows rows(pf.f.model->a(), rp.base);
+  const std::size_t n_rem = rp.base.remaining.size();
+  const std::size_t n_meas = rp.base.mu_meas.size();
+  FaultyMcOptions opt;
+  opt.mc.samples = 300;
+  opt.mc.chunk = 64;
+  opt.mc.seed = 77;
+  opt.faults = default_fault_spec();
+  opt.faults.outlier_rate = 0.1;
+  opt.faults.dropout_rate = 0.1;
+
+  for (const bool naive : {false, true}) {
+    opt.naive = naive;
+    test::RefErr want(n_rem);
+    std::size_t failed = 0;
+    const auto score = [&](std::size_t first, const linalg::Matrix& truth,
+                           const linalg::Matrix& meas) {
+      test::RefErr part(n_rem);
+      linalg::Vector clean(n_meas);
+      for (std::size_t j = 0; j < meas.cols(); ++j) {
+        for (std::size_t i = 0; i < n_meas; ++i) {
+          clean[i] = rp.base.mu_meas[i] + meas(i, j);
+        }
+        const NoisyMeasurements noisy =
+            apply_faults(clean, rp.base.mu_meas, opt.faults, first + j);
+        linalg::Vector pred;
+        if (naive) {
+          linalg::Vector centered(n_meas, 0.0);
+          for (std::size_t i = 0; i < n_meas; ++i) {
+            if (noisy.valid[i]) {
+              centered[i] = noisy.values[i] - rp.base.mu_meas[i];
+            }
+          }
+          pred = linalg::matvec(rp.base.coef, centered);
+          for (std::size_t i = 0; i < n_rem; ++i) pred[i] += rp.base.mu_rem[i];
+        } else {
+          RobustPrediction r = rp.predict(noisy.values, noisy.valid);
+          failed += r.health == PredictorHealth::kFailed;
+          pred = std::move(r.values);
+        }
+        for (std::size_t i = 0; i < n_rem; ++i) {
+          part.add(i, pred[i], rp.base.mu_rem[i] + truth(i, j));
+        }
+      }
+      want.merge(part);
+    };
+    test::dense_die_chunks(rows.rem, rows.meas, opt.mc, score);
+    const FaultyMcMetrics got =
+        evaluate_predictor_under_faults(*pf.f.model, rp, opt);
+    EXPECT_TRUE(same_bits(got.metrics.eps_max, want.max)) << naive;
+    EXPECT_TRUE(same_bits(got.metrics.eps_mean, want.mean(opt.mc.samples)))
+        << naive;
+    if (!naive) {
+      EXPECT_EQ(got.failed_dies, failed);
+    }
+  }
+}
+
+TEST(TheoremTwoBuild, StreamingEvaluatorKeepsDenseRowBitsUnderDrift) {
+  const ParityFixture pf;
+  const RobustPredictor rp = pf.robust();
+  ASSERT_TRUE(rp.status.usable());
+  const DenseRows rows(pf.f.model->a(), rp.base);
+  const std::size_t n_rem = rp.base.remaining.size();
+  const std::size_t n_meas = rp.base.mu_meas.size();
+  const std::size_t m = pf.f.model->num_params();
+  StreamingMcOptions opt;
+  opt.mc.samples = 240;
+  opt.mc.chunk = 32;
+  opt.mc.seed = 78;
+  opt.faults = default_fault_spec();
+  opt.drift.start_die = 120;
+  opt.drift.magnitude = 3.0;
+
+  // The drift images as matrix-vector products on the dense rows.
+  const linalg::Vector delta(
+      m, opt.drift.magnitude / std::sqrt(static_cast<double>(m)));
+  const linalg::Vector drift_meas = linalg::matvec(rows.meas, delta);
+  const linalg::Vector drift_rem = linalg::matvec(rows.rem, delta);
+  StreamingCalibrator cal(rp, opt.stream);
+  test::RefErr want(n_rem);
+  std::vector<double> guard, drift;
+  const auto score = [&](std::size_t first, const linalg::Matrix& truth,
+                         const linalg::Matrix& meas) {
+    linalg::Vector clean(n_meas);
+    for (std::size_t j = 0; j < meas.cols(); ++j) {
+      const std::size_t die = first + j;
+      const bool drifted = die >= opt.drift.start_die;
+      for (std::size_t i = 0; i < n_meas; ++i) {
+        clean[i] = rp.base.mu_meas[i] + meas(i, j) +
+                   (drifted ? drift_meas[i] : 0.0);
+      }
+      const NoisyMeasurements noisy =
+          apply_faults(clean, rp.base.mu_meas, opt.faults, die);
+      const DieRecord rec = cal.observe(die, noisy.values, noisy.valid);
+      guard.push_back(rec.guardband);
+      drift.push_back(rec.drift_score);
+      if (rec.predicted.size() != n_rem) continue;
+      for (std::size_t i = 0; i < n_rem; ++i) {
+        want.add(i, rec.predicted[i],
+                 rp.base.mu_rem[i] + truth(i, j) +
+                     (drifted ? drift_rem[i] : 0.0));
+      }
+    }
+  };
+  test::dense_die_chunks(rows.rem, rows.meas, opt.mc, score);
+
+  const StreamingMcMetrics got =
+      evaluate_predictor_streaming(*pf.f.model, rp, opt);
+  EXPECT_TRUE(same_bits(got.metrics.eps_max, want.max));
+  EXPECT_TRUE(same_bits(got.metrics.eps_mean, want.mean(opt.mc.samples)));
+  EXPECT_TRUE(same_bits(got.guardband_trajectory, guard));
+  EXPECT_TRUE(same_bits(got.drift_trajectory, drift));
+  EXPECT_EQ(got.drift_flag_die, cal.status().drift_flag_die);
+  EXPECT_EQ(got.final_guardband, cal.guardband());
 }
 
 }  // namespace

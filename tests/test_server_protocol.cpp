@@ -15,13 +15,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/path_selection.h"
+#include "core/predictor.h"
 #include "server/client.h"
 #include "server/protocol.h"
+#include "server/session.h"
 #include "util/json.h"
 #include "util/socket.h"
 #include "util/telemetry.h"
@@ -245,6 +248,37 @@ TEST(ServerLimits, OversizedOpensRejectedStructurallyAndShardedRouteWorks) {
   EXPECT_EQ(greedy_sharded.representatives, expected);
 
   server.stop();
+}
+
+bool same_bits(std::span<const double> got, std::span<const double> want) {
+  return got.size() == want.size() &&
+         std::memcmp(got.data(), want.data(), want.size() * sizeof(double)) ==
+             0;
+}
+
+TEST(SessionBuild, PredictorIsTheCleanTheorem2BuildAndTheCalibratorBase) {
+  // A session runs one Theorem-2 build (the robust one) and serves batch
+  // predicts from a copy of its base: that copy must be the clean
+  // predictor on the same representatives, bit for bit.
+  const std::shared_ptr<Session> s = build_session(small_config(), 1);
+  const variation::VariationModel& model = s->experiment->model();
+  const core::LinearPredictor want = core::make_path_predictor(
+      model.a(), model.mu_paths(), s->selection.representatives);
+  const core::LinearPredictor& served = s->predictor;
+  const core::LinearPredictor& base = s->calibrator->predictor().base;
+  for (const core::LinearPredictor* got : {&served, &base}) {
+    EXPECT_EQ(got->measured_paths, want.measured_paths);
+    EXPECT_EQ(got->remaining, want.remaining);
+    EXPECT_EQ(got->measured_segments, want.measured_segments);
+    EXPECT_EQ(got->coef.rows(), want.coef.rows());
+    EXPECT_EQ(got->coef.cols(), want.coef.cols());
+    EXPECT_TRUE(same_bits(got->coef.data(), want.coef.data()));
+    EXPECT_TRUE(same_bits(got->mu_meas, want.mu_meas));
+    EXPECT_TRUE(same_bits(got->mu_rem, want.mu_rem));
+    EXPECT_TRUE(same_bits(got->error_sigmas(), want.error_sigmas()));
+  }
+  EXPECT_EQ(s->calibrator->predictor().status.health,
+            core::PredictorHealth::kOk);
 }
 
 TEST_F(ServerFixture, BatchedPredictsBitIdenticalToSerialAtAnyThreadCount) {

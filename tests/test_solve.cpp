@@ -27,7 +27,7 @@ TEST(SpdSolve, MatchesDirectSolve) {
   util::Rng rng(90);
   Vector rhs(9);
   for (double& v : rhs) v = rng.normal();
-  const Vector x = spd_solve(s, rhs);
+  const Vector x = chol_solve(chol_factor_regularized(s).factors, rhs);
   const Vector sx = matvec(s, x);
   for (std::size_t i = 0; i < 9; ++i) EXPECT_NEAR(sx[i], rhs[i], 1e-8);
 }
@@ -38,7 +38,7 @@ TEST(SpdSolve, SingularGramRegularized) {
   const Matrix b = random_matrix(6, 2, 10);
   const Matrix s = gram(b);  // rank 2
   const Vector in_range = matvec(s, Vector(6, 0.1));
-  const Vector x = spd_solve(s, in_range);
+  const Vector x = chol_solve(chol_factor_regularized(s).factors, in_range);
   const Vector sx = matvec(s, x);
   for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(sx[i], in_range[i], 1e-5);
 }

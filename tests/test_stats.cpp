@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -31,6 +34,30 @@ TEST(Stats, QuantileInterpolation) {
 
 TEST(Stats, QuantileEmptyThrows) {
   EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
+}
+
+TEST(Stats, MedianOddAndEvenSizes) {
+  EXPECT_EQ(median({7.0}), 7.0);
+  EXPECT_EQ(median({5.0, 1.0, 3.0}), 3.0);
+  EXPECT_EQ(median({9.0, -2.0, 4.0, 4.0, 0.5}), 4.0);
+  // Even sizes average the two middle order statistics.
+  EXPECT_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
+  EXPECT_EQ(median({2.0, 7.0, 2.0, 1.0}), 2.0);
+  EXPECT_EQ(median({-1.0, 8.0}), 3.5);
+  // The even-size expression is 0.5 * (upper + lower), the bits the robust
+  // predictor's residual scale and the CUSUM baseline have always used.
+  util::Rng rng(33);
+  for (std::size_t n : {6u, 11u, 40u, 41u}) {
+    std::vector<double> v(n);
+    for (double& x : v) x = rng.normal();
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    const double want = (n % 2 == 1)
+                            ? sorted[n / 2]
+                            : 0.5 * (sorted[n / 2] + sorted[n / 2 - 1]);
+    EXPECT_EQ(median(v), want) << n;
+  }
+  EXPECT_THROW((void)median({}), std::invalid_argument);
 }
 
 TEST(Stats, NormalCdfKnownPoints) {

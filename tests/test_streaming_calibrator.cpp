@@ -374,14 +374,16 @@ TEST(StreamingCalibrator, RidgedDieRecordsOneRidge) {
 // shift snapshot, innovation gate, update, exact 2-norm covariance audit.
 class DenseReference {
  public:
-  DenseReference(const RobustPredictor& p, const StreamingOptions& o)
-      : p_(p), o_(o) {
+  // `a` is the path-sensitivity matrix the predictor was built from.
+  DenseReference(const RobustPredictor& p, const linalg::Matrix& a,
+                 const StreamingOptions& o)
+      : p_(p), a_rem_(a.select_rows(p.base.remaining)), o_(o) {
     const std::size_t m = p.a_meas.cols();
     b_.assign(m, 0.0);
     cov_ = linalg::Matrix(m, m);
     for (std::size_t i = 0; i < m; ++i) cov_(i, i) = 1.0 / o.prior_precision;
-    for (std::size_t i = 0; i < p.a_rem.rows(); ++i) {
-      q_.push_back(cov_(0, 0) * linalg::dot(p.a_rem.row(i), p.a_rem.row(i)));
+    for (std::size_t i = 0; i < a_rem_.rows(); ++i) {
+      q_.push_back(cov_(0, 0) * linalg::dot(a_rem_.row(i), a_rem_.row(i)));
     }
     sigma_ = p.error_sigmas();
     shift_meas_ = linalg::matvec(p.a_meas, b_);
@@ -446,7 +448,7 @@ class DenseReference {
       return count(StreamGate::kInnovationOutlier);
     }
 
-    const linalg::Matrix vv = linalg::multiply(p_.a_rem, u);
+    const linalg::Matrix vv = linalg::multiply(a_rem_, u);
     linalg::SpdSolveInfo info_b, info_q;
     const linalg::Matrix xb = solve(s, u.transposed(), info_b);
     const linalg::Matrix xq = solve(s, vv.transposed(), info_q);
@@ -475,7 +477,7 @@ class DenseReference {
           std::max(std::abs(ev.back()) / o_.max_condition, 1e-300) * 10.0;
       for (std::size_t i = 0; i < cov_.rows(); ++i) cov_(i, i) += floor;
       for (std::size_t i = 0; i < q_.size(); ++i) {
-        q_[i] += floor * linalg::dot(p_.a_rem.row(i), p_.a_rem.row(i));
+        q_[i] += floor * linalg::dot(a_rem_.row(i), a_rem_.row(i));
       }
       ++ridge_events_;
       ++floors_;
@@ -542,6 +544,7 @@ class DenseReference {
   }
 
   const RobustPredictor& p_;
+  linalg::Matrix a_rem_;
   StreamingOptions o_;
   linalg::Vector b_, q_, sigma_, shift_meas_, drift_ref_, warm_;
   linalg::Matrix cov_;
@@ -559,7 +562,7 @@ void expect_matches_dense_reference(const StreamingOptions& opt,
                                     std::uint64_t dies, std::size_t& floors) {
   Synthetic s(30, 16, 6, 27);
   StreamingCalibrator cal(s.predictor, opt);
-  DenseReference ref(s.predictor, opt);
+  DenseReference ref(s.predictor, s.a, opt);
   const std::size_t m = s.a.cols();
   // The min-norm shift raising every measured slot by 6 ps (see
   // CusumFlagsInjectedShiftQuietOnClean), so the CUSUM has work to do.
