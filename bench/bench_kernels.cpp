@@ -5,6 +5,7 @@
 // spawn-per-call GEMM, pooled Monte-Carlo evaluation across thread counts).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <thread>
@@ -113,6 +114,27 @@ void BM_Gram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Gram)->Arg(128)->Arg(256);
+
+// The Gram on the shape of s38417's Table 1 A = G Sigma: 2000 paths x 3597
+// parameters with about 20 % of each row's 8-double chunks nonzero, the
+// input whose zero chunks gram skips.  BM_Gram above is dense.
+void BM_GramChunkSparse(benchmark::State& state) {
+  const std::size_t n = 2000, k = 3597;
+  util::Rng rng(4);
+  linalg::Matrix a(n, k);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c * 8 < k; ++c) {
+      if (rng.uniform() >= 0.2) continue;
+      for (std::size_t p = 8 * c; p < std::min(k, 8 * c + 8); ++p) {
+        a(i, p) = rng.normal();
+      }
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::gram(a));
+  }
+}
+BENCHMARK(BM_GramChunkSparse)->Unit(benchmark::kMillisecond);
 
 void BM_QrColPivot(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

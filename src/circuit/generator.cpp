@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 
@@ -23,6 +24,14 @@ constexpr IscasSize kIscas[] = {
     {"s15850", 77, 150, 534, 9772, 44}, {"s35932", 35, 320, 1728, 16065, 29},
     {"s38417", 28, 106, 1636, 22179, 33}, {"s38584", 38, 304, 1426, 19253, 31},
 };
+
+// prefix followed by i, built by appending: GCC 12's -Wrestrict misfires on
+// the inlined "literal" + std::string operator.
+std::string numbered(const char* prefix, std::size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
 
 }  // namespace
 
@@ -98,7 +107,7 @@ Netlist generate(const GeneratorConfig& cfg) {
   std::vector<GateId> inputs;
   inputs.reserve(cfg.num_inputs);
   for (std::size_t i = 0; i < cfg.num_inputs; ++i) {
-    inputs.push_back(nl.add_gate("in" + std::to_string(i), GateType::kInput));
+    inputs.push_back(nl.add_gate(numbered("in", i), GateType::kInput));
   }
   level_start.push_back(0);
   prev_levels_flat.insert(prev_levels_flat.end(), inputs.begin(), inputs.end());
@@ -132,8 +141,8 @@ Netlist generate(const GeneratorConfig& cfg) {
         else type = (nin == 2 && rng.uniform() < 0.5) ? GateType::kXor
                                                       : GateType::kXnor;
       }
-      const GateId g =
-          nl.add_gate("g" + std::to_string(gate_counter++), type);
+      const GateId g = nl.add_gate(
+          numbered("g", static_cast<std::size_t>(gate_counter++)), type);
       // Choose distinct fanins.
       std::vector<GateId> chosen;
       const std::size_t cur_level_index = lvl + 1;  // into level_start
@@ -221,8 +230,9 @@ Netlist generate(const GeneratorConfig& cfg) {
   }
   int po_counter = 0;
   for (GateId drv : capture_drivers) {
-    const GateId po =
-        nl.add_gate("out" + std::to_string(po_counter++), GateType::kOutput);
+    const GateId po = nl.add_gate(
+        numbered("out", static_cast<std::size_t>(po_counter++)),
+        GateType::kOutput);
     nl.connect(drv, po);
   }
   return nl;

@@ -200,16 +200,56 @@ PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
     // Rows below the pivot are independent: each reads its own row of L and
     // the pivot row and writes only its own entries, with the same serial
     // dot as a single-threaded run, so results are thread-count invariant.
+    // Eight rows run together, so eight of those serial chains are in
+    // flight at once; each row's chain is the single-row loop's, term for
+    // term, and the remainder rows run that loop itself.
+    const auto finish_row = [&](std::size_t i, double v) {
+      const double lik = v / lkk;
+      l(i, k) = lik;
+      diag[i] -= lik * lik;
+    };
     const auto update_rows = [&](std::size_t ib, std::size_t ie) {
       const double* lk = l.row(k).data();
-      for (std::size_t i = ib; i < ie; ++i) {
+      std::size_t i = ib;
+      for (; i + 8 <= ie; i += 8) {
+        const double* l0 = l.row(i).data();
+        const double* l1 = l.row(i + 1).data();
+        const double* l2 = l.row(i + 2).data();
+        const double* l3 = l.row(i + 3).data();
+        const double* l4 = l.row(i + 4).data();
+        const double* l5 = l.row(i + 5).data();
+        const double* l6 = l.row(i + 6).data();
+        const double* l7 = l.row(i + 7).data();
+        const auto orig = [&](std::size_t r) {
+          return s(static_cast<std::size_t>(out.perm[i + r]), pk);
+        };
+        double v0 = orig(0), v1 = orig(1), v2 = orig(2), v3 = orig(3);
+        double v4 = orig(4), v5 = orig(5), v6 = orig(6), v7 = orig(7);
+        for (std::size_t j = 0; j < k; ++j) {
+          v0 -= l0[j] * lk[j];
+          v1 -= l1[j] * lk[j];
+          v2 -= l2[j] * lk[j];
+          v3 -= l3[j] * lk[j];
+          v4 -= l4[j] * lk[j];
+          v5 -= l5[j] * lk[j];
+          v6 -= l6[j] * lk[j];
+          v7 -= l7[j] * lk[j];
+        }
+        finish_row(i, v0);
+        finish_row(i + 1, v1);
+        finish_row(i + 2, v2);
+        finish_row(i + 3, v3);
+        finish_row(i + 4, v4);
+        finish_row(i + 5, v5);
+        finish_row(i + 6, v6);
+        finish_row(i + 7, v7);
+      }
+      for (; i < ie; ++i) {
         const auto pi = static_cast<std::size_t>(out.perm[i]);
         double v = s(pi, pk);
         const double* li = l.row(i).data();
         for (std::size_t j = 0; j < k; ++j) v -= li[j] * lk[j];
-        const double lik = v / lkk;
-        l(i, k) = lik;
-        diag[i] -= lik * lik;
+        finish_row(i, v);
       }
     };
     const std::size_t rest = n - k - 1;

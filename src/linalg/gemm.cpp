@@ -1,6 +1,9 @@
 #include "linalg/gemm.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,13 +28,16 @@ void count_gemm(std::size_t flops) {
   util::telemetry::count("linalg.gemm.flops", flops);
 }
 
-// Counter trio for the SYRK-style symmetric kernels: the flops actually
-// spent on the computed triangle (k * n * (n+1): n(n+1)/2 dots of 2k flops)
-// and the flops the symmetry saved versus the 2*k*n^2 full-GEMM route.
-void count_syrk(std::size_t k, std::size_t n) {
+// Counters for the SYRK-style symmetric kernel: the flops actually issued
+// on the computed triangle (2 per multiply-add, over the chunks the row masks
+// let through, plus every cell's tail), the flops the symmetry saved versus
+// the 2*k*n^2 full-GEMM route, and the zero chunks the masks skipped.
+void count_syrk(std::size_t k, std::size_t n, std::size_t flops,
+                std::size_t chunks_skipped) {
   util::telemetry::count("linalg.syrk.calls");
-  util::telemetry::count("linalg.syrk.flops", k * n * (n + 1));
+  util::telemetry::count("linalg.syrk.flops", flops);
   util::telemetry::count("linalg.syrk.flops_saved", k * n * (n - 1));
+  util::telemetry::count("linalg.syrk.chunks_skipped", chunks_skipped);
 }
 
 // Runs fn(begin, end) over [0, total) through the shared thread pool.  Every
@@ -421,33 +427,135 @@ void add_multiply_bt_trailing(const Matrix& a, const Matrix& b, Matrix& c,
                            gemm_threads_used(flops));
 }
 
+namespace {
+
+// Which chunks of A's rows hold a nonzero, for the Gram (simd::kChunk
+// doubles a chunk; mask layout in simd/kernels.h).  quad(q) is the union of
+// rows 4q..4q+3: a dot4 quad runs on row i's mask and its quad's union, a
+// superset of each cell's common chunks, so skipping still drops only zero
+// products.  A row holding inf or NaN is dense: zero times it is NaN, so no
+// chunk may be skipped in any cell it is part of, and such a cell runs on
+// all(), which is the dense kernel.  Rows are scanned by one task each.
+class GramMasks {
+ public:
+  // parallel: spread the scan over the pool (the tile loop's own choice).
+  GramMasks(const Matrix& a, bool parallel)
+      : words_(simd::mask_words(a.cols())),
+        all_(words_, 0),
+        rows_(a.rows() * words_, 0),
+        quads_(a.rows() / 4 * words_, 0),
+        row_dense_(a.rows(), 0),
+        quad_dense_(a.rows() / 4, 0) {
+    const std::size_t k = a.cols(), chunks = k / simd::kChunk;
+    for (std::size_t c = 0; c < chunks; ++c) set(all_.data(), c);
+    // On the bits: a value is nonzero when any bit but the sign is set, and
+    // inf or NaN when its exponent field is all ones.
+    constexpr std::uint64_t kExponent = 0x7ff0000000000000ULL;
+    const auto scan_rows = [&](std::size_t rb, std::size_t re) {
+      for (std::size_t i = rb; i < re; ++i) {
+        const double* x = a.row(i).data();
+        std::uint64_t* m = rows_.data() + i * words_;
+        std::uint64_t non_finite = 0;
+        for (std::size_t c = 0; c < chunks; ++c) {
+          std::uint64_t any = 0;
+          for (std::size_t e = c * simd::kChunk; e < (c + 1) * simd::kChunk;
+               ++e) {
+            const auto u = std::bit_cast<std::uint64_t>(x[e]);
+            any |= u << 1;
+            non_finite |= (u & kExponent) == kExponent ? 1 : 0;
+          }
+          if (any != 0) set(m, c);
+        }
+        for (std::size_t e = chunks * simd::kChunk; e < k; ++e) {
+          const auto u = std::bit_cast<std::uint64_t>(x[e]);
+          non_finite |= (u & kExponent) == kExponent ? 1 : 0;
+        }
+        row_dense_[i] = non_finite != 0 ? 1 : 0;
+      }
+    };
+    if (parallel) {
+      util::parallel_for(0, a.rows(), 16, scan_rows);
+    } else {
+      scan_rows(0, a.rows());
+    }
+    for (std::size_t q = 0; q < quad_dense_.size(); ++q) {
+      std::uint64_t* u = quads_.data() + q * words_;
+      for (std::size_t j = 4 * q; j < 4 * q + 4; ++j) {
+        for (std::size_t w = 0; w < words_; ++w) u[w] |= row(j)[w];
+        quad_dense_[q] |= row_dense_[j];
+      }
+    }
+  }
+
+  std::size_t words() const { return words_; }
+  const std::uint64_t* all() const { return all_.data(); }
+  const std::uint64_t* row(std::size_t i) const {
+    return rows_.data() + i * words_;
+  }
+  const std::uint64_t* quad(std::size_t q) const {
+    return quads_.data() + q * words_;
+  }
+  bool row_dense(std::size_t i) const { return row_dense_[i] != 0; }
+  bool quad_dense(std::size_t q) const { return quad_dense_[q] != 0; }
+
+ private:
+  static void set(std::uint64_t* m, std::size_t c) {
+    m[c / simd::kMaskBits] |= std::uint64_t{1} << (c % simd::kMaskBits);
+  }
+
+  std::size_t words_;
+  std::vector<std::uint64_t> all_, rows_, quads_;
+  std::vector<unsigned char> row_dense_, quad_dense_;
+};
+
+// Chunks set in both masks: what a masked kernel runs.
+std::size_t common_chunks(std::size_t words, const std::uint64_t* mx,
+                          const std::uint64_t* my) {
+  std::size_t c = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    c += static_cast<std::size_t>(std::popcount(mx[w] & my[w]));
+  }
+  return c;
+}
+
+}  // namespace
+
 // A A^T exists for every shape; no dimension precondition to state.
 // repro-lint: allow(contracts)
 Matrix gram(const Matrix& a) {
   const std::size_t n = a.rows(), k = a.cols();
-  count_syrk(k, n);
   const util::Stopwatch sw;
   const simd::KernelOps& t = simd::ops();
   const bool use_simd = t.tier != simd::Tier::kScalar;
-  Matrix c(n, n);
   // SYRK: compute only the lower triangle as independent kTile x kTile tile
-  // pairs, then mirror.  Each cell is one dot(a.row(i), a.row(j)) — dot is
-  // argument-symmetric bit-for-bit, so the mirrored matrix matches the full
-  // product exactly — and is written by exactly one tile pair, so the result
-  // does not depend on the thread count.  The flattened pair list load-
-  // balances the triangle instead of handing one chunk the long first rows.
-  // SIMD tiers run cells in j-quads through the tier's dot4 kernel (one pass
-  // of row i feeds four cells); the quad grouping depends only on the tile
-  // bounds, so it too is thread-count invariant.
+  // pairs, then mirror.  Each cell is the tier's dot of rows i and j (the
+  // scalar tier's is linalg::dot's loop) — argument-symmetric bit-for-bit,
+  // so the mirrored matrix matches the full product exactly — and is
+  // written by exactly one tile pair, so the result does not depend on the
+  // thread count.  The flattened pair list load-balances the triangle
+  // instead of handing one chunk the long first rows.  SIMD tiers run cells
+  // in j-quads through the tier's dot4 kernel (one pass of row i feeds four
+  // cells); the quads start at multiples of 4, so their grouping does not
+  // depend on the thread count either.  Every cell runs masked, over the
+  // chunks its rows share (GramMasks), with the dense kernel's bits.
   constexpr std::size_t kTile = 64;
   const std::size_t ntiles = (n + kTile - 1) / kTile;
   const std::size_t npairs = ntiles * (ntiles + 1) / 2;
+  const std::size_t nt = util::thread_count();
+  const bool parallel = nt > 1 && npairs > 1 && k * n * n > 8'000'000;
+  const GramMasks masks(a, parallel);
+  const std::size_t words = masks.words();
+  const std::size_t chunks = k / simd::kChunk;
+  const std::size_t tail = k - chunks * simd::kChunk;
+  Matrix c(n, n);
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   pairs.reserve(npairs);
   for (std::size_t ti = 0; ti < ntiles; ++ti) {
     for (std::size_t tj = 0; tj <= ti; ++tj) pairs.emplace_back(ti, tj);
   }
+  std::atomic<std::size_t> chunks_run{0};  // summed over cells
   const auto run_pairs = [&](std::size_t pb, std::size_t pe) {
+    std::size_t run = 0;
     for (std::size_t p = pb; p < pe; ++p) {
       const std::size_t ib = pairs[p].first * kTile;
       const std::size_t ie = std::min(n, ib + kTile);
@@ -455,25 +563,31 @@ Matrix gram(const Matrix& a) {
       const std::size_t je = std::min(n, jb + kTile);
       for (std::size_t i = ib; i < ie; ++i) {
         const std::size_t jhi = std::min(je, i + 1);
+        const double* xi = a.row(i).data();
+        const bool dense_i = masks.row_dense(i);
+        std::size_t j = jb;
         if (use_simd) {
-          const double* xi = a.row(i).data();
-          std::size_t j = jb;
           for (; j + 4 <= jhi; j += 4) {
-            t.dot4(k, xi, a.row(j).data(), a.row(j + 1).data(),
-                   a.row(j + 2).data(), a.row(j + 3).data(),
-                   c.row(i).data() + j);
+            const bool dense = dense_i || masks.quad_dense(j / 4);
+            const std::uint64_t* mx = dense ? masks.all() : masks.row(i);
+            const std::uint64_t* my = dense ? masks.all() : masks.quad(j / 4);
+            t.dot4_masked(k, xi, a.row(j).data(), a.row(j + 1).data(),
+                          a.row(j + 2).data(), a.row(j + 3).data(), mx, my,
+                          c.row(i).data() + j);
+            run += 4 * common_chunks(words, mx, my);
           }
-          for (; j < jhi; ++j) c(i, j) = t.dot(k, xi, a.row(j).data());
-        } else {
-          for (std::size_t j = jb; j < jhi; ++j) {
-            c(i, j) = dot(a.row(i), a.row(j));
-          }
+        }
+        for (; j < jhi; ++j) {
+          const bool dense = dense_i || masks.row_dense(j);
+          const std::uint64_t* mx = dense ? masks.all() : masks.row(i);
+          const std::uint64_t* my = dense ? masks.all() : masks.row(j);
+          c(i, j) = t.dot_masked(k, xi, a.row(j).data(), mx, my);
+          run += common_chunks(words, mx, my);
         }
       }
     }
+    chunks_run.fetch_add(run, std::memory_order_relaxed);
   };
-  const std::size_t nt = util::thread_count();
-  const bool parallel = nt > 1 && npairs > 1 && k * n * n > 8'000'000;
   if (!parallel) {
     run_pairs(0, npairs);
   } else {
@@ -483,8 +597,11 @@ Matrix gram(const Matrix& a) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) c(i, j) = c(j, i);
   }
-  record_kernel_throughput("syrk", k * n * (n + 1), sw.seconds(),
-                           parallel ? nt : 1);
+  const std::size_t cells = n * (n + 1) / 2;
+  const std::size_t flops =
+      2 * (chunks_run.load() * simd::kChunk + cells * tail);
+  count_syrk(k, n, flops, cells * chunks - chunks_run.load());
+  record_kernel_throughput("syrk", flops, sw.seconds(), parallel ? nt : 1);
   return c;
 }
 

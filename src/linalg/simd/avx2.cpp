@@ -15,6 +15,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <cstdint>
 
 namespace repro::linalg::simd {
 namespace {
@@ -123,6 +124,95 @@ void dot4_avx2(std::size_t n, const double* x, const double* y0,
   out[3] = s3;
 }
 
+// dot4 over the chunks both masks admit: as in dot4_avx2's 8-wide loop, a
+// chunk's first four lanes go to a and its last four to b.
+void dot4_masked_avx2(std::size_t n, const double* x, const double* y0,
+                      const double* y1, const double* y2, const double* y3,
+                      const std::uint64_t* mask_x, const std::uint64_t* mask_y,
+                      double out[4]) {
+  __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
+  __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
+  __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
+  __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
+  for_each_chunk_run(n, mask_x, mask_y, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b * kChunk; i < e * kChunk; i += kChunk) {
+      const __m256d x0 = _mm256_loadu_pd(x + i);
+      const __m256d x1 = _mm256_loadu_pd(x + i + 4);
+      a0 = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y0 + i), a0);
+      b0 = _mm256_fmadd_pd(x1, _mm256_loadu_pd(y0 + i + 4), b0);
+      a1 = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y1 + i), a1);
+      b1 = _mm256_fmadd_pd(x1, _mm256_loadu_pd(y1 + i + 4), b1);
+      a2 = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y2 + i), a2);
+      b2 = _mm256_fmadd_pd(x1, _mm256_loadu_pd(y2 + i + 4), b2);
+      a3 = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y3 + i), a3);
+      b3 = _mm256_fmadd_pd(x1, _mm256_loadu_pd(y3 + i + 4), b3);
+    }
+  });
+  std::size_t i = n / kChunk * kChunk;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d x0 = _mm256_loadu_pd(x + i);
+    a0 = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y0 + i), a0);
+    a1 = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y1 + i), a1);
+    a2 = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y2 + i), a2);
+    a3 = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y3 + i), a3);
+  }
+  double s0 = hsum2(a0, b0);
+  double s1 = hsum2(a1, b1);
+  double s2 = hsum2(a2, b2);
+  double s3 = hsum2(a3, b3);
+  for (; i < n; ++i) {
+    const double xi = x[i];
+    s0 += xi * y0[i];
+    s1 += xi * y1[i];
+    s2 += xi * y2[i];
+    s3 += xi * y3[i];
+  }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
+}
+
+// dot over the chunks both masks admit.  Inside dot_avx2's 16-wide blocks an
+// even chunk feeds acc0/acc1 and an odd one acc2/acc3; a chunk after them
+// feeds both halves to acc0, like the 4-wide remainder loop.
+double dot_masked_avx2(std::size_t n, const double* x, const double* y,
+                       const std::uint64_t* mask_x,
+                       const std::uint64_t* mask_y) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  const std::size_t blocked = n / 16 * 2;
+  for_each_chunk_run(n, mask_x, mask_y, [&](std::size_t b, std::size_t e) {
+    for (std::size_t c = b; c < e; ++c) {
+      const std::size_t i = c * kChunk;
+      const __m256d x0 = _mm256_loadu_pd(x + i);
+      const __m256d x1 = _mm256_loadu_pd(x + i + 4);
+      const __m256d yc0 = _mm256_loadu_pd(y + i);
+      const __m256d yc1 = _mm256_loadu_pd(y + i + 4);
+      if (c >= blocked) {
+        acc0 = _mm256_fmadd_pd(x0, yc0, acc0);
+        acc0 = _mm256_fmadd_pd(x1, yc1, acc0);
+      } else if (c % 2 == 0) {
+        acc0 = _mm256_fmadd_pd(x0, yc0, acc0);
+        acc1 = _mm256_fmadd_pd(x1, yc1, acc1);
+      } else {
+        acc2 = _mm256_fmadd_pd(x0, yc0, acc2);
+        acc3 = _mm256_fmadd_pd(x1, yc1, acc3);
+      }
+    }
+  });
+  std::size_t i = n / kChunk * kChunk;
+  for (; i + 4 <= n; i += 4) {
+    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i),
+                           acc0);
+  }
+  double s = hsum2(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
+  for (; i < n; ++i) s += x[i] * y[i];
+  return s;
+}
+
 // 4x8 register tile: 8 ymm accumulators (4 rows x 2 vectors), 2 B loads and
 // 4 A broadcasts per k step — the classic packed-panel inner kernel.
 void gemm_ukr_avx2(std::size_t kc, const double* apack, const double* bpack,
@@ -167,6 +257,7 @@ constexpr KernelOps kAvx2Ops = {
     Tier::kAvx2, "avx2", 4,         8,
     /*flops_per_cycle=*/16.0,  // 2 FMA ports x 4 doubles x 2 flops
     axpy_avx2,   dot_avx2, dot4_avx2, gemm_ukr_avx2,
+    dot_masked_avx2, dot4_masked_avx2,
 };
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <arm_neon.h>
 
 #include <cmath>
+#include <cstdint>
 
 namespace repro::linalg::simd {
 namespace {
@@ -72,6 +73,71 @@ void dot4_neon(std::size_t n, const double* x, const double* y0,
   out[3] = s3;
 }
 
+// dot4 over the chunks both masks admit: a chunk is four of dot4_neon's
+// 2-wide steps, all into the cell's one accumulator.
+void dot4_masked_neon(std::size_t n, const double* x, const double* y0,
+                      const double* y1, const double* y2, const double* y3,
+                      const std::uint64_t* mask_x, const std::uint64_t* mask_y,
+                      double out[4]) {
+  float64x2_t a0 = vdupq_n_f64(0.0), a1 = vdupq_n_f64(0.0);
+  float64x2_t a2 = vdupq_n_f64(0.0), a3 = vdupq_n_f64(0.0);
+  for_each_chunk_run(n, mask_x, mask_y, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b * kChunk; i < e * kChunk; i += 2) {
+      const float64x2_t x0 = vld1q_f64(x + i);
+      a0 = vfmaq_f64(a0, x0, vld1q_f64(y0 + i));
+      a1 = vfmaq_f64(a1, x0, vld1q_f64(y1 + i));
+      a2 = vfmaq_f64(a2, x0, vld1q_f64(y2 + i));
+      a3 = vfmaq_f64(a3, x0, vld1q_f64(y3 + i));
+    }
+  });
+  std::size_t i = n / kChunk * kChunk;
+  for (; i + 2 <= n; i += 2) {
+    const float64x2_t x0 = vld1q_f64(x + i);
+    a0 = vfmaq_f64(a0, x0, vld1q_f64(y0 + i));
+    a1 = vfmaq_f64(a1, x0, vld1q_f64(y1 + i));
+    a2 = vfmaq_f64(a2, x0, vld1q_f64(y2 + i));
+    a3 = vfmaq_f64(a3, x0, vld1q_f64(y3 + i));
+  }
+  double s0 = vaddvq_f64(a0);
+  double s1 = vaddvq_f64(a1);
+  double s2 = vaddvq_f64(a2);
+  double s3 = vaddvq_f64(a3);
+  for (; i < n; ++i) {
+    const double xi = x[i];
+    s0 += xi * y0[i];
+    s1 += xi * y1[i];
+    s2 += xi * y2[i];
+    s3 += xi * y3[i];
+  }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
+}
+
+// dot over the chunks both masks admit: a chunk is two of dot_neon's 4-wide
+// steps, each feeding acc0 then acc1.
+double dot_masked_neon(std::size_t n, const double* x, const double* y,
+                       const std::uint64_t* mask_x,
+                       const std::uint64_t* mask_y) {
+  float64x2_t acc0 = vdupq_n_f64(0.0);
+  float64x2_t acc1 = vdupq_n_f64(0.0);
+  for_each_chunk_run(n, mask_x, mask_y, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b * kChunk; i < e * kChunk; i += 4) {
+      acc0 = vfmaq_f64(acc0, vld1q_f64(x + i), vld1q_f64(y + i));
+      acc1 = vfmaq_f64(acc1, vld1q_f64(x + i + 2), vld1q_f64(y + i + 2));
+    }
+  });
+  std::size_t i = n / kChunk * kChunk;
+  for (; i + 4 <= n; i += 4) {
+    acc0 = vfmaq_f64(acc0, vld1q_f64(x + i), vld1q_f64(y + i));
+    acc1 = vfmaq_f64(acc1, vld1q_f64(x + i + 2), vld1q_f64(y + i + 2));
+  }
+  double s = vaddvq_f64(vaddq_f64(acc0, acc1));
+  for (; i < n; ++i) s += x[i] * y[i];
+  return s;
+}
+
 // 4x4 register tile: 8 q-register accumulators (4 rows x 2 vectors).
 void gemm_ukr_neon(std::size_t kc, const double* apack, const double* bpack,
                    double* c, std::size_t ldc) {
@@ -101,6 +167,7 @@ constexpr KernelOps kNeonOps = {
     Tier::kNeon, "neon", 4,         4,
     /*flops_per_cycle=*/8.0,  // 2 FMA pipes x 2 doubles x 2 flops
     axpy_neon,   dot_neon, dot4_neon, gemm_ukr_neon,
+    dot_masked_neon, dot4_masked_neon,
 };
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "core/benchmarks.h"
 #include "linalg/simd/dispatch.h"
+#include "linalg/simd/kernels.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -192,6 +197,142 @@ TEST(Gemm, SparseRowsDropZerosAndCheckShapes) {
   const Matrix c = multiply(SparseRows(3), Matrix(3, 5));
   EXPECT_EQ(c.rows(), 0u);
   EXPECT_EQ(c.cols(), 5u);
+}
+
+// gram's tile loop as it was before chunk masks: every cell runs the tier's
+// dense dot4 / dot over the whole rows (linalg::dot on the scalar tier).
+Matrix dense_gram_reference(const Matrix& a) {
+  const simd::KernelOps& t = simd::ops();
+  const bool use_simd = t.tier != simd::Tier::kScalar;
+  const std::size_t n = a.rows(), k = a.cols();
+  Matrix c(n, n);
+  constexpr std::size_t kTile = 64;
+  const std::size_t ntiles = (n + kTile - 1) / kTile;
+  for (std::size_t ti = 0; ti < ntiles; ++ti) {
+    for (std::size_t tj = 0; tj <= ti; ++tj) {
+      const std::size_t ib = ti * kTile;
+      const std::size_t ie = std::min(n, ib + kTile);
+      const std::size_t jb = tj * kTile;
+      const std::size_t je = std::min(n, jb + kTile);
+      for (std::size_t i = ib; i < ie; ++i) {
+        const std::size_t jhi = std::min(je, i + 1);
+        if (use_simd) {
+          const double* xi = a.row(i).data();
+          std::size_t j = jb;
+          for (; j + 4 <= jhi; j += 4) {
+            t.dot4(k, xi, a.row(j).data(), a.row(j + 1).data(),
+                   a.row(j + 2).data(), a.row(j + 3).data(),
+                   c.row(i).data() + j);
+          }
+          for (; j < jhi; ++j) c(i, j) = t.dot(k, xi, a.row(j).data());
+        } else {
+          for (std::size_t j = jb; j < jhi; ++j) {
+            c(i, j) = dot(a.row(i), a.row(j));
+          }
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) c(i, j) = c(j, i);
+  }
+  return c;
+}
+
+// Bit-for-bit equal, except that a NaN matches any NaN: which operand's NaN
+// an add or FMA passes on depends on the instruction form the compiler
+// picked, not on the arithmetic.
+bool same_bits(const Matrix& x, const Matrix& y) {
+  if (!x.same_shape(y)) return false;
+  for (std::size_t q = 0; q < x.data().size(); ++q) {
+    const double u = x.data()[q], v = y.data()[q];
+    if (std::isnan(u) && std::isnan(v)) continue;
+    if (std::memcmp(&u, &v, sizeof(double)) != 0) return false;
+  }
+  return true;
+}
+
+// Rows shaped like A = G Sigma, and the cases chunk skipping must get right:
+// row 0 all zero, row 1 dense, row 2 all -0.0, and random rows with about a
+// third of their 8-double chunks live, some entries in them zero or -0.0.
+Matrix chunk_sparse_matrix(std::size_t n, std::size_t k, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Matrix a(n, k);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c * 8 < k; ++c) {
+      const bool live = i == 1 || (i > 2 && rng.uniform() < 0.35);
+      for (std::size_t p = 8 * c; p < std::min(k, 8 * c + 8); ++p) {
+        const double u = rng.uniform();
+        if (i == 2) a(i, p) = -0.0;
+        if (!live) continue;
+        a(i, p) = u < 0.15 ? 0.0 : u < 0.3 ? -0.0 : rng.normal();
+      }
+    }
+  }
+  return a;
+}
+
+// Runs gram on every available tier at 1 and 4 threads and expects the
+// dense reference's bits.
+void expect_gram_has_dense_bits(const Matrix& a, const std::string& what) {
+  const std::string before = simd::tier_name(simd::active_tier());
+  const std::size_t saved_threads = util::thread_count();
+  for (simd::Tier t : simd::available_tiers()) {
+    ASSERT_TRUE(simd::set_tier(simd::tier_name(t)));
+    const Matrix ref = dense_gram_reference(a);
+    for (std::size_t threads : {1u, 4u}) {
+      util::set_threads(threads);
+      EXPECT_TRUE(same_bits(gram(a), ref))
+          << what << " tier=" << simd::tier_name(t) << " threads=" << threads
+          << " n=" << a.rows() << " k=" << a.cols();
+    }
+  }
+  util::set_threads(saved_threads);
+  simd::set_tier(before);
+}
+
+TEST(Gemm, GramSkipsZeroChunksWithDenseBits) {
+  // k below one chunk, every k mod 8, k across the 16- and 32-wide blocks of
+  // the SIMD dots and across a 64-chunk mask word; n across the 4-cell
+  // quads and the 64-row tiles.
+  std::vector<std::size_t> ks;
+  for (std::size_t k = 0; k < 18; ++k) ks.push_back(k);
+  for (std::size_t k : {31u, 32u, 33u, 47u, 64u, 100u, 515u, 520u, 523u,
+                        1031u}) {
+    ks.push_back(k);
+  }
+  for (std::size_t n : {1u, 3u, 5u, 63u, 64u, 65u, 130u}) {
+    for (std::size_t k : ks) {
+      expect_gram_has_dense_bits(chunk_sparse_matrix(n, k, 7 * n + k),
+                                 "sparse");
+    }
+  }
+
+  // 0 * inf and 0 * NaN are NaN: a row holding either must meet every chunk
+  // of every other row, including the ones that row leaves at zero.
+  for (std::size_t k : {5u, 40u, 77u, 600u}) {
+    Matrix a = chunk_sparse_matrix(70, k, 90 + k);
+    a(5, k / 2) = std::numeric_limits<double>::infinity();
+    a(9, k - 1) = -std::numeric_limits<double>::infinity();
+    a(33, 0) = std::numeric_limits<double>::quiet_NaN();
+    a(64, k / 3) = std::numeric_limits<double>::quiet_NaN();
+    expect_gram_has_dense_bits(a, "non-finite");
+    const Matrix w = gram(a);
+    EXPECT_TRUE(std::isnan(w(5, 0)));   // row 0 is all zero
+    EXPECT_TRUE(std::isnan(w(33, 2)));  // row 2 is all -0.0
+  }
+
+  // A = G Sigma of s1423 and s38417 at the REPRO_FAST pool sizes
+  // (core::default_experiment_config at that scale).
+  for (const char* bench : {"s1423", "s38417"}) {
+    core::ExperimentConfig cfg;
+    cfg.benchmark = bench;
+    cfg.max_target_paths = 500;
+    cfg.max_candidates = 5000;
+    cfg.yield_mc_samples = 500;
+    const core::Experiment e(cfg);
+    expect_gram_has_dense_bits(e.model().a(), bench);
+  }
 }
 
 TEST(Gemm, IdentityIsNeutral) {

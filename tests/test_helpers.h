@@ -8,6 +8,14 @@
 
 namespace repro::test {
 
+// prefix followed by i, built by appending: GCC 12's -Wrestrict misfires on
+// the inlined "literal" + std::string operator.
+inline std::string numbered(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 // The paper's Figure-1 subcircuit: two launch points, gates G1..G9, two
 // capture points; four designated launch-to-capture paths merging at G5:
 //   p1: G1 G3 G5 G7 G9,  p2: G1 G3 G5 G6 G8,
@@ -49,7 +57,7 @@ inline circuit::Netlist chain_netlist(int n) {
   circuit::Netlist nl("chain");
   auto prev = nl.add_gate("in", GateType::kInput);
   for (int i = 0; i < n; ++i) {
-    const auto g = nl.add_gate("g" + std::to_string(i), GateType::kBuf);
+    const auto g = nl.add_gate(numbered("g", i), GateType::kBuf);
     nl.connect(prev, g);
     prev = g;
   }
@@ -68,8 +76,8 @@ inline circuit::Netlist diamond_netlist(int width) {
   nl.connect(in, fork);
   const auto join = nl.add_gate("join", GateType::kOr);
   for (int i = 0; i < width; ++i) {
-    const auto a = nl.add_gate("a" + std::to_string(i), GateType::kNot);
-    const auto b = nl.add_gate("b" + std::to_string(i), GateType::kNot);
+    const auto a = nl.add_gate(numbered("a", i), GateType::kNot);
+    const auto b = nl.add_gate(numbered("b", i), GateType::kNot);
     nl.connect(fork, a);
     nl.connect(a, b);
     nl.connect(b, join);

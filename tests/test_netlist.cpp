@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "test_helpers.h"
+
 namespace repro::circuit {
 namespace {
 
@@ -142,7 +144,7 @@ TEST(Netlist, DepthOfChain) {
   Netlist nl;
   GateId prev = nl.add_gate("in", GateType::kInput);
   for (int i = 0; i < 5; ++i) {
-    const GateId g = nl.add_gate("g" + std::to_string(i), GateType::kBuf);
+    const GateId g = nl.add_gate(test::numbered("g", i), GateType::kBuf);
     nl.connect(prev, g);
     prev = g;
   }

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
+#include "core/benchmarks.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
@@ -207,17 +209,61 @@ void expect_same_bits(const PivotedChol& a, const PivotedChol& b) {
                          b.l.data().begin()));
 }
 
+// Five copies of one 9 x 9 PSD block down the diagonal: every Schur
+// diagonal stays tied, exactly, with its copies in the other blocks, so each
+// pivot is decided by the tie rule (first largest).
+Matrix tied_block_diagonal() {
+  const Matrix block = psd_of_rank(9, 9, 15);
+  Matrix w(45, 45);
+  for (std::size_t b = 0; b < 5; ++b) {
+    for (std::size_t i = 0; i < 9; ++i) {
+      for (std::size_t j = 0; j < 9; ++j) w(9 * b + i, 9 * b + j) = block(i, j);
+    }
+  }
+  return w;
+}
+
 TEST(PivotedCholesky, BitIdenticalToReferenceAndAcrossThreadCounts) {
   // Rank 200 of 700 grows the factor storage past its first capacity and
   // takes the threaded row update; a full-rank case fills every column.
+  // Orders 13, 67 and 203 leave trailing-row counts of every residue mod 8
+  // at both ends of the factorization, and the tied block diagonal decides
+  // every pivot by the tie rule.
   const std::size_t saved_threads = util::thread_count();
-  for (const Matrix& w : {psd_of_rank(700, 200, 12), psd_of_rank(90, 90, 13)}) {
+  for (const Matrix& w : {psd_of_rank(700, 200, 12), psd_of_rank(90, 90, 13),
+                          psd_of_rank(13, 13, 16), psd_of_rank(67, 30, 17),
+                          psd_of_rank(203, 203, 18), tied_block_diagonal()}) {
     const double tol = 1e-14;
     const PivotedChol ref = reference_pivoted_cholesky(w, tol);
     for (std::size_t threads : {1u, 4u}) {
       util::set_threads(threads);
       expect_same_bits(pivoted_cholesky(w, tol), ref);
     }
+  }
+  util::set_threads(saved_threads);
+}
+
+TEST(PivotedCholesky, BitIdenticalToReferenceOnFastPaperGram) {
+  // W = A A^T of s1423 at the REPRO_FAST pool sizes, at the selector's own
+  // rank tolerance (core/subset_select.cpp).
+  core::ExperimentConfig cfg;
+  cfg.benchmark = "s1423";
+  cfg.max_target_paths = 500;
+  cfg.max_candidates = 5000;
+  cfg.yield_mc_samples = 500;
+  const core::Experiment e(cfg);
+  const Matrix& a = e.model().a();
+  const Matrix w = gram(a);
+  const double rel =
+      std::sqrt(static_cast<double>(std::max(a.rows(), a.cols())) *
+                std::numeric_limits<double>::epsilon()) *
+      4.0;
+  const PivotedChol ref = reference_pivoted_cholesky(w, rel * rel);
+  ASSERT_GT(ref.rank, 8u);
+  const std::size_t saved_threads = util::thread_count();
+  for (std::size_t threads : {1u, 4u}) {
+    util::set_threads(threads);
+    expect_same_bits(pivoted_cholesky(w, rel * rel), ref);
   }
   util::set_threads(saved_threads);
 }

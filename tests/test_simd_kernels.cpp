@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -197,6 +198,111 @@ TEST(SimdKernels, PrimitivesMatchScalarWithinBound) {
       EXPECT_NEAR(yb[i], ya[i], kTierTol) << simd::tier_name(t) << " i=" << i;
     }
   }
+}
+
+const simd::KernelOps* table_for(simd::Tier t) {
+  switch (t) {
+    case simd::Tier::kScalar: return simd::scalar_ops();
+    case simd::Tier::kAvx2: return simd::avx2_ops();
+    case simd::Tier::kAvx512: return simd::avx512_ops();
+    case simd::Tier::kNeon: return simd::neon_ops();
+  }
+  return nullptr;
+}
+
+bool same_double(double u, double v) {
+  return std::memcmp(&u, &v, sizeof(double)) == 0;
+}
+
+TEST(SimdKernels, MaskedDotsKeepTheDenseBits) {
+  // Five rows whose 8-double chunks are zero about half the time; a chunk's
+  // bit is set in a row's mask when the chunk holds a nonzero.  Every tier's
+  // masked kernels must give the dense kernels' bits both on those masks
+  // (skipping zero products) and on all-ones masks (skipping nothing).
+  for (simd::Tier t : simd::available_tiers()) {
+    const simd::KernelOps* ops = table_for(t);
+    ASSERT_NE(ops, nullptr) << simd::tier_name(t);
+    for (std::size_t n = 0; n < 1100; n += n < 80 ? 1 : 97) {
+      util::Rng rng(41 + n);
+      Matrix x(5, n);
+      const std::size_t words = simd::mask_words(n);
+      std::vector<std::uint64_t> masks(5 * words + 1, 0), ones(words + 1, 0);
+      for (std::size_t c = 0; c < n / simd::kChunk; ++c) {
+        ones[c / 64] |= std::uint64_t{1} << (c % 64);
+      }
+      for (std::size_t r = 0; r < 5; ++r) {
+        for (std::size_t p = 0; p < n; ++p) {
+          const bool live = rng.uniform() < 0.5 || p >= n / 8 * 8;
+          x(r, p) = live ? rng.normal() : (p % 3 == 0 ? -0.0 : 0.0);
+          if (x(r, p) != 0.0 && p < n / 8 * 8) {
+            masks[r * words + p / 512] |= std::uint64_t{1} << (p / 8 % 64);
+          }
+        }
+      }
+      const double* row[5] = {x.row(0).data(), x.row(1).data(),
+                              x.row(2).data(), x.row(3).data(),
+                              x.row(4).data()};
+      std::vector<std::uint64_t> quad(words + 1, 0);
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::size_t r = 1; r < 5; ++r) quad[w] |= masks[r * words + w];
+      }
+      const std::string where =
+          std::string(simd::tier_name(t)) + " n=" + std::to_string(n);
+      for (std::size_t r = 1; r < 5; ++r) {
+        const double dense = ops->dot(n, row[0], row[r]);
+        EXPECT_TRUE(same_double(
+            ops->dot_masked(n, row[0], row[r], masks.data(),
+                            masks.data() + r * words),
+            dense))
+            << where;
+        EXPECT_TRUE(same_double(
+            ops->dot_masked(n, row[0], row[r], ones.data(), ones.data()),
+            dense))
+            << where;
+      }
+      double dense4[4], masked4[4], ones4[4];
+      ops->dot4(n, row[0], row[1], row[2], row[3], row[4], dense4);
+      ops->dot4_masked(n, row[0], row[1], row[2], row[3], row[4],
+                       masks.data(), quad.data(), masked4);
+      ops->dot4_masked(n, row[0], row[1], row[2], row[3], row[4],
+                       ones.data(), ones.data(), ones4);
+      for (std::size_t r = 0; r < 4; ++r) {
+        EXPECT_TRUE(same_double(masked4[r], dense4[r])) << where << " r=" << r;
+        EXPECT_TRUE(same_double(ones4[r], dense4[r])) << where << " r=" << r;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, GramCountsIssuedFlopsAndSkippedChunks) {
+  // 8 rows of 2 full chunks and a 4-wide tail: chunk 0 is live in the even
+  // rows, chunk 1 in rows 0-3.  On the scalar tier every cell runs its own
+  // common chunks, so the counters follow from the masks alone.
+  TierGuard guard;
+  ASSERT_TRUE(simd::set_tier("scalar"));
+  Matrix a(8, 20);
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (std::size_t p = 0; p < 20; ++p) {
+      const bool live = p >= 16 || (p < 8 ? r % 2 == 0 : r < 4);
+      a(r, p) = live ? 1.0 + static_cast<double>(r + p) : 0.0;
+    }
+  }
+  std::uint64_t common = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      common += (i % 2 == 0 && j % 2 == 0) + (i < 4 && j < 4);
+    }
+  }
+  const bool was_enabled = util::telemetry::enabled();
+  util::telemetry::set_enabled(true);
+  const std::uint64_t flops0 = counter_value("linalg.syrk.flops");
+  const std::uint64_t skipped0 = counter_value("linalg.syrk.chunks_skipped");
+  (void)gram(a);
+  EXPECT_EQ(counter_value("linalg.syrk.flops") - flops0,
+            2 * (8 * common + 36 * 4));
+  EXPECT_EQ(counter_value("linalg.syrk.chunks_skipped") - skipped0,
+            36 * 2 - common);
+  util::telemetry::set_enabled(was_enabled);
 }
 
 TEST(SimdKernels, GemmAgreesAcrossTiersWithinBound) {
