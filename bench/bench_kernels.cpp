@@ -217,11 +217,9 @@ void BM_GroupSparseAdmm(benchmark::State& state) {
   }
   const linalg::Matrix sigma = random_matrix(ns, ns * 2, 12);
   linalg::Vector mu(ns, 50.0);
-  core::GroupSparseOptions opt;
-  opt.max_iterations = 60;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::select_segments(g, sigma, mu, 200.0, opt));
+    benchmark::DoNotOptimize(core::select_segments(
+        g, core::build_segment_quadratic(sigma, mu, 3.0), 200.0, 60));
   }
 }
 BENCHMARK(BM_GroupSparseAdmm)->Arg(16)->Arg(48);

@@ -107,12 +107,15 @@ int main(int argc, char** argv) {
     hopt.epsilon = kEps;
     // ADMM budget by scale mode: the refit step repairs feasibility, so
     // fewer iterations only trade a slightly larger |Sr| for time.
-    hopt.group_sparse.max_iterations = (scale == 2) ? 120 : 25;
+    hopt.max_iterations = (scale == 2) ? 120 : 25;
     const core::HybridResult hyb = core::sweep_hybrid_selection(
-        m.a(), m.mu_paths(), m.g(), m.sigma(), m.mu_segments(),
-        e.t_cons_ps(), eps_prime_sweep, hopt);
+        selector, psel, m, e.t_cons_ps(), eps_prime_sweep, hopt);
+    // A fallback to psel's path set measures what ppred measures and
+    // predicts with the same bits, so its Monte Carlo is pmet.
+    const bool same_set = hyb.rep_segments.empty() &&
+                          hyb.rep_paths == psel.representatives;
     const core::McMetrics hmet =
-        core::evaluate_predictor(m, hyb.predictor, mc);
+        same_set ? pmet : core::evaluate_predictor(m, hyb.predictor, mc);
 
     table.add_row(
         {name, std::to_string(e.total_gates()),
@@ -133,6 +136,10 @@ int main(int argc, char** argv) {
     h.metric(name + ".hybrid_total",
              hyb.rep_paths.size() + hyb.rep_segments.size());
     h.metric(name + ".hybrid_e1", hmet.e1);
+    h.metric(name + ".alg3_total", hyb.alg3_total);
+    h.metric(name + ".alg3_eps", hyb.alg3_eps);
+    h.metric(name + ".admm_iterations", hyb.admm_iterations);
+    h.metric(name + ".admm_converged", hyb.admm_converged);
     s_pe1 += pmet.e1;
     s_pe2 += pmet.e2;
     s_he1 += hmet.e1;

@@ -8,9 +8,22 @@
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/gemm.h"
+#include "util/telemetry.h"
 
 namespace repro::core {
 namespace {
+
+// ADMM settings.  The penalty starts at 1: the prox threshold 1/rho is then
+// comparable to the 0/1 entries of G, and residual balancing adapts it.
+constexpr double kRho0 = 1.0;
+constexpr double kAbsTol = 1e-7;
+constexpr double kRelTol = 1e-4;
+// A column is selected when its l-inf norm exceeds this fraction of the
+// largest column norm of the solution.
+constexpr double kColumnThresholdRel = 1e-2;
+// Allowed relative constraint violation after the support refit before the
+// support is grown.
+constexpr double kRefitSlack = 0.02;
 
 // Projects one row (already in the eigenbasis of Q) onto the ellipsoid
 // {w : sum_k d_k w_k^2 <= t2}.  Newton on the secular equation
@@ -114,6 +127,7 @@ SegmentQuadratic build_segment_quadratic(const linalg::Matrix& sigma,
   if (mu_s.size() != ns) {
     throw std::invalid_argument("build_segment_quadratic: shape mismatch");
   }
+  const util::telemetry::Span span("core.hybrid.segment_quadratic");
   SegmentQuadratic out;
   out.q = linalg::gram(sigma);
   out.q *= kappa * kappa;
@@ -131,24 +145,12 @@ SegmentQuadratic build_segment_quadratic(const linalg::Matrix& sigma,
   return out;
 }
 
-// Delegates; build_segment_quadratic and the quadratic overload validate
-// every shape unconditionally in every build.
-// repro-lint: allow(contracts)
-GroupSparseResult select_segments(const linalg::Matrix& g_r1,
-                                  const linalg::Matrix& sigma,
-                                  const linalg::Vector& mu_s, double bound,
-                                  const GroupSparseOptions& options) {
-  return select_segments(g_r1,
-                         build_segment_quadratic(sigma, mu_s, options.kappa),
-                         bound, options);
-}
-
 // Shape and bound preconditions are validated unconditionally below in
 // every build; a contract would duplicate them.
 // repro-lint: allow(contracts)
 GroupSparseResult select_segments(const linalg::Matrix& g_r1,
                                   const SegmentQuadratic& quad, double bound,
-                                  const GroupSparseOptions& options) {
+                                  int max_iterations) {
   const std::size_t r1 = g_r1.rows();
   const std::size_t ns = g_r1.cols();
   if (quad.q.rows() != ns) {
@@ -161,10 +163,7 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
   const linalg::Matrix& v_basis = quad.v;  // Q = V diag(d) V^T
   const double t2 = bound * bound;
 
-  // Scale-aware default rho: the prox threshold 1/rho should be comparable
-  // to typical column magnitudes of G (entries are 0/1).
-  double rho = options.rho;
-  if (rho <= 0.0) rho = 1.0;
+  double rho = kRho0;
 
   // ADMM state.  Start at the feasible point B = Z = G (zero modeling error).
   linalg::Matrix b = g_r1;
@@ -173,7 +172,8 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
 
   GroupSparseResult out;
   const double sqrt_dim = std::sqrt(static_cast<double>(r1 * ns));
-  for (int it = 0; it < options.max_iterations; ++it) {
+  util::telemetry::Span admm_span("core.hybrid.admm");
+  for (int it = 0; it < max_iterations; ++it) {
     // ---- B-update: row-wise projection of (Z - U) onto the ellipsoid
     // centered at the corresponding row of G. ----
     linalg::Matrix p = g_r1;          // q_i = g_i - (z_i - u_i)
@@ -211,10 +211,10 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
     const double s_norm = rho * std::sqrt(s_norm2);
     out.iterations = it + 1;
     const double eps_pri =
-        sqrt_dim * options.abs_tol +
-        options.rel_tol * std::max(b.frobenius_norm(), z.frobenius_norm());
+        sqrt_dim * kAbsTol +
+        kRelTol * std::max(b.frobenius_norm(), z.frobenius_norm());
     const double eps_dual =
-        sqrt_dim * options.abs_tol + options.rel_tol * rho * u.frobenius_norm();
+        sqrt_dim * kAbsTol + kRelTol * rho * u.frobenius_norm();
     if (r_norm <= eps_pri && s_norm <= eps_dual) {
       out.converged = true;
       break;
@@ -229,6 +229,9 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
     }
   }
 
+  admm_span.stop();
+  const util::telemetry::Span refit_span("core.hybrid.refit");
+
   // ---- Column support from Z (the sparse iterate). ----
   linalg::Vector col_inf(ns, 0.0);
   double max_inf = 0.0;
@@ -241,11 +244,11 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
   }
   std::vector<char> in_support(ns, 0);
   for (std::size_t j = 0; j < ns; ++j) {
-    if (col_inf[j] > options.column_threshold_rel * max_inf) in_support[j] = 1;
+    if (col_inf[j] > kColumnThresholdRel * max_inf) in_support[j] = 1;
   }
 
   // ---- Constrained least-squares refit on the support, growing it while
-  // any row violates its bound by more than refit_slack. ----
+  // any row violates its bound by more than kRefitSlack. ----
   // Constrained least-squares refit on a support, batched across all rows:
   //   c_N = g_N fixed,  c_S = -Q_SS^{-1} Q_SN g_N  (per row),
   //   wc^2 = c Q c^T = g_N Q_NN g_N^T - c_S . (Q_SN g_N)
@@ -305,7 +308,7 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
   double worst = refit(in_support, out.b, wc);
   int grow_rounds = 0;
   std::size_t grow_step = std::max<std::size_t>(1, ns / 50);
-  while (worst > bound * (1.0 + options.refit_slack) && grow_rounds < 16) {
+  while (worst > bound * (1.0 + kRefitSlack) && grow_rounds < 16) {
     std::size_t selected = 0;
     for (char f : in_support) selected += (f != 0);
     if (selected + grow_step >= ns) {

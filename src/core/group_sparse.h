@@ -32,20 +32,6 @@
 
 namespace repro::core {
 
-struct GroupSparseOptions {
-  double kappa = 3.0;
-  int max_iterations = 60;
-  double rho = -1.0;          // ADMM penalty; <= 0 selects a scale-aware value
-  double abs_tol = 1e-7;
-  double rel_tol = 1e-4;
-  // A column is considered selected when its l-inf norm exceeds this fraction
-  // of the largest column norm of the solution.
-  double column_threshold_rel = 1e-2;
-  // Allowed relative constraint violation after the support refit before the
-  // support is greedily grown.
-  double refit_slack = 0.02;
-};
-
 struct GroupSparseResult {
   linalg::Matrix b;                   // r1 x nS, refit on the selected support
   std::vector<int> selected_segments; // ascending segment ids
@@ -67,19 +53,14 @@ SegmentQuadratic build_segment_quadratic(const linalg::Matrix& sigma,
                                          const linalg::Vector& mu_s,
                                          double kappa);
 
-// g_r1: r1 x nS incidence rows of the exactly-selected paths;
-// sigma:  nS x m segment sensitivities;  mu_s: nS nominal segment delays;
-// bound = eps' * Tcons (ps).
-GroupSparseResult select_segments(const linalg::Matrix& g_r1,
-                                  const linalg::Matrix& sigma,
-                                  const linalg::Vector& mu_s, double bound,
-                                  const GroupSparseOptions& options = {});
-
-// Same, with the quadratic form precomputed (options.kappa is ignored; the
-// kappa baked into `quad` applies).
+// g_r1: r1 x nS incidence rows of the exactly-selected paths; quad: the
+// form of build_segment_quadratic (its kappa applies); bound = eps' * Tcons
+// (ps).  The ADMM stops after max_iterations even if it has not converged;
+// the refit then restores feasibility, so a low cap trades a larger support
+// for time.
 GroupSparseResult select_segments(const linalg::Matrix& g_r1,
                                   const SegmentQuadratic& quad, double bound,
-                                  const GroupSparseOptions& options = {});
+                                  int max_iterations = 60);
 
 // Exposed for testing: Euclidean projection of v onto the l1 ball of the
 // given radius (Duchi et al. linear-time algorithm, here O(n log n)).

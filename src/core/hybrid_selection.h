@@ -1,34 +1,37 @@
 // Algorithm 3: hybrid path/segment selection.
 //
 //   1. Select P_r1: exact representative paths (r1 = rank(A), zero error).
+//      Any rank(A) independent rows of A are exact (Theorem 1), so P_r1 is
+//      the first rank(A) pivots of the selector's pivoted Cholesky of W.
 //   2. Select segments S_r1 modeling d_Pr1 within eps' < eps (Eqn (10) ADMM).
 //   3. Predict all target paths from d_S_r1 (optimal linear predictor);
 //      detect P_r2 = paths whose worst-case prediction error exceeds
 //      eps * Tcons.
 //   4. Final measurement set = P_r2 (paths) + S_r1 (segments); redundant
 //      measurements are pruned by exact (rank-preserving) subset selection
-//      on the stacked measurement matrix, and the joint optimal predictor is
-//      verified to keep every remaining path within eps.
+//      on the stacked measurement matrix, and one joint optimal predictor
+//      covers every remaining path.
 //
 // eps' is swept (the paper parallelizes this at design stage and keeps the
-// eps' minimizing |P_r| + |S_r|); run_hybrid_selection evaluates one eps',
-// and sweep_hybrid_selection returns the best over a list.
+// eps' minimizing |P_r| + |S_r|).  When the best Algorithm-3 set is larger
+// than the caller's Algorithm-1 selection at eps, the result falls back to
+// that path-only set.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "core/group_sparse.h"
+#include "core/path_selection.h"
 #include "core/predictor.h"
-#include "linalg/matrix.h"
+#include "core/subset_select.h"
+#include "variation/variation_model.h"
 
 namespace repro::core {
 
 struct HybridOptions {
   double epsilon = 0.08;  // overall tolerance (fraction of Tcons)
   double kappa = 3.0;
-  GroupSparseOptions group_sparse;
-  // Prune measurement rows that add no numerical rank (Step 4).
-  bool prune_redundant = true;
+  int max_iterations = 60;  // ADMM cap of the Eqn-(10) solve
 };
 
 struct HybridResult {
@@ -38,25 +41,25 @@ struct HybridResult {
   double eps_prime = 0.0;         // segment-stage tolerance used
   double eps_achieved = 0.0;      // analytic worst-case error fraction
   std::size_t exact_rank = 0;     // |P_r1| = rank(A)
-  std::size_t detected_paths = 0; // |P_r2| before pruning
+  // Algorithm 3's own choice at eps_prime, before the path-only fallback.
+  std::size_t detected_paths = 0;  // |P_r2| from Step 3, before pruning
+  std::size_t alg3_total = 0;      // |P_r2| + |S_r| after Step-4 pruning
+  double alg3_eps = 0.0;           // its analytic worst-case error fraction
   int admm_iterations = 0;
+  bool admm_converged = false;
 };
 
-HybridResult run_hybrid_selection(const linalg::Matrix& a,
-                                  const linalg::Vector& mu_paths,
-                                  const linalg::Matrix& g,
-                                  const linalg::Matrix& sigma,
-                                  const linalg::Vector& mu_segments,
-                                  double t_cons, double eps_prime,
-                                  const HybridOptions& options = {});
-
-// Evaluates each eps' and returns the result minimizing
-// |rep_paths| + |rep_segments| (ties: smaller achieved error).
-HybridResult sweep_hybrid_selection(const linalg::Matrix& a,
-                                    const linalg::Vector& mu_paths,
-                                    const linalg::Matrix& g,
-                                    const linalg::Matrix& sigma,
-                                    const linalg::Vector& mu_segments,
+// Runs Algorithm 3 for each eps' on the caller's Algorithm-2 state: the
+// selector built from W = A A^T of `model`, and `path_only`, the caller's
+// Algorithm-1 selection at options.epsilon (the fallback).  Keeps the eps'
+// whose Algorithm-3 set minimizes |rep_paths| + |rep_segments| (ties:
+// smaller achieved error).  Throws std::invalid_argument on an empty sweep,
+// an eps' outside (0, eps), a path_only whose eps_r exceeds eps, or a
+// selector whose order is not the model's path count.  Neither the selector
+// nor path_only is changed.
+HybridResult sweep_hybrid_selection(const SubsetSelector& selector,
+                                    const PathSelectionResult& path_only,
+                                    const variation::VariationModel& model,
                                     double t_cons,
                                     const std::vector<double>& eps_primes,
                                     const HybridOptions& options = {});

@@ -93,14 +93,16 @@ struct SmallInstance {
       sigma(i, 5 + i % 3) = 2.0 + rng.uniform();  // shared parameters
     }
   }
+  GroupSparseResult select(double bound) const {
+    return select_segments(g, build_segment_quadratic(sigma, mu, 3.0), bound);
+  }
 };
 
 TEST(GroupSparse, LooseBoundSelectsFewSegments) {
   SmallInstance inst;
   // Bound far above any row's worst case: zero columns suffice only if g
   // rows themselves are within bound; with a huge bound B = 0 is feasible.
-  const GroupSparseResult r =
-      select_segments(inst.g, inst.sigma, inst.mu, 1e7);
+  const GroupSparseResult r = inst.select(1e7);
   EXPECT_LT(r.selected_segments.size(), 5u);
   for (double wc : r.row_wc) EXPECT_LE(wc, 1e7 * 1.03);
 }
@@ -108,8 +110,7 @@ TEST(GroupSparse, LooseBoundSelectsFewSegments) {
 TEST(GroupSparse, TightBoundSelectsAllSegments) {
   SmallInstance inst;
   // Bound so tight only (near-)exact modeling works: B must approach G.
-  const GroupSparseResult r =
-      select_segments(inst.g, inst.sigma, inst.mu, 1e-3);
+  const GroupSparseResult r = inst.select(1e-3);
   EXPECT_EQ(r.selected_segments.size(), 5u);
   for (double wc : r.row_wc) EXPECT_LE(wc, 1e-3 * 1.03);
 }
@@ -117,8 +118,7 @@ TEST(GroupSparse, TightBoundSelectsAllSegments) {
 TEST(GroupSparse, ConstraintsHoldAfterRefit) {
   SmallInstance inst;
   for (double bound : {5.0, 20.0, 100.0}) {
-    const GroupSparseResult r =
-        select_segments(inst.g, inst.sigma, inst.mu, bound);
+    const GroupSparseResult r = inst.select(bound);
     for (double wc : r.row_wc) {
       EXPECT_LE(wc, bound * 1.03) << "bound " << bound;
     }
@@ -129,8 +129,7 @@ TEST(GroupSparse, SelectionMonotoneInBound) {
   SmallInstance inst;
   std::size_t prev = 100;
   for (double bound : {1.0, 10.0, 50.0, 1000.0, 1e6}) {
-    const GroupSparseResult r =
-        select_segments(inst.g, inst.sigma, inst.mu, bound);
+    const GroupSparseResult r = inst.select(bound);
     EXPECT_LE(r.selected_segments.size(), prev) << "bound " << bound;
     prev = r.selected_segments.size();
   }
@@ -138,8 +137,7 @@ TEST(GroupSparse, SelectionMonotoneInBound) {
 
 TEST(GroupSparse, BSupportedOnSelectedColumnsOnly) {
   SmallInstance inst;
-  const GroupSparseResult r =
-      select_segments(inst.g, inst.sigma, inst.mu, 30.0);
+  const GroupSparseResult r = inst.select(30.0);
   std::vector<char> sel(5, 0);
   for (int s : r.selected_segments) sel[static_cast<std::size_t>(s)] = 1;
   for (std::size_t i = 0; i < r.b.rows(); ++i) {
@@ -155,8 +153,7 @@ TEST(GroupSparse, SharedTrunkSegmentPreferred) {
   // Segment 4 appears in every path; a sparse solution should include it
   // whenever segments are needed at all.
   SmallInstance inst;
-  const GroupSparseResult r =
-      select_segments(inst.g, inst.sigma, inst.mu, 15.0);
+  const GroupSparseResult r = inst.select(15.0);
   ASSERT_FALSE(r.selected_segments.empty());
   EXPECT_NE(std::find(r.selected_segments.begin(), r.selected_segments.end(),
                       4),
@@ -165,19 +162,23 @@ TEST(GroupSparse, SharedTrunkSegmentPreferred) {
 
 TEST(GroupSparse, ShapeMismatchThrows) {
   SmallInstance inst;
-  EXPECT_THROW((void)select_segments(inst.g, linalg::Matrix(4, 8), inst.mu,
-                                     10.0),
+  // Sigma with 4 segments against 5 nominal delays, then a 4-segment form
+  // against 5 incidence columns.
+  EXPECT_THROW((void)build_segment_quadratic(linalg::Matrix(4, 8), inst.mu,
+                                             3.0),
                std::invalid_argument);
-  EXPECT_THROW((void)select_segments(inst.g, inst.sigma, inst.mu, 0.0),
+  const SegmentQuadratic quad4 = build_segment_quadratic(
+      linalg::Matrix(4, 8), linalg::Vector(4, 1.0), 3.0);
+  EXPECT_THROW((void)select_segments(inst.g, quad4, 10.0),
                std::invalid_argument);
+  EXPECT_THROW((void)inst.select(0.0), std::invalid_argument);
 }
 
 TEST(GroupSparse, WcSurrogateMatchesDefinition) {
   // For the refit B, row_wc must equal sqrt(c Q c^T) with c = g - b.
   SmallInstance inst;
   const double kappa = 3.0;
-  const GroupSparseResult r =
-      select_segments(inst.g, inst.sigma, inst.mu, 25.0);
+  const GroupSparseResult r = inst.select(25.0);
   linalg::Matrix q = linalg::gram(inst.sigma);
   q *= kappa * kappa;
   for (std::size_t i = 0; i < 5; ++i) {

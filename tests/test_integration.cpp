@@ -86,16 +86,16 @@ TEST(Integration, Table2PipelineHybridBeatsPathOnly) {
   const Experiment e(c);
   const auto& m = e.model();
 
+  const SubsetSelector selector = selector_of(e);
   PathSelectionOptions psel;
   psel.epsilon = 0.08;
-  const PathSelectionResult path_sel =
-      select_representative_paths(m.a(), e.t_cons_ps(), psel);
+  const PathSelectionResult path_sel = select_representative_paths(
+      selector, selector.gram(), e.t_cons_ps(), psel);
 
   HybridOptions hopt;
   hopt.epsilon = 0.08;
   const HybridResult hybrid = sweep_hybrid_selection(
-      m.a(), m.mu_paths(), m.g(), m.sigma(), m.mu_segments(), e.t_cons_ps(),
-      {0.03, 0.05}, hopt);
+      selector, path_sel, m, e.t_cons_ps(), {0.03, 0.05}, hopt);
 
   // Both meet the tolerance analytically.
   EXPECT_LE(path_sel.eps_r, 0.08);
