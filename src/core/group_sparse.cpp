@@ -240,7 +240,6 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
       col_inf[j] = std::max(col_inf[j], std::abs(z(i, j)));
     }
     max_inf = std::max(max_inf, col_inf[j]);
-    out.objective += col_inf[j];
   }
   std::vector<char> in_support(ns, 0);
   for (std::size_t j = 0; j < ns; ++j) {

@@ -36,7 +36,6 @@ struct GroupSparseResult {
   linalg::Matrix b;                   // r1 x nS, refit on the selected support
   std::vector<int> selected_segments; // ascending segment ids
   linalg::Vector row_wc;              // achieved WC surrogate per row (ps)
-  double objective = 0.0;             // l1/l-inf objective of the ADMM point
   int iterations = 0;
   bool converged = false;
 };

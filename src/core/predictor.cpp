@@ -17,6 +17,15 @@
 namespace repro::core {
 namespace {
 
+// Huber tuning constant, in units of the residual scale (1.345 = 95%
+// Gaussian efficiency).
+constexpr double kHuberDelta = 1.345;
+constexpr int kIrlsIterations = 12;
+constexpr double kIrlsTol = 1e-8;  // max weight change declaring convergence
+// Standardized-residual threshold beyond which a measurement is screened
+// out as an outlier after IRLS converges.
+constexpr double kOutlierZscore = 4.0;
+
 // `id` as an index into n rows; throws std::out_of_range outside [0, n).
 std::size_t row_index(int id, std::size_t n) {
   if (id < 0 || static_cast<std::size_t>(id) >= n) {
@@ -257,7 +266,7 @@ RobustPrediction RobustPredictor::predict(std::span<const double> measured,
       if (lam0 > 0.0) s(i, i) += lam0 / weights[i];
     }
     linalg::SpdSolveInfo info;
-    z = linalg::spd_solve_robust(s, r0, &info, options.max_condition);
+    z = linalg::spd_solve_robust(s, r0, &info, kRobustMaxCondition);
     return info.ok;
   };
 
@@ -277,7 +286,7 @@ RobustPrediction RobustPredictor::predict(std::span<const double> measured,
     r0[i] = measured[slot] - base.mu_meas[slot];
   }
   double scale = options.measurement_sigma_ps;
-  for (int iter = 0; iter < std::max(1, options.irls_iterations); ++iter) {
+  for (int iter = 0; iter < kIrlsIterations; ++iter) {
     ++out.irls_iterations;
     if (!solve_slots(slots, w, z)) return out;  // pathological input
     if (lam0 <= 0.0) break;
@@ -294,13 +303,13 @@ RobustPrediction RobustPredictor::predict(std::span<const double> measured,
     for (std::size_t i = 0; i < slots.size(); ++i) {
       const double ar = abs_resid[i];
       const double wi =
-          (ar <= options.huber_delta * scale || ar == 0.0)
+          (ar <= kHuberDelta * scale || ar == 0.0)
               ? 1.0
-              : options.huber_delta * scale / ar;
+              : kHuberDelta * scale / ar;
       max_dw = std::max(max_dw, std::abs(wi - w[i]));
       w[i] = wi;
     }
-    if (max_dw < options.irls_tol) break;
+    if (max_dw < kIrlsTol) break;
   }
   out.residual_scale = scale;
 
@@ -313,7 +322,7 @@ RobustPrediction RobustPredictor::predict(std::span<const double> measured,
     std::vector<int> survivors;
     linalg::Vector w_kept;
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (std::abs(r0[i] - sz[i]) > options.outlier_zscore * scale) {
+      if (std::abs(r0[i] - sz[i]) > kOutlierZscore * scale) {
         out.screened.push_back(slots[i]);
       } else {
         survivors.push_back(slots[i]);
@@ -391,20 +400,18 @@ RobustPredictor make_robust_path_predictor(const linalg::Matrix& a,
   }
   // One backup per distinct dead representative, never more: rep may list
   // an index twice, so rep.size() overcounts the slots to refill.
-  if (options.promote_backups && !rp.status.dropped_paths.empty()) {
-    for (int b : options.backup_order) {
-      if (rp.status.promoted_paths.size() >= rp.status.dropped_paths.size()) {
-        break;
-      }
-      if (b < 0 || b >= n) continue;
-      if (in_meas[static_cast<std::size_t>(b)] ||
-          is_dead[static_cast<std::size_t>(b)]) {
-        continue;
-      }
-      in_meas[static_cast<std::size_t>(b)] = 1;
-      live.push_back(b);
-      rp.status.promoted_paths.push_back(b);
+  for (int b : options.backup_order) {
+    if (rp.status.promoted_paths.size() >= rp.status.dropped_paths.size()) {
+      break;
     }
+    if (b < 0 || b >= n) continue;
+    if (in_meas[static_cast<std::size_t>(b)] ||
+        is_dead[static_cast<std::size_t>(b)]) {
+      continue;
+    }
+    in_meas[static_cast<std::size_t>(b)] = 1;
+    live.push_back(b);
+    rp.status.promoted_paths.push_back(b);
   }
   if (live.empty()) {
     return fail(rep.empty() ? "no representative paths given"
@@ -420,7 +427,7 @@ RobustPredictor make_robust_path_predictor(const linalg::Matrix& a,
       p,
       [&](const linalg::Matrix& s) {
         linalg::SpdFactor sf =
-            linalg::spd_factor_robust(s, options.max_condition);
+            linalg::spd_factor_robust(s, kRobustMaxCondition);
         info = sf.info;
         return std::move(sf.factors);
       },

@@ -100,18 +100,13 @@ struct PredictorStatus {
   bool usable() const { return health != PredictorHealth::kFailed; }
 };
 
+// Measured-Gram systems above this 1-norm condition estimate trigger the
+// reported ridge fallback (and a kDegraded status).
+inline constexpr double kRobustMaxCondition = 1e12;
+
+// The Huber tuning, IRLS stopping rule and outlier z-score threshold are
+// fixed constants of the robust solve (predictor.cpp).
 struct RobustOptions {
-  // Gram systems above this 1-norm condition estimate trigger the reported
-  // ridge fallback (and a kDegraded status).
-  double max_condition = 1e12;
-  // Huber tuning constant, in units of the residual scale (1.345 = 95%
-  // Gaussian efficiency).
-  double huber_delta = 1.345;
-  int irls_iterations = 12;
-  double irls_tol = 1e-8;          // max weight change declaring convergence
-  // Standardized-residual threshold beyond which a measurement is screened
-  // out as an outlier after IRLS converges.
-  double outlier_zscore = 4.0;
   // Known 1-sigma sensor noise (ps).  This is the MAP noise prior of the
   // IRLS solve; with 0 the solve interpolates the measurements exactly
   // (residuals vanish) and neither reweighting nor screening can act — pass
@@ -119,8 +114,7 @@ struct RobustOptions {
   double measurement_sigma_ps = 0.0;
   // When representative paths are dead, refill the measured set from
   // backup_order (the Algorithm-2 column-pivot order; entries already
-  // measured or dead are skipped).
-  bool promote_backups = true;
+  // measured or dead are skipped).  Empty = promote nothing.
   std::vector<int> backup_order;
 };
 

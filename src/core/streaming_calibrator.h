@@ -129,10 +129,10 @@ constexpr std::size_t kNumStreamGates = 8;
 const char* to_string(StreamGate g);
 
 struct StreamingOptions {
-  // The per-die screening gate reuses the RobustOptions the batch predictor
-  // was built with (predictor.options) — one source of truth for the Huber
-  // tuning, z-score threshold, and measurement_sigma_ps, which doubles as
-  // the sensor-noise term of the innovation covariance here.
+  // The per-die screening gate is the batch predictor's robust solve (the
+  // Huber IRLS and z-score screen of predictor.cpp) under the
+  // measurement_sigma_ps it was built with (predictor.options), which
+  // doubles as the sensor-noise term of the innovation covariance here.
   //
   // RLS forgetting factor lambda in (0, 1]: 1 = infinite memory (guard-band
   // monotone); < 1 tracks slow drift at the cost of a variance floor.

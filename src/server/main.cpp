@@ -1,11 +1,12 @@
 // selection_serverd: the selection-as-a-service daemon.
 //
-// Usage: selection_serverd [--max-pool-paths N] [--max-shards N] [socket-path]
+// Usage: selection_serverd [--max-pool-paths N] [socket-path]
 //        default socket: /tmp/repro_selection.sock
 //
-// --max-pool-paths / --max-shards tighten the open_session admission
-// ceilings (oversized requests get a structured kBadRequest instead of an
-// out-of-memory build); defaults are the protocol-level hard caps.
+// --max-pool-paths tightens the open_session admission ceiling (oversized
+// requests get a structured kBadRequest instead of an out-of-memory build);
+// the default is the protocol-level hard cap.  Any other flag is a usage
+// error (exit 2).
 //
 // Serves the binary protocol and the JSON-lines debugging front end on one
 // AF_UNIX socket (src/server/protocol.h).  SIGINT/SIGTERM, or a client
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       if (arg == "--help" || arg == "-h") {
         want_help = true;
-      } else if (arg == "--max-pool-paths" || arg == "--max-shards") {
+      } else if (arg == "--max-pool-paths") {
         if (i + 1 >= argc) {
           bad_usage = true;
           break;
@@ -59,11 +60,10 @@ int main(int argc, char** argv) {
           bad_usage = true;
           break;
         }
-        if (arg == "--max-pool-paths") {
-          options.max_pool_paths = static_cast<std::uint32_t>(v);
-        } else {
-          options.max_shards = static_cast<std::uint32_t>(v);
-        }
+        options.max_pool_paths = static_cast<std::uint32_t>(v);
+      } else if (arg.size() > 1 && arg[0] == '-') {
+        bad_usage = true;
+        break;
       } else {
         positional.push_back(arg);
       }
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     if (bad_usage || want_help) {
       std::fprintf(stderr,
                    "usage: selection_serverd [--max-pool-paths N] "
-                   "[--max-shards N] [socket-path]\n");
+                   "[socket-path]\n");
       return bad_usage ? 2 : 0;
     }
 

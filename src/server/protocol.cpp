@@ -220,7 +220,6 @@ std::string encode_open_session(const SessionConfig& cfg) {
   put_u32(p, cfg.max_target_paths);
   put_u32(p, cfg.max_candidates);
   put_u32(p, cfg.yield_samples);
-  put_u32(p, cfg.num_shards);
   return p;
 }
 
@@ -234,7 +233,6 @@ bool decode_open_session(std::string_view payload, SessionConfig& cfg) {
   r.get_u32(cfg.max_target_paths);
   r.get_u32(cfg.max_candidates);
   r.get_u32(cfg.yield_samples);
-  r.get_u32(cfg.num_shards);
   return r.exhausted();
 }
 

@@ -81,19 +81,15 @@ struct SessionConfig {
   std::string benchmark = "s1423";
   double epsilon = 0.05;
   double kappa = 3.0;
-  std::uint8_t strategy = 1;  // core::SelectionStrategy underlying value
+  // core::SelectionStrategy underlying value: the Algorithm-1 driver the
+  // session runs (0 linear, 1 bisection, 2 greedy sweep).
+  std::uint8_t strategy = 1;
   std::uint32_t min_r = 1;
   // Experiment pool overrides; 0 = the scale-mode default.  Tests and the
   // bench shrink these so a session builds in well under a second.
   std::uint32_t max_target_paths = 0;
   std::uint32_t max_candidates = 0;
   std::uint32_t yield_samples = 0;
-  // > 1 routes selection through the streamed greedy kernel
-  // (core::select_paths_sharded); 0/1 = the monolithic route.  The kernel
-  // partitions nothing, so the count itself is unused: the field, its place
-  // in the cache key and the ServerOptions::max_shards admission check stay
-  // for protocol compatibility.
-  std::uint32_t num_shards = 0;
 
   std::string cache_key() const;
 };

@@ -51,9 +51,6 @@ std::optional<std::string> validate_config(const SessionConfig& cfg,
       cfg.max_candidates > options.max_pool_paths) {
     return "pool override exceeds server max_pool_paths limit";
   }
-  if (cfg.num_shards > options.max_shards) {
-    return "num_shards exceeds server max_shards limit";
-  }
   return std::nullopt;
 }
 
@@ -509,13 +506,6 @@ std::string Server::dispatch_json(const std::string& line) {
     cfg.max_target_paths = u32_field(req, "max_target_paths", 0);
     cfg.max_candidates = u32_field(req, "max_candidates", 0);
     cfg.yield_samples = u32_field(req, "yield_samples", 0);
-    // Not u32_field: an absurd shard count must reject, not silently clamp
-    // to the monolithic-route fallback.
-    const double raw_shards = req.number_or("num_shards", 0.0);
-    if (raw_shards < 0.0 || raw_shards > static_cast<double>(kMaxPoolOverride)) {
-      return json_error(id, ErrorCode::kBadRequest, "num_shards out of range");
-    }
-    cfg.num_shards = static_cast<std::uint32_t>(raw_shards);
     SessionInfo info;
     if (const auto err = do_open(cfg, info)) {
       return json_error(id, err->code, err->message);

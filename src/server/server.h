@@ -40,14 +40,13 @@ namespace repro::server {
 
 struct ServerOptions {
   int backlog = 16;
-  // Admission ceilings for open_session: pool-size overrides
-  // (max_target_paths / max_candidates / yield_samples) and the sharded
-  // route's shard count.  Requests beyond these are rejected with a
-  // structured kBadRequest before any pool is built — the operator's OOM
-  // guard, tightenable per deployment (selection_serverd flags).  Both are
-  // additionally clamped to the protocol-level hard cap (1 << 20).
+  // Admission ceiling for open_session's pool-size overrides
+  // (max_target_paths / max_candidates).  Requests beyond it are rejected
+  // with a structured kBadRequest before any pool is built — the operator's
+  // OOM guard, tightenable per deployment (selection_serverd
+  // --max-pool-paths) and additionally clamped to the protocol-level hard
+  // cap (1 << 20).
   std::uint32_t max_pool_paths = 1u << 20;
-  std::uint32_t max_shards = 4096;
 };
 
 class Server {

@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "core/measurement.h"
-#include "core/panel_source.h"
-#include "core/sharded_selection.h"
 #include "core/subset_select.h"
 #include "linalg/gemm.h"
 #include "util/telemetry.h"
@@ -148,23 +146,8 @@ std::shared_ptr<Session> build_session(const SessionConfig& cfg,
   opt.kappa = cfg.kappa;
   opt.strategy = static_cast<core::SelectionStrategy>(cfg.strategy);
   opt.min_r = cfg.min_r;
-  if (cfg.num_shards > 1) {
-    // Streamed route (DESIGN.md §14): the exact greedy kernel, which needs
-    // no Gram of its own.  The shard count only selects this route.
-    core::ShardedSelectionOptions sopt;
-    sopt.selection = opt;
-    const core::MatrixPanelSource source(a);
-    const core::ShardedSelectionResult sharded = core::select_paths_sharded(
-        source, s->experiment->t_cons_ps(), sopt);
-    s->selection.representatives = sharded.representatives;
-    s->selection.exact_rank = selector.rank();
-    s->selection.eps_r = sharded.eps_r;
-    s->selection.errors = core::selection_errors_from_gram(
-        gram, sharded.representatives, s->experiment->t_cons_ps(), opt.kappa);
-  } else {
-    s->selection = core::select_representative_paths(
-        selector, gram, s->experiment->t_cons_ps(), opt);
-  }
+  s->selection = core::select_representative_paths(
+      selector, gram, s->experiment->t_cons_ps(), opt);
 
   // One Theorem-2 build serves both surfaces: streamed dies go through the
   // robust gate, whose backups come from the greedy pivot order and whose

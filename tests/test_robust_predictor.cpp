@@ -72,9 +72,7 @@ TEST(RobustPredictor, DegenerateInputsGiveDefinedFailedStatus) {
             PredictorHealth::kFailed);
   // Every representative dead, nothing to promote.
   {
-    RobustOptions opt;
-    opt.promote_backups = false;
-    const auto p = make_robust_path_predictor(a, mu, {0, 1}, {0, 1}, opt);
+    const auto p = make_robust_path_predictor(a, mu, {0, 1}, {0, 1});
     EXPECT_EQ(p.status.health, PredictorHealth::kFailed);
     EXPECT_EQ(p.status.dropped_paths.size(), 2u);
   }
@@ -112,7 +110,7 @@ TEST(RobustPredictor, RankDeficientGramIsRegularizedNotFatal) {
   EXPECT_NO_THROW(p = make_robust_path_predictor(a, mu, {0, 1, 2, 3}));
   EXPECT_EQ(p.status.health, PredictorHealth::kDegraded);
   EXPECT_GT(p.status.ridge, 0.0);
-  EXPECT_GT(p.status.gram_condition, p.options.max_condition);
+  EXPECT_GT(p.status.gram_condition, kRobustMaxCondition);
   EXPECT_TRUE(p.status.usable());
   for (std::size_t i = 0; i < p.base.coef.rows(); ++i) {
     for (std::size_t j = 0; j < p.base.coef.cols(); ++j) {
@@ -155,13 +153,10 @@ TEST(RobustPredictor, DuplicateRepresentativesPromoteOneBackupPerDeadPath) {
   EXPECT_EQ(p.base.measured_paths, (std::vector<int>{3, 0}));
 }
 
-TEST(RobustPredictor, NoBackupPromotionWhenDisabled) {
+TEST(RobustPredictor, NoBackupPromotionWithEmptyBackupOrder) {
   const linalg::Matrix a = random_matrix(10, 15, 7);
   const linalg::Vector mu(10, 300.0);
-  RobustOptions opt;
-  opt.promote_backups = false;
-  opt.backup_order = {3, 4, 5};
-  const auto p = make_robust_path_predictor(a, mu, {0, 1, 2}, {1}, opt);
+  const auto p = make_robust_path_predictor(a, mu, {0, 1, 2}, {1});
   EXPECT_TRUE(p.status.promoted_paths.empty());
   EXPECT_EQ(p.base.measured_paths, (std::vector<int>{0, 2}));
   EXPECT_EQ(p.status.health, PredictorHealth::kDegraded);

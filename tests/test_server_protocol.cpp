@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <thread>
@@ -83,7 +85,6 @@ TEST(ServerProtocol, PayloadCodecsRoundTrip) {
   cfg.max_target_paths = 123;
   cfg.max_candidates = 4567;
   cfg.yield_samples = 89;
-  cfg.num_shards = 6;
   SessionConfig cfg2;
   ASSERT_TRUE(decode_open_session(encode_open_session(cfg), cfg2));
   EXPECT_EQ(cfg2.benchmark, cfg.benchmark);
@@ -94,7 +95,6 @@ TEST(ServerProtocol, PayloadCodecsRoundTrip) {
   EXPECT_EQ(cfg2.max_target_paths, cfg.max_target_paths);
   EXPECT_EQ(cfg2.max_candidates, cfg.max_candidates);
   EXPECT_EQ(cfg2.yield_samples, cfg.yield_samples);
-  EXPECT_EQ(cfg2.num_shards, cfg.num_shards);
   EXPECT_EQ(cfg.cache_key(), cfg2.cache_key());
 
   // Doubles travel as IEEE bits: NaN slots survive.
@@ -140,6 +140,25 @@ TEST(ServerProtocol, PayloadCodecsRoundTrip) {
   }
 }
 
+// The fuzz harness seeds its open_session corpus from these files; a seed
+// that no longer decodes only exercises the rejection path.
+TEST(ServerProtocol, CommittedOpenSessionSeedsDecode) {
+  std::size_t seeds = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(REPRO_PROTOCOL_CORPUS_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with("open_session_")) continue;
+    ++seeds;
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    SessionConfig cfg;
+    ASSERT_TRUE(decode_open_session(bytes, cfg)) << name;
+    EXPECT_EQ(encode_open_session(cfg), bytes) << name;
+  }
+  EXPECT_GE(seeds, 2u);
+}
+
 TEST_F(ServerFixture, SecondOpenOfSameConfigDoesZeroSelectionWork) {
   Client a;
   Client b;
@@ -175,11 +194,24 @@ TEST_F(ServerFixture, SecondOpenOfSameConfigDoesZeroSelectionWork) {
   EXPECT_GT(counter_value("linalg.qr_colpivot.calls"), qrcp_after_build);
 }
 
-TEST(ServerLimits, OversizedOpensRejectedStructurallyAndShardedRouteWorks) {
+// Algorithm 1 run directly on a built session's A, for comparing what the
+// server returns.
+std::vector<std::int32_t> direct_selection(const Session& s,
+                                           core::SelectionStrategy strategy) {
+  core::PathSelectionOptions opt;
+  opt.epsilon = s.config.epsilon;
+  opt.kappa = s.config.kappa;
+  opt.strategy = strategy;
+  opt.min_r = s.config.min_r;
+  const core::PathSelectionResult want = core::select_representative_paths(
+      s.experiment->model().a(), s.experiment->t_cons_ps(), opt);
+  return {want.representatives.begin(), want.representatives.end()};
+}
+
+TEST(ServerLimits, OversizedOpensRejectedStructurallyAndStrategyHonored) {
   util::telemetry::set_enabled(true);
   ServerOptions options;
   options.max_pool_paths = 4000;  // small_config() fits exactly under this
-  options.max_shards = 4;
   Server server(options);
 
   Client client;
@@ -198,55 +230,45 @@ TEST(ServerLimits, OversizedOpensRejectedStructurallyAndShardedRouteWorks) {
   EXPECT_NE(client.last_error_message().find("max_pool_paths"),
             std::string::npos);
 
-  // Shard count beyond the ceiling: same structured rejection.
-  SessionConfig too_many = small_config();
-  too_many.num_shards = 5;
-  EXPECT_FALSE(client.open_session(too_many, info));
-  EXPECT_EQ(client.last_error(), ErrorCode::kBadRequest);
-  EXPECT_NE(client.last_error_message().find("max_shards"),
-            std::string::npos);
+  // The connection stays usable, and each session runs the driver it asked
+  // for: its representatives are Algorithm 1's, in pivot order.
+  for (const core::SelectionStrategy strategy :
+       {core::SelectionStrategy::kBisection,
+        core::SelectionStrategy::kGreedySweep}) {
+    SessionConfig cfg = small_config();
+    cfg.strategy = static_cast<std::uint8_t>(strategy);
+    ASSERT_TRUE(client.open_session(cfg, info)) <<
+        client.last_error_message();
+    EXPECT_EQ(info.n_meas, info.representatives.size());
+    const std::shared_ptr<Session> s = server.sessions().find(info.session);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(info.representatives, direct_selection(*s, strategy))
+        << static_cast<int>(strategy);
 
-  // The connection stays usable, and an in-range shard count routes the
-  // session through the sharded pipeline.
-  SessionConfig sharded = small_config();
-  sharded.num_shards = 3;
-  ASSERT_TRUE(client.open_session(sharded, info)) <<
-      client.last_error_message();
-  EXPECT_GT(info.rank, 0u);
-  EXPECT_EQ(info.n_meas, info.representatives.size());
-  EXPECT_GT(info.n_meas, 0u);
-  EXPECT_TRUE(std::is_sorted(info.representatives.begin(),
-                             info.representatives.end()));
+    std::vector<double> measured(info.n_meas, 100.0);
+    std::vector<double> predicted;
+    EXPECT_TRUE(client.predict(info.session, measured, predicted));
+    EXPECT_EQ(predicted.size(), info.n_rem);
+  }
 
-  // num_shards is part of the cache key: the monolithic config is a
-  // different session.
-  SessionInfo mono;
-  ASSERT_TRUE(client.open_session(small_config(), mono));
-  EXPECT_NE(mono.session, info.session);
-
-  // A sharded session predicts like any other.
-  std::vector<double> measured(info.n_meas, 100.0);
-  std::vector<double> predicted;
-  EXPECT_TRUE(client.predict(info.session, measured, predicted));
-  EXPECT_EQ(predicted.size(), info.n_rem);
-
-  // The sharded route runs the exact streamed greedy kernel, so under the
-  // greedy-sweep strategy it measures the monolithic session's paths.
-  SessionConfig greedy = small_config();
-  greedy.strategy =
-      static_cast<std::uint8_t>(core::SelectionStrategy::kGreedySweep);
-  SessionInfo greedy_mono;
-  ASSERT_TRUE(client.open_session(greedy, greedy_mono)) <<
-      client.last_error_message();
-  greedy.num_shards = 3;
-  SessionInfo greedy_sharded;
-  ASSERT_TRUE(client.open_session(greedy, greedy_sharded)) <<
-      client.last_error_message();
-  EXPECT_NE(greedy_sharded.session, greedy_mono.session);
-  std::vector<std::int32_t> expected = greedy_mono.representatives;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(greedy_sharded.representatives, expected);
-
+  // An open payload in the retired 46-byte layout (a trailing u32 after
+  // yield_samples) no longer decodes: structured kBadFrame.
+  auto [raw, raw_theirs] = util::socket_pair();
+  ASSERT_TRUE(raw.valid() && raw_theirs.valid());
+  server.serve_fd(std::move(raw_theirs));
+  std::string old_open = encode_open_session(small_config());
+  put_u32(old_open, 3);
+  ASSERT_EQ(old_open.size(), 46u);
+  ASSERT_TRUE(util::send_all(raw.get(), kBinaryMagic, 4));
+  ASSERT_TRUE(send_frame(raw.get(), MsgType::kOpenSession, 1, old_open));
+  util::BufferedReader reader(raw.get());
+  Frame frame;
+  ASSERT_EQ(read_frame(reader, frame), FrameReadStatus::kOk);
+  EXPECT_EQ(frame.type, MsgType::kError);
+  ErrorCode code = ErrorCode::kInternal;
+  std::string message;
+  ASSERT_TRUE(decode_error(frame.payload, code, message));
+  EXPECT_EQ(code, ErrorCode::kBadFrame);
   server.stop();
 }
 
