@@ -116,7 +116,7 @@ int main() {
   std::printf("  guard-band %.4f (from %.4f), learned shift ||b|| = %.3f "
               "sigma, drift score %.2f (threshold %.0f)\n",
               st.guardband, prior_guardband, st.shift_norm, st.drift_score,
-              cal.options().cusum_h);
+              core::kStreamCusumH);
 
   // 5. Same stream, but the process mean drifts mid-stream: the default
   //    common-mode scenario of evaluate_predictor_streaming shifts every

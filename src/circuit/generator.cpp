@@ -25,6 +25,14 @@ constexpr IscasSize kIscas[] = {
     {"s38417", 28, 106, 1636, 22179, 33}, {"s38584", 38, 304, 1426, 19253, 31},
 };
 
+// How strongly fanins prefer the immediately previous level, in [0, 1).
+// Higher values create long chains; lower values create shallow, bushy
+// logic.
+constexpr double kLocality = 0.75;
+// Level-width taper: width(last level) / width(first level).  < 1 gives a
+// funnel toward the outputs (more segment sharing among critical paths).
+constexpr double kTaper = 0.35;
+
 // prefix followed by i, built by appending: GCC 12's -Wrestrict misfires on
 // the inlined "literal" + std::string operator.
 std::string numbered(const char* prefix, std::size_t i) {
@@ -65,7 +73,7 @@ Netlist generate(const GeneratorConfig& cfg) {
   util::Rng rng(cfg.seed);
   Netlist nl(cfg.name);
 
-  // --- Level widths: linear taper from w0 down to w0 * taper, normalized to
+  // --- Level widths: linear taper from w0 down to w0 * kTaper, normalized to
   // sum to num_gates. ---
   const std::size_t levels = cfg.depth;
   std::vector<double> raw(levels);
@@ -73,7 +81,7 @@ Netlist generate(const GeneratorConfig& cfg) {
     const double t = levels == 1 ? 0.0
                                  : static_cast<double>(l) /
                                        static_cast<double>(levels - 1);
-    raw[l] = 1.0 + (cfg.taper - 1.0) * t;
+    raw[l] = 1.0 + (kTaper - 1.0) * t;
   }
   double raw_sum = 0.0;
   for (double w : raw) raw_sum += w;
@@ -117,7 +125,7 @@ Netlist generate(const GeneratorConfig& cfg) {
     // Geometric preference for the immediately previous level; cur_level is
     // the index into level_start of the level being built (>= 1).
     std::size_t back = 1;
-    while (back < cur_level && rng.uniform() > cfg.locality) ++back;
+    while (back < cur_level && rng.uniform() > kLocality) ++back;
     return cur_level - back;
   };
 

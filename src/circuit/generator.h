@@ -28,13 +28,6 @@ struct GeneratorConfig {
   std::size_t num_outputs = 16;   // capture points (POs + DFF inputs)
   std::size_t num_gates = 500;    // combinational gates
   std::size_t depth = 20;         // target logic depth (levels of gates)
-  // Fraction [0,1): how strongly fanins prefer the immediately previous
-  // level.  Higher values create long chains; lower values create shallow,
-  // bushy logic.
-  double locality = 0.75;
-  // Level-width taper: width(last level) / width(first level).  < 1 gives a
-  // funnel toward the outputs (more segment sharing among critical paths).
-  double taper = 0.35;
   std::uint64_t seed = 1;
 };
 

@@ -8,6 +8,14 @@
 #include "util/rng.h"
 
 namespace repro::circuit {
+namespace {
+
+constexpr int kBarycenterSweeps = 4;
+// Uniform jitter radius of the final coordinates; keeps regions
+// non-degenerate.
+constexpr double kJitter = 0.015;
+
+}  // namespace
 
 void place(Netlist& nl, const PlacementOptions& options) {
   const std::size_t n = nl.size();
@@ -66,7 +74,7 @@ void place(Netlist& nl, const PlacementOptions& options) {
       }
     }
   };
-  for (int sweep = 0; sweep < options.barycenter_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kBarycenterSweeps; ++sweep) {
     reorder(/*forward=*/true);
     reorder(/*forward=*/false);
   }
@@ -75,8 +83,8 @@ void place(Netlist& nl, const PlacementOptions& options) {
   const double denom = static_cast<double>(std::max(max_level, 1));
   for (std::size_t i = 0; i < n; ++i) {
     Gate& g = nl.gate(static_cast<GateId>(i));
-    const double jx = rng.uniform(-options.jitter, options.jitter);
-    const double jy = rng.uniform(-options.jitter, options.jitter);
+    const double jx = rng.uniform(-kJitter, kJitter);
+    const double jy = rng.uniform(-kJitter, kJitter);
     g.x = std::clamp(static_cast<double>(level[i]) / denom + jx, 0.0,
                      std::nextafter(1.0, 0.0));
     g.y = std::clamp(y[i] + jy, 0.0, std::nextafter(1.0, 0.0));

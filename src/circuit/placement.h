@@ -15,9 +15,7 @@
 namespace repro::circuit {
 
 struct PlacementOptions {
-  int barycenter_sweeps = 4;
-  double jitter = 0.015;  // uniform jitter radius, keeps regions non-degenerate
-  std::uint64_t seed = 7;
+  std::uint64_t seed = 7;  // stream of the final-coordinate jitter
 };
 
 // Fills Gate::x / Gate::y for every gate, in [0, 1).

@@ -19,6 +19,12 @@
 namespace repro::core {
 namespace {
 
+// At most this fraction of the target budget goes to per-gate coverage
+// paths (breadth); the rest is filled endpoint-round-robin (depth).  The
+// paper's pools are strongly overlapping (s38417: 3507 paths over 1386
+// gates); an uncapped coverage share would triple the parameter count.
+constexpr double kMaxCoverageFraction = 0.25;
+
 // Per-combinational-gate variation table, rows in gate-id order, resolved
 // against the global (all-regions) parameter indexing used for yield
 // estimation and candidate filtering:
@@ -292,12 +298,9 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   sta_stage.stop();
 
   telemetry::Span yield_stage("core.experiment.yield_mc");
-  int levels = config_.hierarchy_levels;
-  if (levels <= 0) {
-    // Paper: 3-level model (21 regions) for smaller benchmarks, 5-level
-    // (341 regions) for larger ones; threshold at ~2000 gates.
-    levels = (netlist_.combinational_count() < 2000) ? 3 : 5;
-  }
+  // Paper: 3-level model (21 regions) for smaller benchmarks, 5-level
+  // (341 regions) for larger ones; threshold at ~2000 gates.
+  const int levels = netlist_.combinational_count() < 2000 ? 3 : 5;
   spatial_ = std::make_unique<variation::SpatialModel>(levels);
   // One table feeds both the yield sampler and the candidate filter.
   const GateTable table = gate_table(*graph_, *spatial_, config_.random_scale);
@@ -337,7 +340,7 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
 
   telemetry::Span filter_stage("core.experiment.filter");
   PathStatAccumulator acc(table);
-  const double threshold = config_.yield_loss_factor * (1.0 - yield_);
+  const double threshold = kYieldLossFactor * (1.0 - yield_);
   struct Scored {
     std::size_t index;
     double fail_prob;
@@ -362,8 +365,7 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
     std::vector<Scored> kept;
     kept.reserve(config_.max_target_paths);
     const std::size_t coverage_budget = static_cast<std::size_t>(
-        config_.max_coverage_fraction *
-        static_cast<double>(config_.max_target_paths));
+        kMaxCoverageFraction * static_cast<double>(config_.max_target_paths));
     std::vector<Scored> rest;
     for (const Scored& s : scored) {
       if (s.index < coverage_count && kept.size() < coverage_budget) {

@@ -26,20 +26,15 @@
 
 namespace repro::core {
 
+// Target-path extraction keeps the candidates with yield loss
+// q_p > kYieldLossFactor * (1 - Y).
+inline constexpr double kYieldLossFactor = 0.01;
+
 struct ExperimentConfig {
   std::string benchmark = "s1423";
-  // 0 = auto: 3 levels (21 regions) for small circuits, 5 (341) for large,
-  // matching the paper's "3-level model ... for larger ones 5-level".
-  int hierarchy_levels = 0;
   double tcons_factor = 1.0;       // Tcons = factor * nominal circuit delay
-  double yield_loss_factor = 0.01; // extract paths with q_p > f * (1 - Y)
   std::size_t max_target_paths = 2000;
   std::size_t max_candidates = 20000;
-  // At most this fraction of the target budget goes to per-gate coverage
-  // paths (breadth); the rest is filled endpoint-round-robin (depth).  The
-  // paper's pools are strongly overlapping (s38417: 3507 paths over 1386
-  // gates); an uncapped coverage share would triple the parameter count.
-  double max_coverage_fraction = 0.25;
   std::size_t yield_mc_samples = 2000;
   double random_scale = 1.0;       // Figure 2(b): 3.0
   double enum_sigma_weight = 3.0;

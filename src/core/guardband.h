@@ -52,9 +52,9 @@ GuardbandReport guardband_analysis(const variation::VariationModel& model,
 //
 //   sigma_i = sqrt(base_i^2 + q_i),   eps_i = kappa * sigma_i / |mu_i|.
 //
-// The guard-band is the mean eps_i.  Along a clean stream with forgetting 1
-// every accepted die shrinks P (and so every q_i), so the guard-band is
-// monotonically non-inflating and tightens as information accumulates.
+// The guard-band is the mean eps_i.  Along a clean stream every accepted die
+// shrinks P (and so every q_i), so the guard-band is monotonically
+// non-inflating and tightens as information accumulates.
 // ---------------------------------------------------------------------------
 
 struct AdaptiveGuardband {

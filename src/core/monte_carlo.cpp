@@ -365,7 +365,7 @@ StreamingMcMetrics evaluate_predictor_streaming(
   out.metrics.eps_max.assign(n_rem, 0.0);
   out.metrics.eps_mean.assign(n_rem, 0.0);
 
-  StreamingCalibrator cal(predictor, options.stream);
+  StreamingCalibrator cal(predictor);
   out.initial_guardband = cal.guardband();
   if (options.mc.samples == 0 || n_rem == 0 || !cal.status().usable()) {
     // Defined degradation: an unusable predictor makes an unusable stream.

@@ -127,7 +127,6 @@ struct DriftScenario {
 struct StreamingMcOptions {
   McOptions mc;              // samples = dies in the stream; chunk = product batch
   FaultSpec faults;
-  StreamingOptions stream;
   DriftScenario drift;
 };
 
@@ -141,7 +140,7 @@ struct StreamingMcMetrics {
   double initial_guardband = 0.0;       // prior-only adaptive guard-band
   double final_guardband = 0.0;
   // True when the guard-band never inflated along the stream (expected on a
-  // clean stream with forgetting 1).
+  // clean stream).
   bool guardband_monotone = true;
 };
 

@@ -78,13 +78,8 @@ bool all_finite(std::span<const double> v) {
 // repro-lint: allow-file(contracts)
 
 StreamingCalibrator::StreamingCalibrator(RobustPredictor predictor,
-                                         const StreamingOptions& options)
-    : predictor_(std::move(predictor)), options_(options) {
-  // Sanitize the knobs that feed divisions.
-  if (!(options_.forgetting > 0.0 && options_.forgetting <= 1.0)) {
-    options_.forgetting = 1.0;
-  }
-  if (!(options_.prior_precision > 0.0)) options_.prior_precision = 1.0;
+                                         double max_condition)
+    : predictor_(std::move(predictor)), max_condition_(max_condition) {
   if (!predictor_.status.usable()) {
     mark_unusable("batch predictor unusable: " + predictor_.status.message);
     publish_telemetry();
@@ -93,7 +88,7 @@ StreamingCalibrator::StreamingCalibrator(RobustPredictor predictor,
   const std::size_t n_meas = predictor_.base.mu_meas.size();
   const std::size_t n_rem = predictor_.rem_norm2.size();
   // Prior P = I / tau: alpha = 1/tau, K = 0, beta = 0.
-  alpha_ = 1.0 / options_.prior_precision;
+  alpha_ = 1.0 / kStreamPriorPrecision;
   k_ = linalg::Matrix(n_meas, n_meas);
   beta_.assign(n_meas, 0.0);
   b_.assign(predictor_.a_meas.cols(), 0.0);
@@ -113,11 +108,10 @@ StreamingCalibrator::StreamingCalibrator(RobustPredictor predictor,
   shift_meas_.assign(n_meas, 0.0);
   shift_rem_.assign(n_rem, 0.0);
   drift_ref_meas_ = shift_meas_;
-  if (options_.drift_ref_interval == 0) options_.drift_ref_interval = 1;
   status_.health = StreamHealth::kOk;
   status_.info_condition = 1.0;  // prior covariance is a scaled identity
   const AdaptiveGuardband g = adaptive_guardband(
-      base_sigma_, q_, predictor_.base.mu_rem, options_.guard_kappa);
+      base_sigma_, q_, predictor_.base.mu_rem, kStreamGuardKappa);
   status_.guardband = g.eps;
   publish_telemetry();
 }
@@ -155,11 +149,11 @@ void StreamingCalibrator::audit_covariance() {
   }
   status_.info_condition =
       lo > 0.0 ? hi / lo : std::numeric_limits<double>::infinity();
-  if (status_.info_condition <= options_.max_condition) return;
+  if (status_.info_condition <= max_condition_) return;
   // Collapsed covariance: a reported floor, P += floor I, keeping q = a^T P a
   // consistent.
   const double floor =
-      std::max(std::abs(hi) / options_.max_condition, 1e-300) * 10.0;
+      std::max(std::abs(hi) / max_condition_, 1e-300) * 10.0;
   alpha_ += floor;
   for (std::size_t i = 0; i < q_.size(); ++i) {
     q_[i] += floor * predictor_.rem_norm2[i];
@@ -190,7 +184,7 @@ DieRecord StreamingCalibrator::gated(std::size_t die, StreamGate gate,
   rec.screened_slots = rp.screened.size();
   rec.missing_slots = rp.missing.size();
   rec.drift_score = status_.drift_score;
-  rec.drift_flagged = status_.drift_score > options_.cusum_h;
+  rec.drift_flagged = status_.drift_score > kStreamCusumH;
   rec.guardband = status_.guardband;
   status_.gate_counts[static_cast<std::size_t>(gate)]++;
   if (quarantine_gate(gate)) {
@@ -242,15 +236,10 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
                  predictor_.predict(measured, valid));
   }
 
-  // Robust screening gate on the shift-corrected measurements.  The gate is
-  // the PR-2 IRLS/Huber calibration: MAD-scaled z-score outlier screening,
-  // missing-slot handling, nominal fallback — reused verbatim.
-  linalg::Vector corrected(measured.begin(), measured.end());
-  for (std::size_t i = 0; i < n_meas; ++i) corrected[i] -= shift_meas_[i];
-  RobustPrediction rp = predictor_.predict(corrected, valid);
-  for (std::size_t i = 0; i < rp.values.size(); ++i) {
-    rp.values[i] += shift_rem_[i];
-  }
+  // Robust screening gate on the shift-corrected measurements: predict()'s
+  // IRLS/Huber calibration with MAD-scaled z-score outlier screening,
+  // missing-slot handling and nominal fallback.
+  RobustPrediction rp = predict(measured, valid);
   if (rp.health == PredictorHealth::kFailed) {
     return gated(die,
                  rp.missing.size() == n_meas ? StreamGate::kNoUsableSlots
@@ -271,15 +260,14 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
   if (survivors.empty() ||
       (usable > 0 &&
        static_cast<double>(rp.screened.size()) >
-           options_.max_screened_fraction * static_cast<double>(usable))) {
+           kStreamMaxScreenedFraction * static_cast<double>(usable))) {
     return gated(die, StreamGate::kExcessScreening, std::move(rp));
   }
   const std::size_t k = survivors.size();
 
   // Innovation system on the survivors, in the measured space (header):
-  //   U = (alpha E_v - K G(:,v)) / lambda,  S = G(v,:) U + G_vv + sigma^2 I,
+  //   U = alpha E_v - K G(:,v),  S = G(v,:) U + G_vv + sigma^2 I,
   // solved with the reported-ridge robust policy.  `ut` holds U^T (k x n_meas).
-  const double inv_lambda = 1.0 / options_.forgetting;
   const linalg::Matrix& gram = predictor_.gram_meas;
   linalg::Matrix ut(k, n_meas);
   for (std::size_t j = 0; j < k; ++j) {
@@ -287,7 +275,7 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
     const auto gv = gram.row(v);  // G(:, v), G being symmetric
     for (std::size_t i = 0; i < n_meas; ++i) {
       const double e = (i == v) ? alpha_ : 0.0;
-      ut(j, i) = (e - linalg::dot(k_.row(i), gv)) * inv_lambda;
+      ut(j, i) = e - linalg::dot(k_.row(i), gv);
     }
   }
   linalg::Matrix s(k, k);
@@ -310,7 +298,7 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
   // One factorization per die serves r, 1 and U^T below; ridge retries are
   // part of it.
   const linalg::SpdFactor sf =
-      linalg::spd_factor_robust(s, options_.max_condition);
+      linalg::spd_factor_robust(s, max_condition_);
   if (!sf.info.ok) {
     return gated(die, StreamGate::kIllConditioned, std::move(rp));
   }
@@ -336,7 +324,7 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
   // correlated direction a common shift lives in.  Residuals are taken
   // against the *lagged* shift snapshot: the filter absorbs a genuine shift
   // within a few dies, which would starve the CUSUM of evidence; against the
-  // snapshot the shift stays visible for a full drift_ref_interval.
+  // snapshot the shift stays visible for a full kStreamDriftRefInterval.
   double u_stat = std::numeric_limits<double>::quiet_NaN();
   {
     const linalg::Vector s_inv_ones =
@@ -367,7 +355,7 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
   if (std::isfinite(u_stat)) {
     if (!drift_armed_) {
       drift_warmup_.push_back(u_stat);
-      if (drift_warmup_.size() >= options_.min_dies_for_drift) {
+      if (drift_warmup_.size() >= kStreamMinDiesForDrift) {
         drift_mu0_ = util::median(drift_warmup_);
         linalg::Vector dev = drift_warmup_;
         for (double& d : dev) d = std::abs(d - drift_mu0_);
@@ -381,25 +369,23 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
       }
     } else {
       const double u_std = (u_stat - drift_mu0_) / drift_sd0_;
-      const double uc =
-          std::clamp(u_std, -options_.cusum_clip, options_.cusum_clip);
-      cusum_pos_ = std::max(0.0, cusum_pos_ + uc - options_.cusum_k);
-      cusum_neg_ = std::max(0.0, cusum_neg_ - uc - options_.cusum_k);
+      const double uc = std::clamp(u_std, -kStreamCusumClip, kStreamCusumClip);
+      cusum_pos_ = std::max(0.0, cusum_pos_ + uc - kStreamCusumK);
+      cusum_neg_ = std::max(0.0, cusum_neg_ - uc - kStreamCusumK);
       status_.drift_score = std::max(cusum_pos_, cusum_neg_);
-      // Robust EWMA baseline tracking (see StreamingOptions::baseline_adapt):
-      // in-control deviations update the baseline slowly; adaptation freezes
-      // on any single step beyond 3 baseline sigmas AND whenever the CUSUM
-      // is past half its threshold — a suspect shift must finish
-      // accumulating into the score, not be learned into the baseline.
-      if (options_.baseline_adapt > 0.0 && std::abs(u_std) < 3.0 &&
-          status_.drift_score <= 0.5 * options_.cusum_h) {
-        const double a = options_.baseline_adapt;
+      // Robust EWMA baseline tracking (see kStreamBaselineAdapt): in-control
+      // deviations update the baseline slowly; adaptation freezes on any
+      // single step beyond 3 baseline sigmas AND whenever the CUSUM is past
+      // half its threshold — a suspect shift must finish accumulating into
+      // the score, not be learned into the baseline.
+      if (std::abs(u_std) < 3.0 && status_.drift_score <= 0.5 * kStreamCusumH) {
+        constexpr double a = kStreamBaselineAdapt;
         drift_mu0_ += a * (u_stat - drift_mu0_);
         const double dev = u_stat - drift_mu0_;
         drift_var0_ += a * (dev * dev - drift_var0_);
         drift_sd0_ = std::max(std::sqrt(drift_var0_), 1.0);
       }
-      if (status_.drift_score > options_.cusum_h && !status_.drift_flagged) {
+      if (status_.drift_score > kStreamCusumH && !status_.drift_flagged) {
         status_.drift_flagged = true;
         status_.drift_flag_die = die;
         if (status_.health == StreamHealth::kOk) {
@@ -413,7 +399,7 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
     }
   }
   if (!std::isfinite(z) || !std::isfinite(u_stat) ||
-      std::abs(z) > options_.innovation_z_max) {
+      std::abs(z) > kStreamInnovationZMax) {
     DieRecord out = gated(die, StreamGate::kInnovationOutlier, std::move(rp));
     out.innovation_z = z;
     return out;
@@ -430,10 +416,7 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
   for (std::size_t j = 0; j < k; ++j) {
     linalg::axpy(w[j], ut.row(j), beta_);
   }
-  // alpha <- alpha/lambda; K <- K/lambda + U X_b, symmetrized against drift
-  // of the two triangles.
-  alpha_ *= inv_lambda;
-  if (inv_lambda != 1.0) k_ *= inv_lambda;
+  // K <- K + U X_b, symmetrized against drift of the two triangles.
   for (std::size_t i = 0; i < n_meas; ++i) {
     for (std::size_t l = 0; l <= i; ++l) {
       double acc = 0.0;
@@ -443,7 +426,7 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
       k_(l, i) = val;
     }
   }
-  // q_i <- q_i/lambda - ||Y c_i||^2, clamped against roundoff.  The sum of
+  // q_i <- q_i - ||Y c_i||^2, clamped against roundoff.  The sum of
   // squares is as accurate as solving for S^{-1} v_i; the equal quadratic
   // form c_i^T (U X_b) c_i loses about a digit to cancellation.
   const std::size_t n_rem = q_.size();
@@ -457,7 +440,7 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
     for (std::size_t i = 0; i < n_rem; ++i) down[i] += yc[i] * yc[i];
   }
   for (std::size_t i = 0; i < n_rem; ++i) {
-    q_[i] = std::max(0.0, q_[i] * inv_lambda - down[i]);
+    q_[i] = std::max(0.0, q_[i] - down[i]);
   }
 
   // A non-finite posterior means the stream state is lost for good: latch
@@ -486,13 +469,13 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
   ++status_.dies_accepted;
   util::telemetry::count("core.stream.dies_accepted");
   refresh_shift_cache();
-  if (++drift_ref_age_ >= options_.drift_ref_interval) {
+  if (++drift_ref_age_ >= kStreamDriftRefInterval) {
     // Hold the snapshot while the CUSUM is elevated: refreshing would fold
     // the filter's partial adaptation of the suspect shift into the
     // reference and wipe the accumulating evidence.  Only an at-rest score
     // (or a latched flag) refreshes; on a clean stream the score touches
     // zero every few dies, so staleness stays bounded in practice.
-    if (status_.drift_score <= 2.0 * options_.cusum_k ||
+    if (status_.drift_score <= 2.0 * kStreamCusumK ||
         status_.drift_flagged) {
       drift_ref_age_ = 0;
       drift_ref_meas_ = shift_meas_;
@@ -504,12 +487,12 @@ DieRecord StreamingCalibrator::observe(std::size_t die,
   audit_covariance();
 
   const AdaptiveGuardband g = adaptive_guardband(
-      base_sigma_, q_, predictor_.base.mu_rem, options_.guard_kappa);
+      base_sigma_, q_, predictor_.base.mu_rem, kStreamGuardKappa);
   status_.guardband = g.eps;
 
   rec.predicted = std::move(rp.values);
   rec.drift_score = status_.drift_score;
-  rec.drift_flagged = status_.drift_score > options_.cusum_h;
+  rec.drift_flagged = status_.drift_score > kStreamCusumH;
   rec.guardband = status_.guardband;
   status_.gate_counts[static_cast<std::size_t>(StreamGate::kNone)]++;
   publish_telemetry();

@@ -25,11 +25,11 @@
 // C = A A_rem^T (RobustPredictor::cross), the Kalman recursion on survivors
 // v becomes
 //
-//   U = (alpha E_v - K G(:,v)) / lambda       (P A_v^T / lambda = A^T U)
+//   U = alpha E_v - K G(:,v)                  (P A_v^T = A^T U)
 //   S = G(v,:) U + G_vv + sigma^2 I
 //   S X_b = U^T,  dK = U X_b
-//   beta += U w,  alpha <- alpha / lambda,  K <- K / lambda + dK,
-//   q_i <- q_i / lambda - c_i^T dK c_i        (c_i = column i of C)
+//   beta += U w,  K <- K + dK,
+//   q_i <- q_i - c_i^T dK c_i                 (c_i = column i of C)
 //
 // with S factored once per die and the q downdate taken as ||L^{-1} U^T c_i||^2
 // off that factor (S = L L^T), so an observe costs O(n_meas^2 (k + n_rem))
@@ -44,7 +44,7 @@
 //     innovation is a gross outlier, are rejected (no state update) with a
 //     structured reason; dies with no usable measurement, or whose update
 //     system is pathological, are quarantined likewise;
-//   * the per-die innovation system S = A_v (P/lambda) A_v^T + R is factored
+//   * the per-die innovation system S = A_v P A_v^T + R is factored
 //     once via linalg::spd_factor_robust, whose 1-norm condition estimate
 //     gates it: an ill-conditioned S triggers one *reported* ridge fallback
 //     (health degrades, never throws) shared by every solve of the die.  After every accepted die the posterior
@@ -62,14 +62,15 @@
 // shared spatial parameters span correctly weighted.  (The quadratic
 // z_k = (r^T S^{-1} r - k) / sqrt(2k) cannot make that distinction — any
 // variance inflation looks like drift — so it serves only as the whole-die
-// outlier gate.)  The residuals
-// feeding u are taken against a *lagged snapshot* of the shift estimate
-// (refreshed every drift_ref_interval accepted dies), not the live one: the
-// filter absorbs a genuine shift within a few dies, which would starve the
-// CUSUM of evidence; against the snapshot the shift stays visible for a
-// full refresh interval — two timescales, fast filter, slow reference.  A real
+// outlier gate.)  The residuals feeding u are taken against a *lagged
+// snapshot* of the shift estimate (refreshed every kStreamDriftRefInterval
+// accepted dies), not the live one: the filter absorbs a genuine shift
+// within a few dies, which would starve the CUSUM of evidence; against the
+// snapshot the shift stays visible for a full refresh interval — two
+// timescales, fast filter, slow reference.  The monitor's constants are the
+// kStream* values below.  A real
 // tester's noise never matches the scalar sigma prior exactly, so the
-// monitor self-calibrates: the u values of the first min_dies_for_drift
+// monitor self-calibrates: the u values of the first kStreamMinDiesForDrift
 // measurable dies fix a median/MAD baseline, a robust EWMA tracks its slow
 // transients, and the CUSUM runs on the clipped deviation from that
 // baseline — no single weird die can flag, and drift means "the stream
@@ -84,9 +85,9 @@
 // q_i = a_i^T P a_i of every remaining path is maintained exactly across
 // updates (downdated by c_i^T dK c_i above) and combined with the batch
 // predictor's analytic error sigmas by core::adaptive_guardband
-// (core/guardband.h).  With forgetting = 1 every accepted die shrinks P, so
-// the guard-band is monotonically non-inflating on a clean stream and
-// tightens as fab data accumulates.
+// (core/guardband.h).  The recursion has no forgetting factor, so every
+// accepted die shrinks P: the guard-band is monotonically non-inflating on a
+// clean stream and tightens as fab data accumulates.
 //
 // Failure contract: mirrors PR 2 — the calibrator never throws on
 // fault-injected input.  Unusable input quarantines the die; a corrupted
@@ -128,57 +129,51 @@ enum class StreamGate {
 constexpr std::size_t kNumStreamGates = 8;
 const char* to_string(StreamGate g);
 
-struct StreamingOptions {
-  // The per-die screening gate is the batch predictor's robust solve (the
-  // Huber IRLS and z-score screen of predictor.cpp) under the
-  // measurement_sigma_ps it was built with (predictor.options), which
-  // doubles as the sensor-noise term of the innovation covariance here.
-  //
-  // RLS forgetting factor lambda in (0, 1]: 1 = infinite memory (guard-band
-  // monotone); < 1 tracks slow drift at the cost of a variance floor.
-  double forgetting = 1.0;
-  // Prior precision tau: b ~ N(0, I/tau).  Larger = stronger belief that
-  // the batch variation model is already centred.
-  double prior_precision = 4.0;
-  // Conditioning limit for the innovation system (1-norm estimate inside
-  // spd_factor_robust) and the posterior covariance (exact 2-norm condition,
-  // audited after every accepted die); above it the reported ridge / floor
-  // fallback engages.
-  double max_condition = 1e12;
-  // Reject a die when more than this fraction of its usable slots was
-  // screened by the robust gate.
-  double max_screened_fraction = 0.5;
-  // Reject a die whose |standardized innovation| exceeds this gate (gross
-  // whole-die outlier; the CUSUM still sees it, clipped).
-  double innovation_z_max = 12.0;
-  // CUSUM reference value and decision threshold, in baseline sigmas of the
-  // signed mean innovation u.
-  double cusum_k = 0.5;
-  double cusum_h = 12.0;
-  // Per-die CUSUM contribution clip (baseline sigmas): one pathological die
-  // cannot cross cusum_h alone, drift needs persistence.
-  double cusum_clip = 4.0;
-  // Measurable dies whose innovation z calibrates the CUSUM baseline
-  // (median/MAD) before the monitor arms.  Drift that begins inside this
-  // window is absorbed into the baseline.
-  std::size_t min_dies_for_drift = 32;
-  // Robust EWMA rate for the armed baseline (0 = frozen after warmup).  The
-  // innovation statistic has a slow transient — as the posterior shrinks,
-  // the weight of any sensor-noise misspecification grows — and the EWMA
-  // absorbs it; adaptation freezes whenever the standardized deviation
-  // exceeds 3 baseline sigmas, so a genuine step change cannot be learned
-  // away before the CUSUM flags it.  (Correspondingly, drift slower than
-  // roughly this rate per die is absorbed — CUSUM targets abrupt change.)
-  double baseline_adapt = 0.02;
-  // Accepted dies between refreshes of the lagged shift snapshot the drift
-  // statistic measures against.  The lag bounds how long a sustained shift
-  // stays visible to the CUSUM while the filter adapts it away; it also
-  // bounds the detection horizon — drift must accumulate cusum_h within
-  // roughly one interval.
-  std::size_t drift_ref_interval = 64;
-  // Guard-band sigma multiplier (kappa * sigma_i / |mu_i|).
-  double guard_kappa = 3.0;
-};
+// Drift-monitor and gate constants.  The paper's flow and the calibration
+// it feeds run at this one setting; the dense reference in
+// tests/test_streaming_calibrator.cpp reads the same constants.
+//
+// The per-die screening gate is the batch predictor's robust solve (the
+// Huber IRLS and z-score screen of predictor.cpp) under the
+// measurement_sigma_ps it was built with (predictor.options), which doubles
+// as the sensor-noise term of the innovation covariance here.
+//
+// Prior precision tau: b ~ N(0, I/tau).  Larger = stronger belief that the
+// batch variation model is already centred.
+inline constexpr double kStreamPriorPrecision = 4.0;
+// Reject a die when more than this fraction of its usable slots was
+// screened by the robust gate.
+inline constexpr double kStreamMaxScreenedFraction = 0.5;
+// Reject a die whose |standardized innovation| exceeds this gate (gross
+// whole-die outlier; the CUSUM still sees it, clipped).
+inline constexpr double kStreamInnovationZMax = 12.0;
+// CUSUM reference value and decision threshold, in baseline sigmas of the
+// signed mean innovation u.
+inline constexpr double kStreamCusumK = 0.5;
+inline constexpr double kStreamCusumH = 12.0;
+// Per-die CUSUM contribution clip (baseline sigmas): one pathological die
+// cannot cross kStreamCusumH alone, drift needs persistence.
+inline constexpr double kStreamCusumClip = 4.0;
+// Measurable dies whose innovation statistic calibrates the CUSUM baseline
+// (median/MAD) before the monitor arms.  Drift that begins inside this
+// window is absorbed into the baseline.
+inline constexpr std::size_t kStreamMinDiesForDrift = 32;
+// Robust EWMA rate for the armed baseline.  The innovation statistic has a
+// slow transient — as the posterior shrinks, the weight of any sensor-noise
+// misspecification grows — and the EWMA absorbs it; adaptation freezes
+// whenever the standardized deviation exceeds 3 baseline sigmas, so a
+// genuine step change cannot be learned away before the CUSUM flags it.
+// (Correspondingly, drift slower than roughly this rate per die is absorbed
+// — CUSUM targets abrupt change.)
+inline constexpr double kStreamBaselineAdapt = 0.02;
+// Accepted dies between refreshes of the lagged shift snapshot the drift
+// statistic measures against.  The lag bounds how long a sustained shift
+// stays visible to the CUSUM while the filter adapts it away; it also
+// bounds the detection horizon — drift must accumulate kStreamCusumH within
+// roughly one interval.
+inline constexpr std::size_t kStreamDriftRefInterval = 64;
+// Guard-band sigma multiplier (kappa * sigma_i / |mu_i|).
+inline constexpr double kStreamGuardKappa = 3.0;
 
 // Mirror of PredictorStatus for the stream: one glanceable health roll-up.
 struct StreamStatus {
@@ -189,7 +184,8 @@ struct StreamStatus {
   std::size_t dies_quarantined = 0;  // unusable input or pathological update
   std::array<std::size_t, kNumStreamGates> gate_counts{};  // by StreamGate
   double drift_score = 0.0;          // current CUSUM statistic (max of sides)
-  bool drift_flagged = false;        // latched once the CUSUM crossed cusum_h
+  bool drift_flagged = false;        // latched once the CUSUM crossed
+                                     // kStreamCusumH
   std::size_t drift_flag_die = kNoDie;  // first die at which it crossed
   double guardband = 0.0;            // current adaptive guard-band (relative)
   double info_condition = 0.0;       // 2-norm condition of the posterior cov
@@ -207,7 +203,8 @@ struct DieRecord {
   bool accepted = false;
   StreamGate gate = StreamGate::kNone;  // why the die did not update
   PredictorHealth prediction_health = PredictorHealth::kFailed;
-  linalg::Vector predicted;    // remaining-path delays under the current state
+  linalg::Vector predicted;    // remaining-path delays, predict() before the
+                               // die's update
   std::size_t screened_slots = 0;  // robust-gate outlier rejections
   std::size_t missing_slots = 0;   // dead / dropped / non-finite slots
   double innovation_z = 0.0;   // standardized chi-square innovation
@@ -223,14 +220,19 @@ class StreamingCalibrator {
   // degradation target); pass an rvalue to hand it over without a copy.  An
   // unusable predictor yields an unusable stream: every die quarantines and
   // predictions are nominal fallbacks.  Never throws on a failed predictor.
+  // `max_condition` limits the innovation system (1-norm estimate inside
+  // spd_factor_robust) and the posterior covariance (exact 2-norm
+  // condition, audited after every accepted die); above it the reported
+  // ridge / floor fallback engages.
   explicit StreamingCalibrator(RobustPredictor predictor,
-                               const StreamingOptions& options = {});
+                               double max_condition = kRobustMaxCondition);
 
   // Feeds one measured die: robust screening gate, state update (when
-  // accepted), drift/guard-band refresh, and the per-die prediction under
-  // the updated state.  `die` is the global die index (telemetry and
-  // quarantine bookkeeping only — the state recursion is order-dependent by
-  // design).  Never throws on fault-injected input.
+  // accepted), drift/guard-band refresh, and the per-die prediction, which
+  // is predict() on the state before this die's update.  `die` is the
+  // global die index (telemetry and quarantine bookkeeping only — the state
+  // recursion is order-dependent by design).  Never throws on
+  // fault-injected input.
   DieRecord observe(std::size_t die, std::span<const double> measured,
                     std::span<const char> valid = {});
 
@@ -249,7 +251,6 @@ class StreamingCalibrator {
   const linalg::Vector& shift_variance() const { return q_; }
   // Current adaptive guard-band (mean relative eps over remaining paths).
   double guardband() const { return status_.guardband; }
-  const StreamingOptions& options() const { return options_; }
 
  private:
   void publish_telemetry() const;
@@ -259,7 +260,7 @@ class StreamingCalibrator {
   DieRecord gated(std::size_t die, StreamGate gate, RobustPrediction&& rp);
 
   RobustPredictor predictor_;
-  StreamingOptions options_;
+  double max_condition_;
   StreamStatus status_;
 
   // Posterior P = alpha_ I - A^T k_ A and b_hat = A^T beta_ (A = A_meas).
@@ -273,7 +274,7 @@ class StreamingCalibrator {
   linalg::Vector shift_meas_;  // G beta = A_meas b_hat (cached, ps)
   linalg::Vector shift_rem_;   // C^T beta = A_rem b_hat (cached, ps)
   // Lagged snapshot of shift_meas_ the drift statistic measures against
-  // (refreshed every drift_ref_interval accepted dies).
+  // (refreshed every kStreamDriftRefInterval accepted dies).
   linalg::Vector drift_ref_meas_;
   std::size_t drift_ref_age_ = 0;
   double cusum_pos_ = 0.0;

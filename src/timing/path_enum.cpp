@@ -96,7 +96,6 @@ std::vector<Path> best_first(const TimingGraph& graph,
                              const double* suffix, std::size_t stride,
                              const std::vector<std::uint8_t>& sink_lanes,
                              unsigned lane, std::size_t max_paths,
-                             double min_score_fraction,
                              SearchScratch& scratch) {
   const auto& topo = graph.topological_order();
   std::vector<ArenaNode>& arena = scratch.arena;
@@ -116,7 +115,6 @@ std::vector<Path> best_first(const TimingGraph& graph,
   }
 
   std::vector<Path> out;
-  double best_score = -1.0;
   while (!heap.empty() && out.size() < max_paths) {
     std::pop_heap(heap.begin(), heap.end());
     const HeapEntry e = heap.back();
@@ -130,11 +128,6 @@ std::vector<Path> best_first(const TimingGraph& graph,
         p.gates.push_back(topo[arena[static_cast<std::size_t>(cur)].pos]);
       }
       std::reverse(p.gates.begin(), p.gates.end());
-      if (best_score < 0.0) best_score = p.score;
-      if (min_score_fraction > 0.0 &&
-          p.score < min_score_fraction * best_score) {
-        break;
-      }
       out.push_back(std::move(p));
       continue;
     }
@@ -161,7 +154,7 @@ std::vector<Path> enumerate_worst_paths(const TimingGraph& graph,
   SearchScratch scratch;
   std::vector<Path> out =
       best_first(graph, score, suffix.data(), 1, sink_lanes, 0,
-                 options.max_paths, options.min_score_fraction, scratch);
+                 options.max_paths, scratch);
   util::telemetry::count("timing.paths_enumerated", out.size());
   return out;
 }
@@ -210,7 +203,7 @@ std::vector<Path> enumerate_worst_paths_per_endpoint(
         const auto lane = static_cast<unsigned>(k - k0);
         per_endpoint[k] = best_first(graph, score, suffix.data() + lane,
                                      kSinkLanes, sink_lanes, lane, quota,
-                                     options.min_score_fraction, scratch);
+                                     scratch);
       }
       for (std::size_t k = k0; k < k1; ++k) {
         sink_lanes[graph.topo_position(outputs[k])] = 0;

@@ -26,9 +26,6 @@ struct PathEnumOptions {
   // Weight of the (uncorrelated) delay sigma in the enumeration score;
   // ~3 biases enumeration toward statistically-critical paths.
   double sigma_weight = 3.0;
-  // Stop early once the next candidate's score falls below this fraction of
-  // the best path's score (0 disables).
-  double min_score_fraction = 0.0;
 };
 
 std::vector<Path> enumerate_worst_paths(const TimingGraph& graph,

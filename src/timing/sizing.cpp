@@ -24,8 +24,7 @@ double mean_comb_slack(const TimingGraph& graph, const StaResult& sta) {
 
 }  // namespace
 
-SizingReport emulate_area_recovery(TimingGraph& graph,
-                                   const SizingOptions& options) {
+SizingReport emulate_area_recovery(TimingGraph& graph) {
   const circuit::Netlist& nl = graph.netlist();
   SizingReport rep;
   {
@@ -33,28 +32,21 @@ SizingReport emulate_area_recovery(TimingGraph& graph,
     rep.t_cons = base.circuit_delay;
     rep.mean_slack_before = mean_comb_slack(graph, base);
   }
-  const std::vector<double> original = graph.gate_delays_ps();
-
-  for (int it = 0; it < options.iterations; ++it) {
-    const StaResult sta = run_sta(graph, rep.t_cons);
-    bool changed = false;
-    for (std::size_t i = 0; i < nl.size(); ++i) {
-      const auto id = static_cast<circuit::GateId>(i);
-      if (!circuit::is_combinational(nl.gate(id).type)) continue;
-      const double slack = sta.slack[i];
-      if (slack <= 0.0) continue;
-      // Per-path safety: every path through this gate has slack >= `slack`,
-      // and the summed growth along any path is < its slack, so the circuit
-      // delay never exceeds Tcons.
-      const double grown = graph.gate_delay_ps(id) *
-                           (1.0 + options.strength * slack / rep.t_cons);
-      const double capped = std::min(grown, original[i] * options.max_scale);
-      if (capped > graph.gate_delay_ps(id) * (1.0 + 1e-12)) {
-        graph.set_gate_delay_ps(id, capped);
-        changed = true;
-      }
+  const StaResult sta = run_sta(graph, rep.t_cons);
+  for (std::size_t i = 0; i < nl.size(); ++i) {
+    const auto id = static_cast<circuit::GateId>(i);
+    if (!circuit::is_combinational(nl.gate(id).type)) continue;
+    const double slack = sta.slack[i];
+    if (slack <= 0.0) continue;
+    // Per-path safety: every path through this gate has slack >= `slack`,
+    // and the summed growth along any path is < its slack, so the circuit
+    // delay never exceeds Tcons.
+    const double delay = graph.gate_delay_ps(id);
+    const double grown = delay * (1.0 + kSizingStrength * slack / rep.t_cons);
+    const double capped = std::min(grown, delay * kSizingMaxScale);
+    if (capped > delay * (1.0 + 1e-12)) {
+      graph.set_gate_delay_ps(id, capped);
     }
-    if (!changed) break;
   }
 
   const StaResult after = run_sta(graph, rep.t_cons);

@@ -63,17 +63,15 @@ VariationModel::VariationModel(const timing::TimingGraph& graph,
       if (!circuit::is_combinational(g.type)) continue;
       mu += graph.gate_delay_ps(id);
       const auto& sig = graph.gate_sigmas(id);
-      const double s_leff = sig.leff * options.spatial_scale;
-      const double s_vt = sig.vt * options.spatial_scale;
-      const double s_rand = sig.random * options.random_scale;
       for (int l = 0; l < spatial.levels(); ++l) {
         const std::size_t region = spatial.region_index(l, g.x, g.y);
         const std::size_t slot = region_param.at(region);
         const double w = spatial.level_weight(l);
-        sigma_(s, leff_base + slot) += s_leff * w;
-        sigma_(s, vt_base + slot) += s_vt * w;
+        sigma_(s, leff_base + slot) += sig.leff * w;
+        sigma_(s, vt_base + slot) += sig.vt * w;
       }
-      sigma_(s, rand_base + gate_param.at(id)) += s_rand;
+      sigma_(s, rand_base + gate_param.at(id)) +=
+          sig.random * options.random_scale;
     }
     mu_segments_[s] = mu;
   }

@@ -24,8 +24,6 @@ namespace repro::variation {
 struct VariationOptions {
   // Multiplier on the per-gate random sensitivities; Figure 2(b) uses 3x.
   double random_scale = 1.0;
-  // Multiplier on the spatially correlated sensitivities (ablations).
-  double spatial_scale = 1.0;
 };
 
 class VariationModel {

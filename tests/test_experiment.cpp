@@ -186,8 +186,7 @@ TEST(Experiment, TargetsSortedByFailProbability) {
 TEST(Experiment, TargetsExceedYieldLossThreshold) {
   const Experiment e(small_config());
   const auto& m = e.model();
-  const double threshold =
-      e.config().yield_loss_factor * (1.0 - e.circuit_yield());
+  const double threshold = kYieldLossFactor * (1.0 - e.circuit_yield());
   for (std::size_t p = 0; p < m.num_paths(); ++p) {
     const double q =
         1.0 -

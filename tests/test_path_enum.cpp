@@ -64,8 +64,7 @@ std::vector<Path> best_first(const TimingGraph& graph,
                              const std::vector<double>& score,
                              const std::vector<double>& suffix,
                              const std::vector<char>& is_sink,
-                             std::size_t max_paths,
-                             double min_score_fraction) {
+                             std::size_t max_paths) {
   const circuit::Netlist& nl = graph.netlist();
   std::vector<ArenaNode> arena;
   std::priority_queue<HeapEntry> heap;
@@ -77,7 +76,6 @@ std::vector<Path> best_first(const TimingGraph& graph,
                static_cast<int>(arena.size()) - 1});
   }
   std::vector<Path> out;
-  double best_score = -1.0;
   while (!heap.empty() && out.size() < max_paths) {
     const HeapEntry e = heap.top();
     heap.pop();
@@ -91,11 +89,6 @@ std::vector<Path> best_first(const TimingGraph& graph,
         p.gates.push_back(arena[static_cast<std::size_t>(cur)].gate);
       }
       std::reverse(p.gates.begin(), p.gates.end());
-      if (best_score < 0.0) best_score = p.score;
-      if (min_score_fraction > 0.0 &&
-          p.score < min_score_fraction * best_score) {
-        break;
-      }
       out.push_back(std::move(p));
       continue;
     }
@@ -128,8 +121,7 @@ std::vector<Path> per_endpoint(const TimingGraph& graph,
     std::vector<char> is_sink(nl.size(), 0);
     is_sink[static_cast<std::size_t>(sink)] = 1;
     const std::vector<double> suffix = suffix_bounds(graph, score, is_sink);
-    std::vector<Path> paths = best_first(graph, score, suffix, is_sink, quota,
-                                         options.min_score_fraction);
+    std::vector<Path> paths = best_first(graph, score, suffix, is_sink, quota);
     all.insert(all.end(), std::make_move_iterator(paths.begin()),
                std::make_move_iterator(paths.end()));
   }
@@ -298,8 +290,6 @@ TEST(PathEnum, PerEndpointMatchesSerialReference) {
       {"s1196", false, {.max_paths = 3000}},
       {"s1423", true, {.max_paths = 20000}},
       {"s5378", true, {.max_paths = 20000}},
-      {"s1423", true,
-       {.max_paths = 20000, .sigma_weight = 2.0, .min_score_fraction = 0.97}},
   };
   const std::size_t saved_threads = util::thread_count();
   for (const Case& c : cases) {
@@ -339,7 +329,7 @@ TEST(PathEnum, GlobalEnumerationMatchesSerialReference) {
       reference::suffix_bounds(tg, score, is_sink);
   expect_same_paths(enumerate_worst_paths(tg, opt),
                     reference::best_first(tg, score, suffix, is_sink,
-                                          opt.max_paths, 0.0));
+                                          opt.max_paths));
 }
 
 TEST(PathEnum, CoveragePathsTouchEveryGate) {
@@ -388,21 +378,6 @@ TEST(PathEnum, CoverageWorstPathMatchesGlobalWorst) {
   ASSERT_FALSE(global_paths.empty());
   // The best coverage path is the overall worst path.
   EXPECT_NEAR(coverage.front().score, global_paths.front().score, 1e-9);
-}
-
-TEST(PathEnum, MinScoreFractionStopsEarly) {
-  circuit::Netlist nl = circuit::generate_benchmark("s1196");
-  const circuit::GateLibrary lib;
-  const TimingGraph tg(nl, lib);
-  PathEnumOptions opt;
-  opt.max_paths = 100000;
-  opt.min_score_fraction = 0.98;
-  const auto paths = enumerate_worst_paths(tg, opt);
-  ASSERT_FALSE(paths.empty());
-  for (const Path& p : paths) {
-    EXPECT_GE(p.score, 0.98 * paths.front().score - 1e-9);
-  }
-  EXPECT_LT(paths.size(), 100000u);
 }
 
 }  // namespace

@@ -66,16 +66,5 @@ TEST(Placement, EmptyNetlistIsNoop) {
   EXPECT_NO_THROW(place(nl));
 }
 
-TEST(Placement, JitterConfigurable) {
-  Netlist a = generate_benchmark("s1196");
-  PlacementOptions opt;
-  opt.jitter = 0.0;
-  place(a, opt);
-  // With zero jitter, x is exactly level / max_level for gates at level 0.
-  for (GateId id : a.inputs()) {
-    EXPECT_DOUBLE_EQ(a.gate(id).x, 0.0);
-  }
-}
-
 }  // namespace
 }  // namespace repro::circuit

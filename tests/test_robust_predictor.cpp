@@ -785,7 +785,7 @@ TEST(TheoremTwoBuild, StreamingEvaluatorKeepsDenseRowBitsUnderDrift) {
       m, opt.drift.magnitude / std::sqrt(static_cast<double>(m)));
   const linalg::Vector drift_meas = linalg::matvec(rows.meas, delta);
   const linalg::Vector drift_rem = linalg::matvec(rows.rem, delta);
-  StreamingCalibrator cal(rp, opt.stream);
+  StreamingCalibrator cal(rp);
   test::RefErr want(n_rem);
   std::vector<double> guard, drift;
   const auto score = [&](std::size_t first, const linalg::Matrix& truth,

@@ -259,13 +259,12 @@ linalg::Vector uniform_slot_shift(const RobustPredictor& p, double ps) {
 
 TEST(StreamingCalibrator, GatedRecordsReportTheScoreAtThisDieNotTheLatch) {
   // A drift burst (dies 100..119) with malformed and meltdown dies mixed in:
-  // every record's drift_flagged is "score above cusum_h at this die", while
-  // the status flag latches at the first crossing and holds after the score
-  // has decayed.
+  // every record's drift_flagged is "score above kStreamCusumH at this die",
+  // while the status flag latches at the first crossing and holds after the
+  // score has decayed.
   Synthetic s(30, 16, 6, 27);
   StreamingCalibrator cal(s.predictor);
   const linalg::Vector shift = uniform_slot_shift(s.predictor, 6.0);
-  const double h = cal.options().cusum_h;
   std::size_t gated_after_flag = 0, gated_below_h_after_flag = 0;
   for (std::uint64_t die = 0; die < 400; ++die) {
     linalg::Vector y = s.die_measurements(
@@ -280,12 +279,13 @@ TEST(StreamingCalibrator, GatedRecordsReportTheScoreAtThisDieNotTheLatch) {
     }
     const bool was_flagged = cal.status().drift_flagged;
     const DieRecord rec = cal.observe(die, y);
-    EXPECT_EQ(rec.drift_flagged, rec.drift_score > h) << "die " << die;
+    EXPECT_EQ(rec.drift_flagged, rec.drift_score > kStreamCusumH)
+        << "die " << die;
     if (was_flagged) {
       EXPECT_TRUE(cal.status().drift_flagged) << "die " << die;
       if (!rec.accepted) {
         ++gated_after_flag;
-        if (rec.drift_score <= h) ++gated_below_h_after_flag;
+        if (rec.drift_score <= kStreamCusumH) ++gated_below_h_after_flag;
       }
     }
   }
@@ -348,9 +348,8 @@ TEST(StreamingCalibrator, RidgedDieRecordsOneRidge) {
   const bool was_enabled = util::telemetry::enabled();
   util::telemetry::set_enabled(true);
   Synthetic s(30, 16, 6, 28);
-  StreamingOptions opt;
-  opt.max_condition = 2.0;
-  StreamingCalibrator cal(s.predictor, opt);
+  constexpr double kMaxCondition = 2.0;
+  StreamingCalibrator cal(s.predictor, kMaxCondition);
   DieRecord rec;
   const SolveCounts own =
       observe_own_solves(cal, 0, s.die_measurements(0, {}), rec);
@@ -358,7 +357,7 @@ TEST(StreamingCalibrator, RidgedDieRecordsOneRidge) {
   EXPECT_GT(rec.ridge, 0.0);
   EXPECT_EQ(cal.status().last_ridge, rec.ridge);
   EXPECT_EQ(cal.status().ridge_events, 1u);
-  EXPECT_LE(cal.status().info_condition, opt.max_condition);
+  EXPECT_LE(cal.status().info_condition, kMaxCondition);
   EXPECT_EQ(own.calls, 1u);
   EXPECT_EQ(own.ridges, 1u);  // one ridge search, not one per solve
   util::telemetry::set_enabled(was_enabled);
@@ -376,12 +375,16 @@ class DenseReference {
  public:
   // `a` is the path-sensitivity matrix the predictor was built from.
   DenseReference(const RobustPredictor& p, const linalg::Matrix& a,
-                 const StreamingOptions& o)
-      : p_(p), a_rem_(a.select_rows(p.base.remaining)), o_(o) {
+                 double max_condition)
+      : p_(p),
+        a_rem_(a.select_rows(p.base.remaining)),
+        max_condition_(max_condition) {
     const std::size_t m = p.a_meas.cols();
     b_.assign(m, 0.0);
     cov_ = linalg::Matrix(m, m);
-    for (std::size_t i = 0; i < m; ++i) cov_(i, i) = 1.0 / o.prior_precision;
+    for (std::size_t i = 0; i < m; ++i) {
+      cov_(i, i) = 1.0 / kStreamPriorPrecision;
+    }
     for (std::size_t i = 0; i < a_rem_.rows(); ++i) {
       q_.push_back(cov_(0, 0) * linalg::dot(a_rem_.row(i), a_rem_.row(i)));
     }
@@ -411,14 +414,12 @@ class DenseReference {
     const double usable = static_cast<double>(n_meas - rp.missing.size());
     if (v.empty() ||
         static_cast<double>(rp.screened.size()) >
-            o_.max_screened_fraction * usable) {
+            kStreamMaxScreenedFraction * usable) {
       return count(StreamGate::kExcessScreening);
     }
     const std::size_t k = v.size();
-    const double inv_lambda = 1.0 / o_.forgetting;
     const linalg::Matrix a_v = p_.a_meas.select_rows(v);
-    linalg::Matrix u = linalg::multiply_bt(cov_, a_v);
-    u *= inv_lambda;
+    const linalg::Matrix u = linalg::multiply_bt(cov_, a_v);
     linalg::Matrix s = linalg::multiply(a_v, u);
     s += p_.gram_meas.select_rows(v).select_cols(v);
     const double sig = p_.options.measurement_sigma_ps;
@@ -444,7 +445,7 @@ class DenseReference {
       proj += r_ref * s1[j];
     }
     monitor(proj / std::sqrt(quad));
-    if (std::abs(z) > o_.innovation_z_max) {
+    if (std::abs(z) > kStreamInnovationZMax) {
       return count(StreamGate::kInnovationOutlier);
     }
 
@@ -454,17 +455,16 @@ class DenseReference {
     const linalg::Matrix xq = solve(s, vv.transposed(), info_q);
     const linalg::Vector db = linalg::matvec(u, w);
     for (std::size_t i = 0; i < b_.size(); ++i) b_[i] += db[i];
-    cov_ *= inv_lambda;
     cov_ -= linalg::multiply(u, xb);
     cov_ = 0.5 * (cov_ + cov_.transposed());
     for (std::size_t i = 0; i < q_.size(); ++i) {
       const double down = linalg::dot(vv.row(i), xq.column(i));
-      q_[i] = std::max(0.0, q_[i] * inv_lambda - down);
+      q_[i] = std::max(0.0, q_[i] - down);
     }
     if (info.regularized || info_b.regularized) ++ridge_events_;
     shift_meas_ = linalg::matvec(p_.a_meas, b_);
-    if (++drift_ref_age_ >= o_.drift_ref_interval &&
-        (drift_score_ <= 2.0 * o_.cusum_k || drift_flagged_)) {
+    if (++drift_ref_age_ >= kStreamDriftRefInterval &&
+        (drift_score_ <= 2.0 * kStreamCusumK || drift_flagged_)) {
       drift_ref_age_ = 0;
       drift_ref_ = shift_meas_;
     }
@@ -472,9 +472,9 @@ class DenseReference {
     const linalg::Vector ev = linalg::eigen_sym(cov_).values;
     const double inf = std::numeric_limits<double>::infinity();
     const double cond = ev.front() > 0.0 ? ev.back() / ev.front() : inf;
-    if (!(cond <= o_.max_condition)) {
+    if (!(cond <= max_condition_)) {
       const double floor =
-          std::max(std::abs(ev.back()) / o_.max_condition, 1e-300) * 10.0;
+          std::max(std::abs(ev.back()) / max_condition_, 1e-300) * 10.0;
       for (std::size_t i = 0; i < cov_.rows(); ++i) cov_(i, i) += floor;
       for (std::size_t i = 0; i < q_.size(); ++i) {
         q_[i] += floor * linalg::dot(a_rem_.row(i), a_rem_.row(i));
@@ -508,7 +508,7 @@ class DenseReference {
   template <class Rhs>
   Rhs solve(const linalg::Matrix& s, const Rhs& rhs,
             linalg::SpdSolveInfo& info) const {
-    return linalg::spd_solve_robust(s, rhs, &info, o_.max_condition);
+    return linalg::spd_solve_robust(s, rhs, &info, max_condition_);
   }
   StreamGate count(StreamGate g) {
     ++gates_[static_cast<std::size_t>(g)];
@@ -516,12 +516,12 @@ class DenseReference {
   }
   void update_guardband() {
     guardband_ =
-        adaptive_guardband(sigma_, q_, p_.base.mu_rem, o_.guard_kappa).eps;
+        adaptive_guardband(sigma_, q_, p_.base.mu_rem, kStreamGuardKappa).eps;
   }
   void monitor(double u) {
     if (!armed_) {
       warm_.push_back(u);
-      if (warm_.size() < o_.min_dies_for_drift) return;
+      if (warm_.size() < kStreamMinDiesForDrift) return;
       mu0_ = median(warm_);
       for (double& d : warm_) d = std::abs(d - mu0_);
       sd0_ = std::max(1.4826 * median(warm_), 1.0);
@@ -530,22 +530,22 @@ class DenseReference {
       return;
     }
     const double us = (u - mu0_) / sd0_;
-    const double uc = std::clamp(us, -o_.cusum_clip, o_.cusum_clip);
-    pos_ = std::max(0.0, pos_ + uc - o_.cusum_k);
-    neg_ = std::max(0.0, neg_ - uc - o_.cusum_k);
+    const double uc = std::clamp(us, -kStreamCusumClip, kStreamCusumClip);
+    pos_ = std::max(0.0, pos_ + uc - kStreamCusumK);
+    neg_ = std::max(0.0, neg_ - uc - kStreamCusumK);
     drift_score_ = std::max(pos_, neg_);
-    if (std::abs(us) < 3.0 && drift_score_ <= 0.5 * o_.cusum_h) {
-      mu0_ += o_.baseline_adapt * (u - mu0_);
+    if (std::abs(us) < 3.0 && drift_score_ <= 0.5 * kStreamCusumH) {
+      mu0_ += kStreamBaselineAdapt * (u - mu0_);
       const double dev = u - mu0_;
-      var0_ += o_.baseline_adapt * (dev * dev - var0_);
+      var0_ += kStreamBaselineAdapt * (dev * dev - var0_);
       sd0_ = std::max(std::sqrt(var0_), 1.0);
     }
-    if (drift_score_ > o_.cusum_h) drift_flagged_ = true;
+    if (drift_score_ > kStreamCusumH) drift_flagged_ = true;
   }
 
   const RobustPredictor& p_;
   linalg::Matrix a_rem_;
-  StreamingOptions o_;
+  double max_condition_;
   linalg::Vector b_, q_, sigma_, shift_meas_, drift_ref_, warm_;
   linalg::Matrix cov_;
   double guardband_ = 0.0, drift_score_ = 0.0, pos_ = 0.0, neg_ = 0.0;
@@ -555,33 +555,41 @@ class DenseReference {
   std::array<std::size_t, kNumStreamGates> gates_{};
 };
 
+// One die of a faulty stream on `s` that drifts by `shift` from die
+// `drift_start` on: a dropped slot, an outlier reading, a whole-die meltdown.
+struct FaultyDie {
+  linalg::Vector y;
+  std::vector<char> valid;
+};
+FaultyDie faulty_die(const Synthetic& s, std::uint64_t die,
+                     std::uint64_t drift_start, const linalg::Vector& shift) {
+  FaultyDie d;
+  d.y = s.die_measurements(die, die >= drift_start
+                                    ? std::span<const double>(shift)
+                                    : std::span<const double>());
+  d.valid.assign(d.y.size(), 1);
+  if (die % 7 == 3) d.valid[die % d.y.size()] = 0;
+  if (die % 11 == 5) d.y[(die + 2) % d.y.size()] += 60.0;
+  if (die % 37 == 20) {
+    for (double& v : d.y) v += 3000.0;
+  }
+  return d;
+}
+
 // Feeds the calibrator and the dense reference the same faulty stream,
 // drifting from die `dies / 2`, and compares them die by die; `floors` gets
 // the reference's covariance-floor count.
-void expect_matches_dense_reference(const StreamingOptions& opt,
-                                    std::uint64_t dies, std::size_t& floors) {
+void expect_matches_dense_reference(double max_condition, std::uint64_t dies,
+                                    std::size_t& floors) {
   Synthetic s(30, 16, 6, 27);
-  StreamingCalibrator cal(s.predictor, opt);
-  DenseReference ref(s.predictor, s.a, opt);
+  StreamingCalibrator cal(s.predictor, max_condition);
+  DenseReference ref(s.predictor, s.a, max_condition);
   const std::size_t m = s.a.cols();
   // The min-norm shift raising every measured slot by 6 ps (see
   // CusumFlagsInjectedShiftQuietOnClean), so the CUSUM has work to do.
-  linalg::SpdSolveInfo info;
-  const linalg::Vector w = linalg::spd_solve_robust(
-      s.predictor.gram_meas, linalg::Vector(s.predictor.a_meas.rows(), 6.0),
-      &info);
-  const linalg::Vector shift = linalg::matvec_transposed(s.predictor.a_meas, w);
+  const linalg::Vector shift = uniform_slot_shift(s.predictor, 6.0);
   for (std::uint64_t die = 0; die < dies; ++die) {
-    linalg::Vector y = s.die_measurements(
-        die, die >= dies / 2 ? std::span<const double>(shift)
-                             : std::span<const double>());
-    // Faults: a dropped slot, an outlier reading, a whole-die meltdown.
-    std::vector<char> valid(y.size(), 1);
-    if (die % 7 == 3) valid[die % y.size()] = 0;
-    if (die % 11 == 5) y[(die + 2) % y.size()] += 60.0;
-    if (die % 37 == 20) {
-      for (double& v : y) v += 3000.0;
-    }
+    const auto [y, valid] = faulty_die(s, die, dies / 2, shift);
     const DieRecord rec = cal.observe(die, y, valid);
     const StreamGate want = ref.observe(y, valid);
     ASSERT_EQ(rec.gate, want) << "die " << die;
@@ -606,30 +614,40 @@ void expect_matches_dense_reference(const StreamingOptions& opt,
   floors = ref.floors();
 }
 
-TEST(StreamingCalibrator, MatchesDenseReferenceWithoutForgetting) {
-  StreamingOptions opt;
+TEST(StreamingCalibrator, MatchesDenseReference) {
   std::size_t floors = 1;
-  expect_matches_dense_reference(opt, 240, floors);
-  EXPECT_EQ(floors, 0u);
-}
-
-TEST(StreamingCalibrator, MatchesDenseReferenceWithForgetting) {
-  // With lambda < 1 the variance of the unmeasured directions grows as
-  // lambda^-n, and both representations lose about log10(lambda^-n) digits
-  // to cancellation; 130 dies at 0.9 keep that growth below 1e6.
-  StreamingOptions opt;
-  opt.forgetting = 0.9;
-  std::size_t floors = 1;
-  expect_matches_dense_reference(opt, 130, floors);
+  expect_matches_dense_reference(kRobustMaxCondition, 240, floors);
   EXPECT_EQ(floors, 0u);
 }
 
 TEST(StreamingCalibrator, MatchesDenseReferenceThroughCovarianceFloors) {
-  StreamingOptions opt;
-  opt.max_condition = 20.0;
   std::size_t floors = 0;
-  expect_matches_dense_reference(opt, 240, floors);
+  expect_matches_dense_reference(20.0, 240, floors);
   EXPECT_GT(floors, 0u);
+}
+
+TEST(StreamingCalibrator, AcceptedDiePredictsWithThePreObserveState) {
+  // observe()'s screening gate is predict() on the state before the die's
+  // update, so an accepted die's record carries exactly that prediction.
+  Synthetic s(30, 16, 6, 27);
+  StreamingCalibrator cal(s.predictor);
+  const linalg::Vector shift = uniform_slot_shift(s.predictor, 6.0);
+  std::size_t accepted = 0;
+  for (std::uint64_t die = 0; die < 240; ++die) {
+    const auto [y, valid] = faulty_die(s, die, 120, shift);
+    const RobustPrediction before = cal.predict(y, valid);
+    const DieRecord rec = cal.observe(die, y, valid);
+    if (!rec.accepted) continue;
+    ++accepted;
+    ASSERT_EQ(rec.predicted.size(), before.values.size()) << "die " << die;
+    for (std::size_t i = 0; i < before.values.size(); ++i) {
+      ASSERT_EQ(rec.predicted[i], before.values[i])
+          << "die " << die << " path " << i;
+    }
+  }
+  EXPECT_GT(accepted, 120u);
+  EXPECT_GT(cal.status().dies_rejected + cal.status().dies_quarantined, 0u);
+  EXPECT_GT(cal.status().shift_norm, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -762,7 +780,7 @@ TEST(StreamingMonteCarlo, InjectedDriftIsFlaggedWithinBudget) {
   for (std::size_t i = 0; i < opt.drift.start_die; ++i) {
     pre = std::max(pre, m.drift_trajectory[i]);
   }
-  EXPECT_LT(pre, opt.stream.cusum_h);
+  EXPECT_LT(pre, kStreamCusumH);
 }
 
 TEST(StreamingMonteCarlo, DegenerateInputsAreDefined) {
