@@ -1,8 +1,8 @@
 // Kernel microbenchmarks (google-benchmark): the numerical workhorses behind
 // the selection algorithms — GEMM/Gram, blocked and pivoted QR,
-// symmetric eigen, Cholesky-based error evaluation, and the l1-ball
-// projection — plus the execution-layer comparisons (pooled vs
-// spawn-per-call GEMM, pooled Monte-Carlo evaluation across thread counts).
+// symmetric eigen and Cholesky-based error evaluation — plus the
+// execution-layer comparisons (pooled vs spawn-per-call GEMM, pooled
+// Monte-Carlo evaluation across thread counts).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "circuit/generator.h"
 #include "circuit/placement.h"
 #include "core/error_model.h"
-#include "core/group_sparse.h"
 #include "core/monte_carlo.h"
 #include "core/path_selection.h"
 #include "core/subset_select.h"
@@ -191,38 +190,6 @@ void BM_SubsetSelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubsetSelect)->Arg(128)->Arg(512);
-
-void BM_L1BallProjection(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(10);
-  linalg::Vector v(n);
-  for (double& x : v) x = rng.normal();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::project_l1_ball(v, 1.0));
-  }
-}
-BENCHMARK(BM_L1BallProjection)->Arg(256)->Arg(4096);
-
-void BM_GroupSparseAdmm(benchmark::State& state) {
-  // Small-but-representative Eqn (10) instance.
-  const auto r1 = static_cast<std::size_t>(state.range(0));
-  const std::size_t ns = r1 * 2;
-  util::Rng rng(11);
-  linalg::Matrix g(r1, ns);
-  for (std::size_t i = 0; i < r1; ++i) {
-    for (std::size_t j = 0; j < ns; ++j) {
-      g(i, j) = rng.uniform() < 0.2 ? 1.0 : 0.0;
-    }
-    g(i, i % ns) = 1.0;
-  }
-  const linalg::Matrix sigma = random_matrix(ns, ns * 2, 12);
-  linalg::Vector mu(ns, 50.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::select_segments(
-        g, core::build_segment_quadratic(sigma, mu, 3.0), 200.0, 60));
-  }
-}
-BENCHMARK(BM_GroupSparseAdmm)->Arg(16)->Arg(48);
 
 // Pooled Monte-Carlo predictor evaluation at bench_baseline_rcp-scale
 // inputs; Arg = thread count, so the recorded trajectory shows the parallel

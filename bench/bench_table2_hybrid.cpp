@@ -20,17 +20,26 @@
 
 namespace {
 
-// Golden hybrid |Pr|+|Sr| per circuit, exact.  One table per gated scale;
-// REPRO_FULL runs are not pinned.
+// Golden hybrid |Pr|+|Sr| per circuit, exact, and Algorithm 3's own total
+// before the path-only fallback, in [alg3_lo, alg3_hi].  One table per gated
+// scale; REPRO_FULL runs are not pinned.  alg3_total is exact except on
+// default-scale s15850: two of its target paths have identical rows of A,
+// their Gram diagonals differ in the last bit depending on the build flags
+// and the SIMD tier, so the first pivot of P_r1 takes either path and
+// Algorithm 3 keeps 11 or 12 segments.
 struct GoldenRow {
   const char* circuit;
   std::size_t hybrid_total;
+  std::size_t alg3_lo;
+  std::size_t alg3_hi;
 };
-constexpr GoldenRow kFastGolden[] = {{"s1196", 3}, {"s1423", 1}, {"s1488", 3}};
+constexpr GoldenRow kFastGolden[] = {
+    {"s1196", 3, 9, 9}, {"s1423", 1, 7, 7}, {"s1488", 3, 12, 12}};
 constexpr GoldenRow kDefaultGolden[] = {
-    {"s1196", 2},  {"s1423", 1},  {"s1488", 3},  {"s5378", 4},
-    {"s9234", 2},  {"s13207", 2}, {"s15850", 2}, {"s35932", 3},
-    {"s38417", 3}, {"s38584", 3},
+    {"s1196", 2, 9, 9},     {"s1423", 1, 7, 7},     {"s1488", 3, 13, 13},
+    {"s5378", 4, 23, 23},   {"s9234", 2, 18, 18},   {"s13207", 2, 18, 18},
+    {"s15850", 2, 11, 12},  {"s35932", 3, 24, 24},  {"s38417", 3, 19, 19},
+    {"s38584", 3, 19, 19},
 };
 
 }  // namespace
@@ -49,7 +58,14 @@ int main(int argc, char** argv) {
   if (scale == 0) golden = kFastGolden;
   if (scale == 1) golden = kDefaultGolden;
   for (const GoldenRow& row : golden) {
-    h.gate(std::string(row.circuit) + ".hybrid_total", "==", row.hybrid_total);
+    const std::string c = row.circuit;
+    h.gate(c + ".hybrid_total", "==", row.hybrid_total);
+    if (row.alg3_lo == row.alg3_hi) {
+      h.gate(c + ".alg3_total", "==", row.alg3_lo);
+    } else {
+      h.gate(c + ".alg3_total", ">=", row.alg3_lo);
+      h.gate(c + ".alg3_total", "<=", row.alg3_hi);
+    }
   }
 
   constexpr double kEps = 0.08;
@@ -77,11 +93,11 @@ int main(int argc, char** argv) {
     // The paper obtains its larger Table-2 pools by re-synthesizing under a
     // relaxed timing constraint; our substitute is a larger extraction cap
     // over the same netlist (see EXPERIMENTS.md).  The 2x pool runs at full
-    // scale; the default mode keeps the Table-1 pool to bound the ADMM cost.
+    // scale; the gated scales keep the pool their golden rows were pinned on.
     if (scale == 2) {
       cfg.max_target_paths *= 2;
     } else {
-      // Bound the default-mode ADMM cost on the large circuits.
+      // The golden rows above are pinned on this capped pool.
       cfg.max_target_paths = std::min<std::size_t>(cfg.max_target_paths, 1200);
     }
     const core::Experiment e(cfg);
@@ -105,9 +121,6 @@ int main(int argc, char** argv) {
     // Hybrid selection with eps' sweep.
     core::HybridOptions hopt;
     hopt.epsilon = kEps;
-    // ADMM budget by scale mode: the refit step repairs feasibility, so
-    // fewer iterations only trade a slightly larger |Sr| for time.
-    hopt.max_iterations = (scale == 2) ? 120 : 25;
     const core::HybridResult hyb = core::sweep_hybrid_selection(
         selector, psel, m, e.t_cons_ps(), eps_prime_sweep, hopt);
     // A fallback to psel's path set measures what ppred measures and
@@ -138,8 +151,6 @@ int main(int argc, char** argv) {
     h.metric(name + ".hybrid_e1", hmet.e1);
     h.metric(name + ".alg3_total", hyb.alg3_total);
     h.metric(name + ".alg3_eps", hyb.alg3_eps);
-    h.metric(name + ".admm_iterations", hyb.admm_iterations);
-    h.metric(name + ".admm_converged", hyb.admm_converged);
     s_pe1 += pmet.e1;
     s_pe2 += pmet.e2;
     s_he1 += hmet.e1;

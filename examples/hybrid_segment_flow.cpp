@@ -64,8 +64,6 @@ int main(int argc, char** argv) {
   std::printf("  Algorithm 3 alone: %zu measurements, error %.2f%% "
               "(%zu paths detected in step 3)\n",
               hyb.alg3_total, hyb.alg3_eps * 100.0, hyb.detected_paths);
-  std::printf("  ADMM iterations: %d (%s)\n", hyb.admm_iterations,
-              hyb.admm_converged ? "converged" : "capped");
 
   // The selected segments are the ones to instrument with custom test
   // structures; print the first few as a design hint.

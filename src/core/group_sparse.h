@@ -1,31 +1,37 @@
-// Convex segment selection (paper Eqn (10)): find a coefficient matrix B
-// mapping segment delays to the exactly-selected paths' delays,
+// Segment selection (paper Eqn (10)): choose the representative segments
+// S_r1 whose delays model the exactly-selected paths' delays within a bound,
 //
-//   min_B   sum_j ||B column j||_inf        (l1/l-inf relaxation of l0/l-inf)
-//   s.t.    WC(Delta_i) <= bound            for every row i,
+//   min |S|   s.t.   WC(d_i - b_i d_S) <= bound   for every row i,
 //
-// where Delta_i = (g_i - b_i) d_S and d_S = mu_S + Sigma x.  Segments whose
-// column is nonzero are the representative segments S_r1.
+// where d_i = g_i d is path i's delay over its segments (g_i: its row of the
+// incidence matrix G_r1) and b_i d_S is the best linear model of it from the
+// chosen segments' delays d_S.
 //
 // Worst case: following the paper's note that the constraint "is quadratic
 // with respect to B after taking square operation on both sides", we use the
 // smooth surrogate WC2(y) = mean(y)^2 + kappa^2 var(y), which turns every row
-// constraint into one shared ellipsoid
+// constraint into one shared quadratic form
 //
-//   (g_i - b_i) Q (g_i - b_i)^T <= bound^2,  Q = mu_S mu_S^T + kappa^2 Sigma Sigma^T.
+//   Q = mu mu^T + kappa^2 Sigma Sigma^T,
 //
-// Solver: ADMM with splitting B = Z.
-//   B-update: row-wise Euclidean projection onto the ellipsoid — one shared
-//             symmetric eigendecomposition of Q, then a secular-equation
-//             Newton solve per row (all rows batched through two GEMMs).
-//   Z-update: column-wise prox of the l-inf norm (Moreau identity via
-//             projection onto the l1 ball).
-// After ADMM, the column support is extracted and B is re-fit by constrained
-// least squares on that support (one Cholesky of Q_SS shared by all rows),
-// greedily growing the support if any row would violate its bound.
+// and the least achievable WC2 of row i on a support S is g_i C g_i^T, with
+// C = Q_NN - Q_NS Q_SS^-1 Q_SN the Schur complement of Q on S (zero-padded).
+//
+// Solver: greedy conditional-variance pivoting, an l0 heuristic in place of
+// the paper's l1/l-inf convex relaxation (the segment analogue of the greedy
+// path pivoting of Algorithm 2, and of the sensor-selection greedy of
+// Krause, Singh & Guestrin 2008).  It keeps C, T = G_r1 C and
+// v_i = g_i C g_i^T, and each step adds the segment j (C_jj > 0, not yet
+// chosen) maximizing
+//
+//   sum over rows with v_i > t^2 of  min(v_i - t^2, T_ij^2 / C_jj),
+//
+// t = bound, first index on a tie, then applies the rank-1 updates
+// C -= c c^T / C_jj (c = C(:, j)), T -= T(:, j) c^T / C_jj and
+// v_i -= T_ij^2 / C_jj.  It stops once every v_i <= t^2, or when no
+// candidate is left (a row whose whole support is chosen has zero error).
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -33,36 +39,21 @@
 namespace repro::core {
 
 struct GroupSparseResult {
-  linalg::Matrix b;                   // r1 x nS, refit on the selected support
-  std::vector<int> selected_segments; // ascending segment ids
-  linalg::Vector row_wc;              // achieved WC surrogate per row (ps)
-  int iterations = 0;
-  bool converged = false;
+  std::vector<int> selected_segments;  // ascending segment ids
+  linalg::Vector row_wc;  // achieved WC surrogate per row, sqrt(v_i) (ps)
 };
 
 // The shared worst-case quadratic form Q = mu mu^T + kappa^2 Sigma Sigma^T
-// and its eigendecomposition.  Building it costs O(nS^2 m + nS^3); it does
-// not depend on the bound, so callers sweeping eps' should build it once.
-struct SegmentQuadratic {
-  linalg::Matrix q;  // nS x nS, PSD
-  linalg::Vector d;  // eigenvalues, ascending, clamped >= 0
-  linalg::Matrix v;  // eigenvectors (columns), Q = V diag(d) V^T
-};
-SegmentQuadratic build_segment_quadratic(const linalg::Matrix& sigma,
-                                         const linalg::Vector& mu_s,
-                                         double kappa);
+// (nS x nS, PSD).  It does not depend on the bound, so callers sweeping eps'
+// build it once.
+linalg::Matrix build_segment_quadratic(const linalg::Matrix& sigma,
+                                       const linalg::Vector& mu_s,
+                                       double kappa);
 
-// g_r1: r1 x nS incidence rows of the exactly-selected paths; quad: the
-// form of build_segment_quadratic (its kappa applies); bound = eps' * Tcons
-// (ps).  The ADMM stops after max_iterations even if it has not converged;
-// the refit then restores feasibility, so a low cap trades a larger support
-// for time.
+// g_r1: r1 x nS incidence rows of the exactly-selected paths; q: the form of
+// build_segment_quadratic (its kappa applies); bound = eps' * Tcons (ps).
+// Every row_wc[i] <= bound unless the candidates ran out first.
 GroupSparseResult select_segments(const linalg::Matrix& g_r1,
-                                  const SegmentQuadratic& quad, double bound,
-                                  int max_iterations = 60);
-
-// Exposed for testing: Euclidean projection of v onto the l1 ball of the
-// given radius (Duchi et al. linear-time algorithm, here O(n log n)).
-linalg::Vector project_l1_ball(linalg::Vector v, double radius);
+                                  const linalg::Matrix& q, double bound);
 
 }  // namespace repro::core

@@ -65,18 +65,15 @@ LinearPredictor predict_unmeasured(const variation::VariationModel& model,
 // Steps 2-4 at one eps', from the exact basis P_r1 of Step 1.
 HybridResult run_algorithm3(const variation::VariationModel& model,
                             const linalg::Matrix& g_r1,
-                            const SegmentQuadratic& quad, double t_cons,
+                            const linalg::Matrix& q, double t_cons,
                             double eps_prime, const HybridOptions& options) {
   const std::size_t n = model.num_paths();
   HybridResult out;
   out.eps_prime = eps_prime;
 
   // --- Step 2: representative segments modeling d_Pr1 within eps'. ---
-  const GroupSparseResult seg = select_segments(
-      g_r1, quad, eps_prime * t_cons, options.max_iterations);
-  out.rep_segments = seg.selected_segments;
-  out.admm_iterations = seg.iterations;
-  out.admm_converged = seg.converged;
+  out.rep_segments =
+      select_segments(g_r1, q, eps_prime * t_cons).selected_segments;
 
   // --- Step 3: predict every target path from d_S_r1 alone; detect P_r2 =
   // paths with worst-case error above eps * Tcons. ---
@@ -141,13 +138,13 @@ HybridResult sweep_hybrid_selection(const SubsetSelector& selector,
       order.begin(),
       order.begin() + static_cast<std::ptrdiff_t>(selector.rank()));
   const linalg::Matrix g_r1 = model.g().select_rows(p_r1);
-  const SegmentQuadratic quad = build_segment_quadratic(
+  const linalg::Matrix q = build_segment_quadratic(
       model.sigma(), model.mu_segments(), options.kappa);
 
   HybridResult best;
   for (std::size_t k = 0; k < eps_primes.size(); ++k) {
     HybridResult r =
-        run_algorithm3(model, g_r1, quad, t_cons, eps_primes[k], options);
+        run_algorithm3(model, g_r1, q, t_cons, eps_primes[k], options);
     if (k == 0 || r.alg3_total < best.alg3_total ||
         (r.alg3_total == best.alg3_total &&
          r.eps_achieved < best.eps_achieved)) {

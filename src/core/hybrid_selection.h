@@ -3,7 +3,8 @@
 //   1. Select P_r1: exact representative paths (r1 = rank(A), zero error).
 //      Any rank(A) independent rows of A are exact (Theorem 1), so P_r1 is
 //      the first rank(A) pivots of the selector's pivoted Cholesky of W.
-//   2. Select segments S_r1 modeling d_Pr1 within eps' < eps (Eqn (10) ADMM).
+//   2. Select segments S_r1 modeling d_Pr1 within eps' < eps (Eqn (10),
+//      by greedy conditional-variance pivoting; see group_sparse.h).
 //   3. Predict all target paths from d_S_r1 (optimal linear predictor);
 //      detect P_r2 = paths whose worst-case prediction error exceeds
 //      eps * Tcons.
@@ -31,7 +32,6 @@ namespace repro::core {
 struct HybridOptions {
   double epsilon = 0.08;  // overall tolerance (fraction of Tcons)
   double kappa = 3.0;
-  int max_iterations = 60;  // ADMM cap of the Eqn-(10) solve
 };
 
 struct HybridResult {
@@ -45,8 +45,6 @@ struct HybridResult {
   std::size_t detected_paths = 0;  // |P_r2| from Step 3, before pruning
   std::size_t alg3_total = 0;      // |P_r2| + |S_r| after Step-4 pruning
   double alg3_eps = 0.0;           // its analytic worst-case error fraction
-  int admm_iterations = 0;
-  bool admm_converged = false;
 };
 
 // Runs Algorithm 3 for each eps' on the caller's Algorithm-2 state: the

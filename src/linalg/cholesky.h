@@ -37,8 +37,7 @@ Vector chol_solve(const CholFactors& f, Vector b);
 Matrix chol_solve(const CholFactors& f, const Matrix& b);
 
 // Solve L y = b (forward) and L^T x = y (backward) separately; used by the
-// ADMM ellipsoid projection and the streaming calibrator, which needs
-// L^{-1} B as well as S^{-1} B.  chol_backward(f, chol_forward(f, b)) has
+// streaming calibrator, which needs L^{-1} B as well as S^{-1} B.  chol_backward(f, chol_forward(f, b)) has
 // the bits of chol_solve(f, b).
 Vector chol_forward(const CholFactors& f, Vector b);
 Vector chol_backward(const CholFactors& f, Vector b);

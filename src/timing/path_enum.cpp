@@ -16,6 +16,10 @@ constexpr double kNegInf = -1e300;
 // per reverse pass, one lane each (a 512-bit vector of doubles).
 constexpr std::size_t kSinkLanes = 8;
 
+// Per-endpoint enumeration keeps at least this many paths per capture point,
+// however many endpoints share max_paths.
+constexpr std::size_t kMinEndpointQuota = 8;
+
 struct ArenaNode {
   std::uint32_t pos;  // topological position of the gate
   int parent;         // index into arena, -1 for path start
@@ -160,15 +164,15 @@ std::vector<Path> enumerate_worst_paths(const TimingGraph& graph,
 }
 
 std::vector<Path> enumerate_worst_paths_per_endpoint(
-    const TimingGraph& graph, const PathEnumOptions& options,
-    std::size_t min_quota) {
+    const TimingGraph& graph, const PathEnumOptions& options) {
   const circuit::Netlist& nl = graph.netlist();
   const auto& outputs = nl.outputs();
   if (outputs.empty()) return {};
   const std::size_t n = nl.size();
   const std::vector<double> score = position_scores(graph, options);
-  const std::size_t quota = std::max(
-      min_quota, options.max_paths / std::max<std::size_t>(outputs.size(), 1));
+  const std::size_t quota =
+      std::max(kMinEndpointQuota,
+               options.max_paths / std::max<std::size_t>(outputs.size(), 1));
 
   // Every endpoint's cone is enumerated independently: consecutive
   // endpoints share one suffix sweep, kSinkLanes at a time, and the sweep

@@ -36,10 +36,9 @@ std::vector<Path> enumerate_worst_paths(const TimingGraph& graph,
 // pool spans all near-critical cones instead of drowning in the exponential
 // path count of the single worst cone.  Returns at most `options.max_paths`
 // paths, merged and sorted by score (non-increasing).  The per-endpoint
-// quota is max_paths / #endpoints, at least `min_quota`.
+// quota is max_paths / #endpoints, at least 8.
 std::vector<Path> enumerate_worst_paths_per_endpoint(
-    const TimingGraph& graph, const PathEnumOptions& options = {},
-    std::size_t min_quota = 8);
+    const TimingGraph& graph, const PathEnumOptions& options = {});
 
 // Coverage enumeration: the single worst path *through every gate* (best
 // prefix + best suffix, one DP pass), deduplicated.  Guarantees that every

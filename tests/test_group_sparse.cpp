@@ -2,78 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
+#include "linalg/cholesky.h"
 #include "linalg/gemm.h"
 #include "util/rng.h"
 
 namespace repro::core {
 namespace {
-
-TEST(L1Ball, InsideUnchanged) {
-  linalg::Vector v{0.2, -0.3};
-  const linalg::Vector p = project_l1_ball(v, 1.0);
-  EXPECT_DOUBLE_EQ(p[0], 0.2);
-  EXPECT_DOUBLE_EQ(p[1], -0.3);
-}
-
-TEST(L1Ball, ProjectionHasCorrectNorm) {
-  util::Rng rng(1);
-  for (int trial = 0; trial < 20; ++trial) {
-    linalg::Vector v(10);
-    for (double& x : v) x = 3.0 * rng.normal();
-    const double radius = 0.5 + rng.uniform();
-    const linalg::Vector p = project_l1_ball(v, radius);
-    double l1 = 0.0;
-    for (double x : p) l1 += std::abs(x);
-    if (linalg::norm1(v) > radius) {
-      EXPECT_NEAR(l1, radius, 1e-10);
-    } else {
-      EXPECT_LE(l1, radius + 1e-12);
-    }
-  }
-}
-
-TEST(L1Ball, ProjectionIsClosestPoint) {
-  // Compare against a fine soft-threshold search.
-  linalg::Vector v{2.0, -1.0, 0.5, 0.1};
-  const double radius = 1.0;
-  const linalg::Vector p = project_l1_ball(v, radius);
-  const double d_opt = [&] {
-    double s = 0.0;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      s += (p[i] - v[i]) * (p[i] - v[i]);
-    }
-    return s;
-  }();
-  util::Rng rng(2);
-  for (int trial = 0; trial < 200; ++trial) {
-    // Random feasible point.
-    linalg::Vector q(4);
-    double l1 = 0.0;
-    for (double& x : q) {
-      x = rng.normal();
-      l1 += std::abs(x);
-    }
-    const double scale = radius * rng.uniform() / (l1 + 1e-12);
-    double d = 0.0;
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      q[i] *= scale;
-      d += (q[i] - v[i]) * (q[i] - v[i]);
-    }
-    EXPECT_GE(d, d_opt - 1e-9);
-  }
-}
-
-TEST(L1Ball, ZeroRadius) {
-  const linalg::Vector p = project_l1_ball({1.0, -2.0}, 0.0);
-  EXPECT_DOUBLE_EQ(p[0], 0.0);
-  EXPECT_DOUBLE_EQ(p[1], 0.0);
-}
-
-TEST(L1Ball, NegativeRadiusThrows) {
-  EXPECT_THROW((void)project_l1_ball({1.0}, -1.0), std::invalid_argument);
-}
 
 // Small synthetic instance: 4 paths over 5 segments, with one segment shared
 // by every path.  Sigma gives each segment independent sensitivity.
@@ -100,27 +39,27 @@ struct SmallInstance {
 
 TEST(GroupSparse, LooseBoundSelectsFewSegments) {
   SmallInstance inst;
-  // Bound far above any row's worst case: zero columns suffice only if g
-  // rows themselves are within bound; with a huge bound B = 0 is feasible.
+  // Bound far above any row's worst case: the rows meet it with no segment
+  // chosen.
   const GroupSparseResult r = inst.select(1e7);
   EXPECT_LT(r.selected_segments.size(), 5u);
-  for (double wc : r.row_wc) EXPECT_LE(wc, 1e7 * 1.03);
+  for (double wc : r.row_wc) EXPECT_LE(wc, 1e7);
 }
 
 TEST(GroupSparse, TightBoundSelectsAllSegments) {
   SmallInstance inst;
-  // Bound so tight only (near-)exact modeling works: B must approach G.
+  // Bound so tight that only the whole support (zero error) meets it.
   const GroupSparseResult r = inst.select(1e-3);
   EXPECT_EQ(r.selected_segments.size(), 5u);
-  for (double wc : r.row_wc) EXPECT_LE(wc, 1e-3 * 1.03);
+  for (double wc : r.row_wc) EXPECT_LE(wc, 1e-3);
 }
 
-TEST(GroupSparse, ConstraintsHoldAfterRefit) {
+TEST(GroupSparse, EveryRowMeetsItsBound) {
   SmallInstance inst;
-  for (double bound : {5.0, 20.0, 100.0}) {
+  for (double bound : {5.0, 15.0, 20.0, 100.0}) {
     const GroupSparseResult r = inst.select(bound);
     for (double wc : r.row_wc) {
-      EXPECT_LE(wc, bound * 1.03) << "bound " << bound;
+      EXPECT_LE(wc, bound) << "bound " << bound;
     }
   }
 }
@@ -135,22 +74,8 @@ TEST(GroupSparse, SelectionMonotoneInBound) {
   }
 }
 
-TEST(GroupSparse, BSupportedOnSelectedColumnsOnly) {
-  SmallInstance inst;
-  const GroupSparseResult r = inst.select(30.0);
-  std::vector<char> sel(5, 0);
-  for (int s : r.selected_segments) sel[static_cast<std::size_t>(s)] = 1;
-  for (std::size_t i = 0; i < r.b.rows(); ++i) {
-    for (std::size_t j = 0; j < r.b.cols(); ++j) {
-      if (!sel[j]) {
-        EXPECT_DOUBLE_EQ(r.b(i, j), 0.0);
-      }
-    }
-  }
-}
-
 TEST(GroupSparse, SharedTrunkSegmentPreferred) {
-  // Segment 4 appears in every path; a sparse solution should include it
+  // Segment 4 appears in every path; a sparse selection should include it
   // whenever segments are needed at all.
   SmallInstance inst;
   const GroupSparseResult r = inst.select(15.0);
@@ -167,29 +92,62 @@ TEST(GroupSparse, ShapeMismatchThrows) {
   EXPECT_THROW((void)build_segment_quadratic(linalg::Matrix(4, 8), inst.mu,
                                              3.0),
                std::invalid_argument);
-  const SegmentQuadratic quad4 = build_segment_quadratic(
+  const linalg::Matrix q4 = build_segment_quadratic(
       linalg::Matrix(4, 8), linalg::Vector(4, 1.0), 3.0);
-  EXPECT_THROW((void)select_segments(inst.g, quad4, 10.0),
+  EXPECT_THROW((void)select_segments(inst.g, q4, 10.0),
                std::invalid_argument);
   EXPECT_THROW((void)inst.select(0.0), std::invalid_argument);
 }
 
-TEST(GroupSparse, WcSurrogateMatchesDefinition) {
-  // For the refit B, row_wc must equal sqrt(c Q c^T) with c = g - b.
+TEST(GroupSparse, CancellationFloorTerminates) {
+  // Below rounding level no bound is met short of the whole support; the
+  // greedy stops when the candidates run out, with every segment chosen.
   SmallInstance inst;
-  const double kappa = 3.0;
-  const GroupSparseResult r = inst.select(25.0);
-  linalg::Matrix q = linalg::gram(inst.sigma);
-  q *= kappa * kappa;
-  for (std::size_t i = 0; i < 5; ++i) {
-    for (std::size_t j = 0; j < 5; ++j) q(i, j) += inst.mu[i] * inst.mu[j];
-  }
-  for (std::size_t i = 0; i < inst.g.rows(); ++i) {
-    linalg::Vector c(5);
-    for (std::size_t j = 0; j < 5; ++j) c[j] = inst.g(i, j) - r.b(i, j);
-    const linalg::Vector qc = linalg::matvec(q, c);
-    EXPECT_NEAR(r.row_wc[i], std::sqrt(std::max(linalg::dot(c, qc), 0.0)),
-                1e-6 * (1.0 + r.row_wc[i]));
+  const GroupSparseResult r = inst.select(1e-9);
+  EXPECT_EQ(r.selected_segments, (std::vector<int>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(r.row_wc.size(), inst.g.rows());
+}
+
+TEST(GroupSparse, WcSurrogateMatchesSchurRefit) {
+  // row_wc[i]^2 must be the least WC^2 of row i on the chosen support S,
+  // g_N (Q_NN - Q_NS Q_SS^-1 Q_SN) g_N^T with N the unchosen segments,
+  // here solved directly against a Cholesky factor of Q_SS.
+  SmallInstance inst;
+  const linalg::Matrix q = build_segment_quadratic(inst.sigma, inst.mu, 3.0);
+  for (double bound : {15.0, 25.0, 100.0}) {
+    const GroupSparseResult r = select_segments(inst.g, q, bound);
+    const std::vector<int>& s_idx = r.selected_segments;
+    ASSERT_FALSE(s_idx.empty()) << "bound " << bound;
+    std::vector<int> n_idx;
+    for (int j = 0; j < 5; ++j) {
+      if (std::find(s_idx.begin(), s_idx.end(), j) == s_idx.end()) {
+        n_idx.push_back(j);
+      }
+    }
+    const linalg::Matrix q_ss = q.select_rows(s_idx).select_cols(s_idx);
+    const linalg::Matrix q_sn = q.select_rows(s_idx).select_cols(n_idx);
+    const linalg::Matrix q_nn = q.select_rows(n_idx).select_cols(n_idx);
+    const linalg::Matrix g_nn = inst.g.select_cols(n_idx);
+    const linalg::RegularizedChol rc = linalg::chol_factor_regularized(q_ss);
+    for (std::size_t i = 0; i < inst.g.rows(); ++i) {
+      const std::span<const double> g_n = g_nn.row(i);
+      const linalg::Vector rhs = linalg::matvec(q_sn, g_n);
+      const linalg::Vector x = linalg::chol_solve(rc.factors, rhs);
+      const double wc2 =
+          linalg::dot(g_n, linalg::matvec(q_nn, g_n)) - linalg::dot(rhs, x);
+      if (wc2 > 0.0) {
+        const double ref = std::sqrt(wc2);
+        EXPECT_NEAR(r.row_wc[i], ref, 1e-9 * ref)
+            << "bound " << bound << " row " << i;
+      } else {
+        // The row's whole support is chosen, so its error is exactly zero;
+        // the greedy's WC^2 keeps only the rounding of cancelling g Q g^T.
+        const double wc2_0 =
+            linalg::dot(inst.g.row(i), linalg::matvec(q, inst.g.row(i)));
+        EXPECT_LE(r.row_wc[i] * r.row_wc[i], 1e-9 * wc2_0)
+            << "bound " << bound << " row " << i;
+      }
+    }
   }
 }
 
