@@ -9,8 +9,8 @@ namespace repro::core {
 
 void MatrixPanelSource::fill_rows(std::span<const int> ids,
                                   linalg::Matrix& out) const {
-  REPRO_CHECK_DIM(out.rows(), ids.size(),
-                  "MatrixPanelSource::fill_rows: panel rows vs ids");
+  REPRO_CHECK(out.rows() >= ids.size(),
+              "MatrixPanelSource::fill_rows: fewer panel rows than ids");
   REPRO_CHECK_DIM(out.cols(), a_->cols(),
                   "MatrixPanelSource::fill_rows: panel cols vs params");
   const std::size_t m = a_->cols();
@@ -39,8 +39,8 @@ FunctionPanelSource::FunctionPanelSource(std::size_t paths, std::size_t params,
 
 void FunctionPanelSource::fill_rows(std::span<const int> ids,
                                     linalg::Matrix& out) const {
-  REPRO_CHECK_DIM(out.rows(), ids.size(),
-                  "FunctionPanelSource::fill_rows: panel rows vs ids");
+  REPRO_CHECK(out.rows() >= ids.size(),
+              "FunctionPanelSource::fill_rows: fewer panel rows than ids");
   REPRO_CHECK_DIM(out.cols(), params_,
                   "FunctionPanelSource::fill_rows: panel cols vs params");
   for (std::size_t k = 0; k < ids.size(); ++k) {

@@ -12,9 +12,11 @@
 // and gateable.
 //
 // Contract for fill_rows implementations: `out` is pre-sized by the caller
-// to ids.size() x params(); the implementation writes every cell and MUST
-// NOT allocate (they are the streamed pass's inner loop; repro_lint's
-// hot-path-alloc check is pointed at them, see tools/repro_lint/lint.h).
+// to at least ids.size() rows of params() columns; the implementation
+// writes every cell of the leading ids.size() rows, leaves the rest
+// untouched, and MUST NOT allocate (they are the streamed pass's inner
+// loop; repro_lint's hot-path-alloc check is pointed at them, see
+// tools/repro_lint/lint.h).
 #pragma once
 
 #include <atomic>
@@ -108,9 +110,10 @@ class PathPanelSource {
   virtual std::size_t params() const = 0;
 
   // Materializes the sensitivity rows for the given global path ids into
-  // `out` (pre-sized to ids.size() x params() by the caller; throws
-  // otherwise).  Row k of `out` receives path ids[k].  Must not allocate —
-  // see the file comment.
+  // the leading ids.size() rows of `out` (at least ids.size() x params(),
+  // pre-sized by the caller; throws otherwise).  Row k of `out` receives
+  // path ids[k]; later rows are left as they are.  Must not allocate — see
+  // the file comment.
   virtual void fill_rows(std::span<const int> ids,
                          linalg::Matrix& out) const = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -15,17 +16,22 @@ namespace repro::core {
 namespace {
 
 // Per-path state bits.  kCached: materialized as a candidate at least once;
-// kInCache: in the current cache, so its d_i is already current.
+// kEntering: refill scratch, chosen for the next cache.
 constexpr unsigned char kSelected = 1;
 constexpr unsigned char kCached = 2;
-constexpr unsigned char kInCache = 4;
+constexpr unsigned char kEntering = 4;
 
 using Candidate = std::pair<double, int>;  // (residual, path id)
 
-// The greedy order: larger residual first, ties to the lowest id.
-bool better(const Candidate& a, const Candidate& b) {
+// The greedy order: larger residual first, ties to the lowest id.  A
+// closure, not a function, so the refill's heap operations inline it.
+constexpr auto better = [](const Candidate& a, const Candidate& b) {
   return a.first > b.first || (a.first == b.first && a.second < b.second);
-}
+};
+
+// Worse than every path: the best candidate of an empty set.
+constexpr Candidate kNone{-std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<int>::max()};
 
 // The orthonormal basis of the picked rows, one row of m doubles per pick,
 // with room for `capacity` rows leased up front.
@@ -43,7 +49,8 @@ class Basis {
 
   // d -= (q_k . a)^2 for k in [from, to).  Every residual update, streamed
   // or cached, goes through here in basis order, so a path's residual has
-  // the same bits whichever route refreshed it.
+  // the same bits whichever route refreshed it and however its folds were
+  // split.
   void fold(std::size_t from, std::size_t to, const double* a,
             double& d) const {
     for (std::size_t k = from; k < to; ++k) {
@@ -75,97 +82,199 @@ class Basis {
   std::vector<double> q_;
 };
 
-struct Cache {
-  std::vector<int> ids;  // ascending
-  linalg::Matrix rows;   // rows(s) is path ids[s]
-  double bound_out = 0;  // largest residual outside the cache (-inf if none)
+// Per-path residual state.  folded[i] counts the basis rows folded into
+// d[i]: d[i] is exact when folded[i] == basis.size(), else an upper bound.
+struct Residuals {
+  std::vector<double> d;
+  std::vector<std::uint32_t> folded;
+  std::vector<unsigned char> state;
 };
 
-// Streams every block of the pool once, refreshing each unselected d_i:
-// ||a_i||^2 on the first pass, else the basis rows [from, to) folded in.
-// Blocks are pulled from a shared counter by at most `workers` tasks, each
-// with one leased panel; rows are independent, so the result does not
-// depend on which task ran which block.
-void stream_pass(const PathPanelSource& source, const Basis& basis,
-                 std::size_t from, std::size_t to, bool first,
-                 std::size_t block, std::size_t workers,
-                 std::vector<double>& d,
-                 const std::vector<unsigned char>& state,
-                 PanelBudget* budget) {
-  const std::size_t n = d.size();
-  const std::size_t m = source.params();
-  const std::size_t nblocks = (n + block - 1) / block;
-  std::atomic<std::size_t> next{0};
-  util::parallel_for(0, workers, 1, [&](std::size_t, std::size_t) {
-    PanelLease lease;
-    std::vector<int> ids;
-    linalg::Matrix panel;
-    for (std::size_t b = next++; b < nblocks; b = next++) {
-      const std::size_t start = b * block;
-      const std::size_t rows = std::min(block, n - start);
-      if (panel.rows() != rows) {
-        lease = PanelLease(budget, panel_bytes(rows, m) + rows * sizeof(int));
-        panel = linalg::Matrix(rows, m);
-        ids.resize(rows);
-      }
-      for (std::size_t j = 0; j < rows; ++j) {
-        ids[j] = static_cast<int>(start + j);
-      }
-      source.fill_rows(ids, panel);
-      for (std::size_t j = 0; j < rows; ++j) {
-        if (state[start + j] & (kSelected | kInCache)) continue;
-        const double* a = panel.row(j).data();
-        if (first) {
-          d[start + j] = basis.norm_sq(a);
-        } else {
-          basis.fold(from, to, a, d[start + j]);
-        }
-      }
+// One panel of `rows` x m and one id buffer per worker, leased for the whole
+// call: every row the kernel sources lands in one of these.
+class WorkerPanels {
+ public:
+  WorkerPanels(std::size_t workers, std::size_t rows, std::size_t m,
+               PanelBudget* budget)
+      : ids_(workers),
+        lease_(budget, workers * (panel_bytes(rows, m) + rows * sizeof(int))) {
+    panels_.reserve(workers);  // built in place: no transient extra panel
+    for (auto& ids : ids_) {
+      panels_.emplace_back(rows, m);
+      ids.reserve(rows);
     }
-  });
+  }
+
+  // Runs `chunks` chunks over at most one task per worker: gather(c, ids)
+  // appends the path ids of chunk c (at most `rows` of them), fill_rows
+  // sources them into the leading rows of the task's panel, and
+  // consume(c, ids, panel) reads them.  Returns the rows sourced.  Chunks
+  // must touch disjoint paths: which task runs which chunk is not fixed.
+  template <class Gather, class Consume>
+  std::size_t run(const PathPanelSource& source, std::size_t chunks,
+                  const Gather& gather, const Consume& consume) {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> sourced{0};
+    const std::size_t tasks = std::min(panels_.size(), chunks);
+    util::parallel_for(0, tasks, 1, [&](std::size_t task, std::size_t) {
+      linalg::Matrix& panel = panels_[task];
+      std::vector<int>& ids = ids_[task];
+      std::size_t rows = 0;
+      for (std::size_t c = next++; c < chunks; c = next++) {
+        ids.clear();
+        gather(c, ids);
+        if (ids.empty()) continue;
+        source.fill_rows(ids, panel);
+        consume(c, std::span<const int>(ids), panel);
+        rows += ids.size();
+      }
+      sourced += rows;
+    });
+    return sourced;
+  }
+
+  std::size_t workers() const { return panels_.size(); }
+
+ private:
+  std::vector<linalg::Matrix> panels_;
+  std::vector<std::vector<int>> ids_;
+  PanelLease lease_;
+};
+
+// The block_rows candidates whose rows are held, in slots that keep their
+// row across refills.
+struct Cache {
+  Cache(std::size_t capacity, std::size_t m)
+      : ids(capacity, -1), rows(capacity, m) {
+    heap.reserve(capacity);
+    entering.reserve(capacity);
+  }
+
+  std::vector<int> ids;          // slot -> path id, -1 when free
+  linalg::Matrix rows;           // row s is path ids[s]
+  std::vector<Candidate> heap;   // refill scratch: the chosen candidates
+  std::vector<int> entering;     // refill scratch: slots sourced this refill
+  Candidate best_out = kNone;    // best (d_i, id) outside the cache
+};
+
+// One streamed pass, block by block in parallel.  The first pass sets every
+// d_i = ||a_i||^2; a later one refreshes only the unselected paths whose
+// d_i is stale and at least tau, folding in the basis rows each has not
+// folded yet.  A path it skips keeps a stale bound below tau.
+std::size_t stream_pass(const PathPanelSource& source, const Basis& basis,
+                        bool first, double tau, std::size_t block,
+                        WorkerPanels& panels, Residuals& r) {
+  const std::size_t n = r.d.size();
+  const auto k = static_cast<std::uint32_t>(basis.size());
+  return panels.run(
+      source, (n + block - 1) / block,
+      [&](std::size_t b, std::vector<int>& ids) {
+        const std::size_t end = std::min(n, (b + 1) * block);
+        for (std::size_t i = b * block; i < end; ++i) {
+          if (first || (!(r.state[i] & kSelected) && r.folded[i] < k &&
+                        r.d[i] >= tau)) {
+            ids.push_back(static_cast<int>(i));
+          }
+        }
+      },
+      [&](std::size_t, std::span<const int> ids, const linalg::Matrix& panel) {
+        for (std::size_t j = 0; j < ids.size(); ++j) {
+          const auto i = static_cast<std::size_t>(ids[j]);
+          const double* a = panel.row(j).data();
+          if (first) {
+            r.d[i] = basis.norm_sq(a);
+          } else {
+            basis.fold(r.folded[i], k, a, r.d[i]);
+          }
+          r.folded[i] = k;
+        }
+      });
 }
 
-// Refills `cache` with the `capacity` unselected paths of largest residual
-// (greedy order) and materializes their rows.  Returns how many of them
-// were never cached before.
-std::size_t refill_cache(const PathPanelSource& source,
-                         const std::vector<double>& d,
-                         std::vector<unsigned char>& state,
-                         std::size_t capacity, Cache& cache) {
-  for (int id : cache.ids) state[static_cast<std::size_t>(id)] &= ~kInCache;
+// Refills the cache with the unselected paths of largest d_i in the greedy
+// order, stale bounds included, and records the best path left outside.
+// Paths that stay keep their slot and row; entering paths take the freed
+// slots, are sourced in parallel and are folded up to the basis, so every
+// cached d_i is exact.  Returns the rows sourced; `fresh` counts entering
+// paths never cached before.
+std::size_t refill_cache(const PathPanelSource& source, const Basis& basis,
+                         WorkerPanels& panels, Residuals& r, Cache& cache,
+                         std::size_t& fresh) {
   // Bounded heap whose front is the worst kept candidate.
-  std::vector<Candidate> heap;
-  heap.reserve(capacity);
-  cache.bound_out = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (state[i] & kSelected) continue;
-    const Candidate c{d[i], static_cast<int>(i)};
+  const std::size_t capacity = cache.ids.size();
+  std::vector<Candidate>& heap = cache.heap;
+  heap.clear();
+  cache.best_out = kNone;
+  const auto keep_best_out = [&](const Candidate& c) {
+    if (better(c, cache.best_out)) cache.best_out = c;
+  };
+  for (std::size_t i = 0; i < r.d.size(); ++i) {
+    if (r.state[i] & kSelected) continue;
+    const Candidate c{r.d[i], static_cast<int>(i)};
     if (heap.size() < capacity) {
       heap.push_back(c);
       std::push_heap(heap.begin(), heap.end(), better);
     } else if (better(c, heap.front())) {
-      cache.bound_out = std::max(cache.bound_out, heap.front().first);
+      keep_best_out(heap.front());
       std::pop_heap(heap.begin(), heap.end(), better);
       heap.back() = c;
       std::push_heap(heap.begin(), heap.end(), better);
     } else {
-      cache.bound_out = std::max(cache.bound_out, c.first);
+      keep_best_out(c);
     }
   }
-  cache.ids.resize(heap.size());
-  for (std::size_t s = 0; s < heap.size(); ++s) cache.ids[s] = heap[s].second;
-  std::sort(cache.ids.begin(), cache.ids.end());
-  if (cache.rows.rows() != cache.ids.size()) {
-    cache.rows = linalg::Matrix(cache.ids.size(), source.params());
+
+  for (const Candidate& c : heap) {
+    r.state[static_cast<std::size_t>(c.second)] |= kEntering;
   }
-  source.fill_rows(cache.ids, cache.rows);
-  std::size_t fresh = 0;
-  for (int id : cache.ids) {
-    unsigned char& s = state[static_cast<std::size_t>(id)];
+  for (int& id : cache.ids) {  // free the slots of paths that leave
+    if (id < 0) continue;
+    unsigned char& s = r.state[static_cast<std::size_t>(id)];
+    if (s & kEntering) {
+      s &= ~kEntering;  // stays: its row and d_i are current
+    } else {
+      id = -1;
+    }
+  }
+  cache.entering.clear();
+  std::size_t slot = 0;
+  for (const Candidate& c : heap) {
+    unsigned char& s = r.state[static_cast<std::size_t>(c.second)];
+    if (!(s & kEntering)) continue;
     if (!(s & kCached)) ++fresh;
-    s |= kCached | kInCache;
+    s = static_cast<unsigned char>((s & ~kEntering) | kCached);
+    while (cache.ids[slot] >= 0) ++slot;
+    cache.ids[slot] = c.second;
+    cache.entering.push_back(static_cast<int>(slot));
   }
-  return fresh;
+
+  // Split the entering rows evenly over the workers.
+  const std::size_t count = cache.entering.size();
+  const std::size_t chunk =
+      std::max<std::size_t>(1, (count + panels.workers() - 1) /
+                                   panels.workers());
+  const auto k = static_cast<std::uint32_t>(basis.size());
+  return panels.run(
+      source, (count + chunk - 1) / chunk,
+      [&](std::size_t c, std::vector<int>& ids) {
+        const std::size_t end = std::min(count, (c + 1) * chunk);
+        for (std::size_t t = c * chunk; t < end; ++t) {
+          const auto s = static_cast<std::size_t>(cache.entering[t]);
+          ids.push_back(cache.ids[s]);
+        }
+      },
+      [&](std::size_t c, std::span<const int> ids,
+          const linalg::Matrix& panel) {
+        for (std::size_t j = 0; j < ids.size(); ++j) {
+          const auto s =
+              static_cast<std::size_t>(cache.entering[c * chunk + j]);
+          const auto i = static_cast<std::size_t>(ids[j]);
+          const auto src = panel.row(j);
+          std::copy(src.begin(), src.end(), cache.rows.row(s).begin());
+          basis.fold(r.folded[i], k, src.data(), r.d[i]);
+          r.folded[i] = k;
+        }
+      });
 }
 
 }  // namespace
@@ -191,83 +300,99 @@ ShardedSelectionResult select_paths_sharded(
 
   PanelBudget budget;
   ShardedSelectionResult result;
-  std::vector<double> d(n);
-  std::vector<unsigned char> state(n, 0);
-  const PanelLease state_lease(&budget, n * (sizeof(double) + 1));
-  const std::size_t cache_bytes =
-      panel_bytes(capacity, m) + capacity * (sizeof(Candidate) + sizeof(int));
-  const PanelLease cache_lease(&budget, cache_bytes);
+  Residuals r{std::vector<double>(n), std::vector<std::uint32_t>(n, 0),
+              std::vector<unsigned char>(n, 0)};
+  const PanelLease state_lease(
+      &budget, n * (sizeof(double) + sizeof(std::uint32_t) + 1));
+  // Cache rows, slot ids, the refill heap and its entering slots.
+  const PanelLease cache_lease(
+      &budget, panel_bytes(capacity, m) +
+                   capacity * (sizeof(Candidate) + 2 * sizeof(int)));
+  Cache cache(capacity, m);
   Basis basis(m, std::min(n, m), &budget);  // rank(A) <= min(n, m)
 
-  // Blocks in flight: one per worker, fewer if the cap says so (floor 1).
-  std::size_t workers = util::thread_count();
+  // Panels in flight: one per worker, no more than there are blocks, fewer
+  // if the cap says so (floor 1).
+  std::size_t workers = std::min(util::thread_count(), (n + block - 1) / block);
   if (options.memory_cap_bytes > 0) {
     const std::size_t fixed = budget.current();
-    const std::size_t per_block = panel_bytes(block, m) + block * sizeof(int);
+    const std::size_t per_panel =
+        panel_bytes(capacity, m) + capacity * sizeof(int);
     const std::size_t fit = options.memory_cap_bytes > fixed
-                                ? (options.memory_cap_bytes - fixed) / per_block
+                                ? (options.memory_cap_bytes - fixed) / per_panel
                                 : 0;
     workers = std::clamp<std::size_t>(fit, 1, workers);
   }
+  WorkerPanels panels(workers, capacity, m, &budget);
 
-  Cache cache;
-  std::size_t folded = 0;  // basis rows already folded into every d_i
+  double tau = -std::numeric_limits<double>::infinity();  // refresh floor
   double floor_tol = 0.0;  // rank floor, as pivoted_cholesky sets it
   double max_residual = 0.0;
   bool done = false;
   while (!done) {
     {
       util::telemetry::Span span("core.shard.pass");
-      stream_pass(source, basis, folded, basis.size(), result.passes == 0,
-                  block, workers, d, state, &budget);
+      result.rows_sourced += stream_pass(source, basis, result.passes == 0,
+                                         tau, block, panels, r);
     }
-    folded = basis.size();
     if (result.passes++ == 0) {
-      const double max_d0 = *std::max_element(d.begin(), d.end());
+      const double max_d0 = *std::max_element(r.d.begin(), r.d.end());
       if (!(max_d0 > 0.0)) {
         throw std::invalid_argument("select_paths_sharded: all-zero pool");
       }
       floor_tol = max_d0 * static_cast<double>(std::max(n, m)) *
                   std::numeric_limits<double>::epsilon() * 16.0;
     }
-    result.union_paths += refill_cache(source, d, state, capacity, cache);
+    result.rows_sourced +=
+        refill_cache(source, basis, panels, r, cache, result.union_paths);
 
-    // Exact greedy on the cache.  Right after a pass every d_i is exact;
-    // later, a cached residual is the pool maximum only while it beats the
-    // stale bounds outside the cache.
-    for (bool fresh = true;; fresh = false) {
-      std::size_t best = cache.ids.size();
-      for (std::size_t s = 0; s < cache.ids.size(); ++s) {
-        const auto id = static_cast<std::size_t>(cache.ids[s]);
-        if (state[id] & kSelected) continue;
-        if (best == cache.ids.size() ||
-            d[id] > d[static_cast<std::size_t>(cache.ids[best])]) {
+    // Exact greedy on the cache: the best cached residual is the pool
+    // maximum while it beats, in the greedy order, the best bound outside
+    // the cache.  When it does not, the next pass refreshes the paths whose
+    // bound reaches it (tau); the others cannot beat it.
+    for (;;) {
+      std::size_t best = capacity;
+      Candidate top = kNone;
+      for (std::size_t s = 0; s < capacity; ++s) {
+        const int id = cache.ids[s];
+        if (id < 0 || (r.state[static_cast<std::size_t>(id)] & kSelected)) {
+          continue;
+        }
+        const Candidate c{r.d[static_cast<std::size_t>(id)], id};
+        if (better(c, top)) {
           best = s;
+          top = c;
         }
       }
-      if (best == cache.ids.size()) {
-        // Nothing left to price: every path is selected.
-        done = cache.bound_out == -std::numeric_limits<double>::infinity();
+      if (best == capacity) {
+        // Nothing left in the cache: done if nothing is left outside.
+        done = cache.best_out == kNone;
         max_residual = 0.0;
+        tau = -std::numeric_limits<double>::infinity();
         break;
       }
-      const auto id = static_cast<std::size_t>(cache.ids[best]);
-      if (!fresh && !(d[id] > cache.bound_out)) break;  // needs a pass
-      max_residual = std::max(d[id], 0.0);
+      if (!better(top, cache.best_out)) {
+        tau = top.first;
+        break;
+      }
+      max_residual = std::max(top.first, 0.0);
       const double eps = kappa * std::sqrt(max_residual) / t_cons;
       if ((result.representatives.size() >= min_r && eps <= epsilon) ||
-          d[id] <= floor_tol) {
+          top.first <= floor_tol) {
         done = true;
         break;
       }
       basis.add(cache.rows.row(best));
-      state[id] |= kSelected;
-      result.representatives.push_back(static_cast<int>(id));
+      r.state[static_cast<std::size_t>(top.second)] |= kSelected;
+      result.representatives.push_back(top.second);
       const std::size_t k = basis.size() - 1;
-      for (std::size_t s = 0; s < cache.ids.size(); ++s) {
-        const auto other = static_cast<std::size_t>(cache.ids[s]);
-        if (state[other] & kSelected) continue;
-        basis.fold(k, k + 1, cache.rows.row(s).data(), d[other]);
+      for (std::size_t s = 0; s < capacity; ++s) {
+        const int id = cache.ids[s];
+        if (id < 0) continue;
+        const auto other = static_cast<std::size_t>(id);
+        if (r.state[other] & kSelected) continue;
+        basis.fold(k, k + 1, cache.rows.row(s).data(), r.d[other]);
+        r.folded[other] = static_cast<std::uint32_t>(k + 1);
       }
     }
   }
@@ -278,6 +403,7 @@ ShardedSelectionResult select_paths_sharded(
   result.peak_panel_bytes = budget.peak();
   util::telemetry::count("core.shard.passes", result.passes);
   util::telemetry::count("core.shard.union_paths", result.union_paths);
+  util::telemetry::count("core.shard.rows_sourced", result.rows_sourced);
   util::telemetry::set_gauge("core.shard.peak_panel_bytes",
                              static_cast<double>(result.peak_panel_bytes));
   util::telemetry::set_gauge("core.shard.eps_r", result.eps_r);

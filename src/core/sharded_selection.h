@@ -8,16 +8,25 @@
 // the n x m pool:
 //
 //   * State: one residual variance d_i = ||a_i||^2 - sum_k (q_k . a_i)^2 per
-//     path (n doubles) and an orthonormal basis Q of the picked rows
-//     (two-pass modified Gram-Schmidt), plus a cache of the block_rows
-//     candidates with the largest residuals, rows materialized.
-//   * Streamed pass: the pool is streamed in block_rows panels (parallel
-//     over blocks); each row folds in the basis vectors added since the
-//     previous pass, so after a pass every d_i is exact.
-//   * Lazy greedy between passes: residuals only shrink as rows are added,
-//     so a d_i not refreshed since the last pass is an upper bound.  Exact
-//     greedy runs on the cached rows for as long as the best cached residual
-//     beats every stale bound outside the cache (Minoux's lazy greedy).
+//     path (n doubles), with the count of basis rows folded into it (n
+//     uint32), and an orthonormal basis Q of the picked rows (two-pass
+//     modified Gram-Schmidt), plus a cache of block_rows candidates with
+//     their rows materialized.
+//   * Residuals only shrink as rows are added, so a d_i that has not folded
+//     in every basis row is an upper bound; folding the missing rows later,
+//     in basis order, gives the bits an up-to-date fold would have.
+//   * Streamed pass: the pool is streamed in block_rows blocks (parallel
+//     over blocks), each sourcing only the paths it refreshes into the
+//     leading rows of a worker's panel.  The first pass sets every d_i =
+//     ||a_i||^2; a later one refreshes only the paths whose stale bound
+//     reaches tau, the residual of the cached candidate that stalled the
+//     lazy greedy.  After a pass every d_i at or above tau is exact.
+//   * Cache refill: the block_rows paths of largest d_i, stale bounds
+//     included; rows that stay keep their slot, entering rows are sourced
+//     in parallel and folded up to the basis.
+//   * Lazy greedy between passes: exact greedy runs on the cached rows for
+//     as long as the best cached (d_i, id) beats, in the greedy order, the
+//     best bound outside the cache (Minoux's lazy greedy).
 //   * Stop: at the first prefix of at least selection.min_r rows whose
 //     maximum residual meets the tolerance.  That maximum is exact, so it is
 //     the reported eps_r; there is no verify or repair pass.
@@ -42,9 +51,9 @@ struct ShardedSelectionOptions {
   std::uint64_t seed = 0x5eed10;  // unused: the selection is deterministic
   std::size_t block_rows = 8192;  // streamed block size and candidate cache
   // Upper bound, in bytes, on leased memory: the fixed state (residuals,
-  // flags, candidate cache) plus the block panels in flight, which are
-  // limited to what fits.  0 = one block per worker.  A cap below the fixed
-  // state plus one block still runs, with one block in flight.
+  // fold counts, flags, candidate cache) plus one block panel per worker,
+  // the workers limited to what fits.  0 = one panel per thread.  A cap
+  // below the fixed state plus one panel still runs, with one worker.
   std::size_t memory_cap_bytes = 0;
   PathSelectionOptions selection;  // epsilon / kappa / min_r; strategy unused
 };
@@ -53,8 +62,9 @@ struct ShardedSelectionResult {
   std::vector<int> representatives;  // global path ids, ascending
   double eps_r = 0.0;                // exact maximum over the FULL pool
   bool tolerance_met = false;        // eps_r <= selection.epsilon at exit
-  std::size_t passes = 0;            // streamed passes over the pool
+  std::size_t passes = 0;            // streamed passes, full or partial
   std::size_t union_paths = 0;       // distinct candidate rows materialized
+  std::size_t rows_sourced = 0;      // rows fill_rows produced, all calls
   std::size_t repair_promotions = 0;  // always 0: the kernel is exact
   std::size_t peak_panel_bytes = 0;  // high-water leased footprint
 };

@@ -180,13 +180,4 @@ Matrix qr_thin_q(const QrFactors& f) {
   return q;
 }
 
-Matrix qr_r(const QrFactors& f) {
-  const std::size_t k = f.tau.size();
-  Matrix r(k, f.qr.cols());
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = i; j < f.qr.cols(); ++j) r(i, j) = f.qr(i, j);
-  }
-  return r;
-}
-
 }  // namespace repro::linalg

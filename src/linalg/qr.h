@@ -16,8 +16,8 @@ struct QrFactors {
 
 QrFactors qr_factor(Matrix a);
 
-// Extract the thin Q (m x min(m,n)) and R (min(m,n) x n) factors explicitly.
+// Extract the thin Q (m x min(m,n)) explicitly; R is the upper triangle of
+// the leading min(m,n) rows of f.qr.
 Matrix qr_thin_q(const QrFactors& f);
-Matrix qr_r(const QrFactors& f);
 
 }  // namespace repro::linalg

@@ -24,6 +24,16 @@ Matrix random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
   return m;
 }
 
+// The thin R (min(m,n) x n): the upper triangle of f.qr's leading rows.
+Matrix qr_r(const QrFactors& f) {
+  const std::size_t k = f.tau.size();
+  Matrix r(k, f.qr.cols());
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = i; j < f.qr.cols(); ++j) r(i, j) = f.qr(i, j);
+  }
+  return r;
+}
+
 TEST(Qr, ThinFactorsReconstruct) {
   const Matrix a = random_matrix(12, 5, 1);
   const QrFactors f = qr_factor(a);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -94,6 +96,35 @@ TEST(PanelSource, FunctionSourceGeneratesRowsOnDemand) {
   linalg::Matrix wrong(2, 4);
   if (util::contracts_enabled()) {
     EXPECT_THROW(source.fill_rows(ids, wrong), util::ContractViolation);
+  }
+}
+
+// fill_rows writes the leading ids.size() rows of a taller panel and leaves
+// the rest alone, so one leased panel per worker serves any partial block.
+TEST(PanelSource, ShortIdListFillsLeadingRowsOnly) {
+  const linalg::Matrix a = random_matrix(10, 4, 9);
+  const MatrixPanelSource matrix_source(a);
+  const FunctionPanelSource function_source(
+      10, 4, [&](int id, std::span<double> row) {
+        const auto src = a.row(static_cast<std::size_t>(id));
+        std::copy(src.begin(), src.end(), row.begin());
+      });
+  const std::vector<int> ids = {8, 1};
+  for (const PathPanelSource* source :
+       {static_cast<const PathPanelSource*>(&matrix_source),
+        static_cast<const PathPanelSource*>(&function_source)}) {
+    linalg::Matrix panel(5, 4, -7.0);
+    source->fill_rows(ids, panel);
+    for (std::size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(panel(0, j), a(8, j));
+      EXPECT_EQ(panel(1, j), a(1, j));
+      for (std::size_t k = 2; k < 5; ++k) EXPECT_EQ(panel(k, j), -7.0);
+    }
+    if (util::contracts_enabled()) {
+      linalg::Matrix short_panel(1, 4);
+      EXPECT_THROW(source->fill_rows(ids, short_panel),
+                   util::ContractViolation);
+    }
   }
 }
 
@@ -223,10 +254,11 @@ TEST(ShardedSelection, LeasesCoverResidualsAndStayUnderCap) {
   const std::size_t saved = util::thread_count();
   util::set_threads(4);
   const ShardedSelectionResult loose = select_paths_sharded(source, kTcons, opt);
-  // The residual state plus four block panels: after the candidate cache
-  // (about one panel) only two blocks fit in flight, not four.
+  // The residual state (d_i, flags and fold counts) plus four block
+  // panels: after the candidate cache (about one panel) only two blocks fit
+  // in flight, not four.
   opt.memory_cap_bytes =
-      n * (sizeof(double) + 1) + 4 * (panel_bytes(block, m) + block * 4);
+      n * (sizeof(double) + 1 + 4) + 4 * (panel_bytes(block, m) + block * 4);
   const ShardedSelectionResult capped =
       select_paths_sharded(source, kTcons, opt);
   util::set_threads(saved);
@@ -236,6 +268,87 @@ TEST(ShardedSelection, LeasesCoverResidualsAndStayUnderCap) {
   EXPECT_GE(capped.peak_panel_bytes, n * sizeof(double));
   EXPECT_LE(capped.peak_panel_bytes, opt.memory_cap_bytes);
   EXPECT_GE(loose.peak_panel_bytes, capped.peak_panel_bytes);
+}
+
+// Exact ties everywhere: rows repeat bit for bit and every distinct row has
+// the same norm, so residuals tie in the cache, outside it and across the
+// two.  The greedy order breaks each tie to the lowest id, so the kernel
+// must stop, and neither the cache size nor the worker count may change the
+// set, eps_r or (for a given cache size) the number of passes.
+TEST(ShardedSelection, ExactTiesNeitherHangNorSplit) {
+  const std::size_t m = 8;
+  const std::size_t distinct = 12;
+  const std::size_t n = 600;
+  // Row t of the base: +-1 in two coordinates, so ||row||^2 == 2 exactly.
+  linalg::Matrix base(distinct, m);
+  for (std::size_t t = 0; t < distinct; ++t) {
+    base(t, t % m) = 1.0;
+    base(t, (t * 3 + 1) % m) = t % 2 == 0 ? 1.0 : -1.0;
+  }
+  linalg::Matrix a(n, m);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto src = base.row((i * 5) % distinct);
+    std::copy(src.begin(), src.end(), a.row(i).begin());
+  }
+  const MatrixPanelSource source(a);
+  ShardedSelectionOptions opt = greedy_options(1e-9);  // run to the floor
+
+  const std::size_t saved = util::thread_count();
+  util::set_threads(1);
+  opt.block_rows = n;
+  const ShardedSelectionResult ref = select_paths_sharded(source, kTcons, opt);
+  EXPECT_GT(ref.representatives.size(), 1u);
+  EXPECT_LE(ref.representatives.size(), m);
+  for (const std::size_t block : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{256}, n}) {
+    std::size_t passes = 0;
+    for (const std::size_t threads : {1u, 4u}) {
+      util::set_threads(threads);
+      opt.block_rows = block;
+      const ShardedSelectionResult r =
+          select_paths_sharded(source, kTcons, opt);
+      EXPECT_EQ(r.representatives, ref.representatives)
+          << threads << " threads, block_rows " << block;
+      EXPECT_EQ(r.eps_r, ref.eps_r)  // bitwise
+          << threads << " threads, block_rows " << block;
+      if (passes == 0) passes = r.passes;
+      EXPECT_EQ(r.passes, passes)
+          << threads << " threads, block_rows " << block;
+    }
+  }
+  util::set_threads(saved);
+}
+
+// Counts every row a source materializes, from any thread.
+class CountingPanelSource final : public PathPanelSource {
+ public:
+  explicit CountingPanelSource(const linalg::Matrix& a) : inner_(a) {}
+  std::size_t paths() const override { return inner_.paths(); }
+  std::size_t params() const override { return inner_.params(); }
+  void fill_rows(std::span<const int> ids,
+                 linalg::Matrix& out) const override {
+    rows_ += ids.size();
+    inner_.fill_rows(ids, out);
+  }
+  std::size_t rows() const { return rows_; }
+
+ private:
+  MatrixPanelSource inner_;
+  mutable std::atomic<std::size_t> rows_{0};
+};
+
+// rows_sourced is every row fill_rows produced, by passes and refills
+// together, and partial passes keep it below a full pool per pass.
+TEST(ShardedSelection, RowsSourcedCountsEveryFilledRow) {
+  const linalg::Matrix a = correlated_rows(4000, 24, 8, 0.05, 91);
+  const CountingPanelSource source(a);
+  ShardedSelectionOptions opt = greedy_options(2e-3);
+  opt.block_rows = 128;
+  const ShardedSelectionResult r = select_paths_sharded(source, kTcons, opt);
+
+  EXPECT_GT(r.passes, 2u);
+  EXPECT_EQ(r.rows_sourced, source.rows());
+  EXPECT_LT(r.rows_sourced, r.passes * a.rows());
 }
 
 TEST(ShardedSelection, RejectsDegenerateInputs) {
