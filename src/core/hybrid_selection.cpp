@@ -137,7 +137,13 @@ HybridResult sweep_hybrid_selection(const SubsetSelector& selector,
   const std::vector<int> p_r1(
       order.begin(),
       order.begin() + static_cast<std::ptrdiff_t>(selector.rank()));
-  const linalg::Matrix g_r1 = model.g().select_rows(p_r1);
+  // G_r1: the incidence rows of P_r1, made dense only for these r1 paths.
+  linalg::Matrix g_r1(p_r1.size(), model.num_segments());
+  for (std::size_t i = 0; i < p_r1.size(); ++i) {
+    for (int s : model.path_segments()[static_cast<std::size_t>(p_r1[i])]) {
+      g_r1(i, static_cast<std::size_t>(s)) = 1.0;
+    }
+  }
   const linalg::Matrix q = build_segment_quadratic(
       model.sigma(), model.mu_segments(), options.kappa);
 

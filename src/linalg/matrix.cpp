@@ -115,13 +115,6 @@ Matrix Matrix::select_cols(std::span<const int> cols) const {
   return out;
 }
 
-Matrix Matrix::top_rows(std::size_t r) const {
-  if (r > rows_) throw std::out_of_range("top_rows");
-  Matrix out(r, cols_);
-  std::copy_n(data_.begin(), r * cols_, out.data_.begin());
-  return out;
-}
-
 Matrix Matrix::left_cols(std::size_t c) const {
   if (c > cols_) throw std::out_of_range("left_cols");
   Matrix out(rows_, c);

@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <limits>
@@ -121,7 +122,10 @@ bool parse_strategy(const Value& req, std::uint8_t& strategy) {
   const Value* v = req.find("strategy");
   if (v == nullptr) return true;  // keep default
   if (v->kind == util::json::Kind::kNumber) {
-    if (v->number < 0 || v->number > 2) return false;
+    if (!(v->number >= 0 && v->number <= 2) ||
+        v->number != std::floor(v->number)) {
+      return false;
+    }
     strategy = static_cast<std::uint8_t>(v->number);
     return true;
   }
@@ -140,11 +144,22 @@ bool parse_strategy(const Value& req, std::uint8_t& strategy) {
   return false;
 }
 
-std::uint32_t u32_field(const Value& req, std::string_view key,
-                        std::uint32_t fallback) {
-  const double v = req.number_or(key, static_cast<double>(fallback));
-  if (v < 0 || v > static_cast<double>(kMaxPoolOverride)) return fallback;
-  return static_cast<std::uint32_t>(v);
+// Reads an unsigned 32-bit member into `out`.  An absent key leaves `out`
+// as it is; anything but an integral number in [0, 2^32) -- negative,
+// fractional, too large, or not a number -- returns the kBadRequest message.
+// The range is checked on the double, before the conversion that would be
+// undefined behaviour outside it.
+std::optional<std::string> read_u32(const Value& req, std::string_view key,
+                                    std::uint32_t& out) {
+  const Value* v = req.find(key);
+  if (v == nullptr) return std::nullopt;
+  const double x = v->number;
+  if (v->kind != util::json::Kind::kNumber || !(x >= 0.0 && x < 4294967296.0) ||
+      x != std::floor(x)) {
+    return std::string(key) + " must be an integer in [0, 2^32)";
+  }
+  out = static_cast<std::uint32_t>(x);
+  return std::nullopt;
 }
 
 }  // namespace
@@ -502,10 +517,17 @@ std::string Server::dispatch_json(const std::string& line) {
     if (!parse_strategy(req, cfg.strategy)) {
       return json_error(id, ErrorCode::kBadRequest, "unknown strategy");
     }
-    cfg.min_r = u32_field(req, "min_r", cfg.min_r);
-    cfg.max_target_paths = u32_field(req, "max_target_paths", 0);
-    cfg.max_candidates = u32_field(req, "max_candidates", 0);
-    cfg.yield_samples = u32_field(req, "yield_samples", 0);
+    // Range limits beyond the integer check are validate_config's, shared
+    // with the binary protocol.
+    for (const auto& [key, field] :
+         {std::pair{"min_r", &cfg.min_r},
+          std::pair{"max_target_paths", &cfg.max_target_paths},
+          std::pair{"max_candidates", &cfg.max_candidates},
+          std::pair{"yield_samples", &cfg.yield_samples}}) {
+      if (const auto why = read_u32(req, key, *field)) {
+        return json_error(id, ErrorCode::kBadRequest, *why);
+      }
+    }
     SessionInfo info;
     if (const auto err = do_open(cfg, info)) {
       return json_error(id, err->code, err->message);
@@ -516,8 +538,10 @@ std::string Server::dispatch_json(const std::string& line) {
     return out;
   }
   if (op == "predict" || op == "observe") {
-    const double session_raw = req.number_or("session", 0.0);
-    const std::uint32_t session = static_cast<std::uint32_t>(session_raw);
+    std::uint32_t session = 0;
+    if (const auto why = read_u32(req, "session", session)) {
+      return json_error(id, ErrorCode::kBadRequest, *why);
+    }
     std::vector<double> measured;
     if (!parse_measured(req.find("measured"), measured)) {
       return json_error(id, ErrorCode::kBadRequest,
@@ -572,8 +596,10 @@ std::string Server::dispatch_json(const std::string& line) {
     return out;
   }
   if (op == "session_info") {
-    const std::uint32_t session =
-        static_cast<std::uint32_t>(req.number_or("session", 0.0));
+    std::uint32_t session = 0;
+    if (const auto why = read_u32(req, "session", session)) {
+      return json_error(id, ErrorCode::kBadRequest, *why);
+    }
     SessionInfo info;
     if (const auto err = do_session_info(session, info)) {
       return json_error(id, err->code, err->message);

@@ -63,9 +63,8 @@ SegmentDecomposition extract_segments(const circuit::Netlist& netlist,
     }
   }
 
-  // Per-path segment sequences and incidence matrix.
+  // Per-path segment sequences (the rows of G).
   out.path_segments.resize(paths.size());
-  out.incidence = linalg::Matrix(paths.size(), out.segments.size());
   for (std::size_t pi = 0; pi < paths.size(); ++pi) {
     const Path& p = paths[pi];
     int last = -1;
@@ -76,7 +75,6 @@ SegmentDecomposition extract_segments(const circuit::Netlist& netlist,
       }
       if (it->second != last) {
         out.path_segments[pi].push_back(it->second);
-        out.incidence(pi, static_cast<std::size_t>(it->second)) = 1.0;
         last = it->second;
       }
     }

@@ -5,12 +5,12 @@
 // incoming or outgoing edges inside that union.  Because interior nodes have
 // in-degree = out-degree = 1, any path touching one edge of a segment
 // traverses the entire segment, so the path/segment incidence matrix G is
-// 0/1 and d_Ptar = G d_S holds exactly with d_S the segment delays.
+// 0/1 and d_Ptar = G d_S holds exactly with d_S the segment delays.  G is
+// held only as per-path segment lists (row i lists the columns where G is 1).
 #pragma once
 
 #include <vector>
 
-#include "linalg/matrix.h"
 #include "timing/path_enum.h"
 
 namespace repro::timing {
@@ -24,10 +24,9 @@ struct Segment {
 
 struct SegmentDecomposition {
   std::vector<Segment> segments;
-  // Per path: ordered segment ids along the path.
+  // Per path: ordered segment ids along the path -- the nonzero columns of
+  // row i of the 0/1 incidence G (paper Eqn (2)).
   std::vector<std::vector<int>> path_segments;
-  // G: n_paths x n_segments 0/1 incidence (paper Eqn (2)).
-  linalg::Matrix incidence;
 };
 
 SegmentDecomposition extract_segments(const circuit::Netlist& netlist,

@@ -2,51 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numbers>
 #include <stdexcept>
 
 namespace repro::util {
+namespace {
 
 double mean(std::span<const double> v) {
-  if (v.empty()) return 0.0;
   double s = 0.0;
   for (double x : v) s += x;
   return s / static_cast<double>(v.size());
 }
 
-double variance(std::span<const double> v) {
-  if (v.size() < 2) return 0.0;
-  const double m = mean(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return s / static_cast<double>(v.size());
-}
-
-double stddev(std::span<const double> v) { return std::sqrt(variance(v)); }
-
-double min_value(std::span<const double> v) {
-  double m = std::numeric_limits<double>::infinity();
-  for (double x : v) m = std::min(m, x);
-  return m;
-}
-
-double max_value(std::span<const double> v) {
-  double m = -std::numeric_limits<double>::infinity();
-  for (double x : v) m = std::max(m, x);
-  return m;
-}
-
-double quantile(std::vector<double> v, double q) {
-  if (v.empty()) throw std::invalid_argument("quantile of empty sample");
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
-}
+}  // namespace
 
 double median(std::vector<double> v) {
   if (v.empty()) throw std::invalid_argument("median of empty sample");
@@ -61,46 +29,6 @@ double median(std::vector<double> v) {
 }
 
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::numbers::sqrt2); }
-
-double normal_icdf(double p) {
-  if (!(p > 0.0 && p < 1.0)) {
-    throw std::invalid_argument("normal_icdf requires p in (0,1)");
-  }
-  // Acklam's rational approximation.
-  static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                             -2.759285104469687e+02, 1.383577518672690e+02,
-                             -3.066479806614716e+01, 2.506628277459239e+00};
-  static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                             -1.556989798598866e+02, 6.680131188771972e+01,
-                             -1.328068155288572e+01};
-  static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                             -2.400758277161838e+00, -2.549732539343734e+00,
-                             4.374664141464968e+00,  2.938163982698783e+00};
-  static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                             2.445134137142996e+00, 3.754408661907416e+00};
-  const double plow = 0.02425;
-  double x;
-  if (p < plow) {
-    const double q = std::sqrt(-2.0 * std::log(p));
-    x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  } else if (p <= 1.0 - plow) {
-    const double q = p - 0.5;
-    const double r = q * q;
-    x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) *
-        q /
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-  } else {
-    const double q = std::sqrt(-2.0 * std::log(1.0 - p));
-    x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  // One Halley refinement step.
-  const double e = normal_cdf(x) - p;
-  const double u = e * std::sqrt(2.0 * std::numbers::pi) * std::exp(x * x / 2.0);
-  x = x - u / (1.0 + x * u / 2.0);
-  return x;
-}
 
 double correlation(std::span<const double> a, std::span<const double> b) {
   if (a.size() != b.size() || a.size() < 2) return 0.0;

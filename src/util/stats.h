@@ -8,25 +8,13 @@
 
 namespace repro::util {
 
-double mean(std::span<const double> v);
-double variance(std::span<const double> v);  // population variance
-double stddev(std::span<const double> v);
-double min_value(std::span<const double> v);
-double max_value(std::span<const double> v);
-
-// q in [0,1]; linear interpolation between order statistics.
-double quantile(std::vector<double> v, double q);
-
 // Sample median by selection, O(n): the middle element, or for an even size
 // 0.5 * (upper middle + largest of the lower half).  Throws on an empty
 // sample.
 double median(std::vector<double> v);
 
-// Standard normal CDF / inverse CDF.  The inverse uses the Acklam rational
-// approximation refined by one Halley step (relative error < 1e-13), enough
-// for yield thresholds like 0.01 * (1 - Y).
+// Standard normal CDF.
 double normal_cdf(double z);
-double normal_icdf(double p);
 
 // Pearson correlation of two equally sized samples.
 double correlation(std::span<const double> a, std::span<const double> b);

@@ -37,10 +37,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
   return out;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::optional<unsigned long> parse_ulong_strict(std::string_view s) {
   if (s.empty() || s.size() > 20) return std::nullopt;
   // strtoul skips whitespace and accepts a sign; forbid both up front so the

@@ -13,7 +13,6 @@ namespace repro::util {
 std::string trim(std::string_view s);
 std::string to_lower(std::string_view s);
 std::vector<std::string> split(std::string_view s, char delim);
-bool starts_with(std::string_view s, std::string_view prefix);
 
 // printf-style double formatting helpers.
 std::string fmt_double(double v, int precision);

@@ -14,7 +14,7 @@ VariationModel::VariationModel(const timing::TimingGraph& graph,
                                const std::vector<timing::Path>& paths,
                                const timing::SegmentDecomposition& segments,
                                const VariationOptions& options)
-    : segments_(&segments), incidence_(&segments.incidence) {
+    : segments_(&segments) {
   const circuit::Netlist& nl = graph.netlist();
 
   // --- Covered gates (combinational, delay-bearing) and covered regions ---

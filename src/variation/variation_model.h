@@ -28,6 +28,7 @@ struct VariationOptions {
 
 class VariationModel {
  public:
+  // `segments` must outlive the model: path_segments() reads through it.
   VariationModel(const timing::TimingGraph& graph, const SpatialModel& spatial,
                  const std::vector<timing::Path>& paths,
                  const timing::SegmentDecomposition& segments,
@@ -42,7 +43,11 @@ class VariationModel {
   // Sensitivity matrices and nominal delays (ps).
   const linalg::Matrix& a() const { return a_; }            // paths x m
   const linalg::Matrix& sigma() const { return sigma_; }    // segments x m
-  const linalg::Matrix& g() const { return *incidence_; }   // paths x segments
+  // G as per-path segment lists: row i of the 0/1 incidence has ones at
+  // path_segments()[i] (A = G Sigma and mu_Ptar = G mu_S sum over them).
+  const std::vector<std::vector<int>>& path_segments() const {
+    return segments_->path_segments;
+  }
   const linalg::Vector& mu_paths() const { return mu_paths_; }
   const linalg::Vector& mu_segments() const { return mu_segments_; }
 
@@ -64,7 +69,6 @@ class VariationModel {
 
  private:
   const timing::SegmentDecomposition* segments_;
-  const linalg::Matrix* incidence_;
   linalg::Matrix sigma_;
   linalg::Matrix a_;
   linalg::Vector mu_paths_;

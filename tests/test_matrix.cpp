@@ -117,11 +117,8 @@ TEST(Matrix, SelectCols) {
   EXPECT_DOUBLE_EQ(s(1, 1), 5.0);
 }
 
-TEST(Matrix, TopRowsLeftCols) {
+TEST(Matrix, LeftCols) {
   Matrix m{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  const Matrix t = m.top_rows(2);
-  EXPECT_EQ(t.rows(), 2u);
-  EXPECT_DOUBLE_EQ(t(1, 1), 4.0);
   const Matrix l = m.left_cols(1);
   EXPECT_EQ(l.cols(), 1u);
   EXPECT_DOUBLE_EQ(l(2, 0), 5.0);

@@ -125,13 +125,21 @@ TEST_P(BenchmarkProperty, ModelFactorizationInvariants) {
   const variation::SpatialModel spatial(3);
   const variation::VariationModel model(tg, spatial, paths, dec, {});
 
-  // A = G Sigma and mu_P = G mu_S, exactly.
-  EXPECT_LT(linalg::max_abs_diff(
-                linalg::multiply(model.g(), model.sigma()), model.a()),
-            1e-9);
-  const linalg::Vector gm = linalg::matvec(model.g(), model.mu_segments());
-  for (std::size_t i = 0; i < gm.size(); ++i) {
-    EXPECT_NEAR(gm[i], model.mu_paths()[i], 1e-9);
+  // A = G Sigma and mu_P = G mu_S, exactly: row i of G has ones at
+  // path_segments()[i].
+  ASSERT_EQ(model.path_segments().size(), model.num_paths());
+  for (std::size_t i = 0; i < model.num_paths(); ++i) {
+    linalg::Vector g_sigma(model.num_params(), 0.0);
+    double g_mu = 0.0;
+    for (int s : model.path_segments()[i]) {
+      const auto k = static_cast<std::size_t>(s);
+      linalg::axpy(1.0, model.sigma().row(k), g_sigma);
+      g_mu += model.mu_segments()[k];
+    }
+    for (std::size_t j = 0; j < g_sigma.size(); ++j) {
+      EXPECT_NEAR(g_sigma[j], model.a()(i, j), 1e-9) << i << "," << j;
+    }
+    EXPECT_NEAR(g_mu, model.mu_paths()[i], 1e-9) << i;
   }
   // rank(A) <= n_S (paper Lemma 1).
   EXPECT_LE(core::make_subset_selector(model.a(), linalg::gram(model.a()))

@@ -593,6 +593,49 @@ TEST_F(ServerFixture, JsonFrontEndSpeaksStrictJson) {
       rpc("{\"op\": \"ping\", \"id\": 9}"));
   EXPECT_TRUE(still.find("pong")->boolean);
 
+  // Integer fields take only integers in [0, 2^32).  A negative, huge,
+  // fractional or non-numeric value answers kBadRequest; it is neither cast
+  // (undefined behaviour for -1 or 1e300) nor replaced by the default.
+  const std::size_t sessions_before = server.sessions().size();
+  const auto expect_bad_request = [&](const std::string& line,
+                                      std::string_view why) {
+    const util::json::Value r = util::json::parse_or_throw(rpc(line));
+    EXPECT_FALSE(r.find("ok")->boolean) << line;
+    EXPECT_EQ(r.number_or("code", 0),
+              static_cast<double>(ErrorCode::kBadRequest))
+        << line;
+    EXPECT_NE(r.string_or("error", "").find(why), std::string::npos)
+        << line << " -> " << r.string_or("error", "");
+  };
+  for (const char* op : {"predict", "observe", "session_info"}) {
+    for (const char* value : {"-1", "1e300", "4294967296", "1.5", "\"0\""}) {
+      expect_bad_request(std::string("{\"op\": \"") + op +
+                             "\", \"id\": 11, \"session\": " + value +
+                             ", \"measured\": []}",
+                         "session must be an integer in [0, 2^32)");
+    }
+  }
+  for (const char* key :
+       {"min_r", "max_target_paths", "max_candidates", "yield_samples"}) {
+    for (const char* value : {"-1", "1e300", "4294967296", "2.5", "null"}) {
+      expect_bad_request(std::string("{\"op\": \"open_session\", \"id\": 12, "
+                                     "\"benchmark\": \"s1196\", \"") +
+                             key + "\": " + value + "}",
+                         std::string(key) + " must be an integer in [0, 2^32)");
+    }
+  }
+  expect_bad_request(
+      "{\"op\": \"open_session\", \"id\": 12, \"benchmark\": \"s1196\", "
+      "\"strategy\": 1.5}",
+      "unknown strategy");
+  // An integer above the pool ceiling gets the binary protocol's answer
+  // instead of opening (and caching) a default-pool session.
+  expect_bad_request(
+      "{\"op\": \"open_session\", \"id\": 13, \"benchmark\": \"s1196\", "
+      "\"max_target_paths\": 2000000}",
+      "pool override out of range");
+  EXPECT_EQ(server.sessions().size(), sessions_before);
+
   // The metrics scrape parses strictly and carries the server counters.
   const util::json::Value metrics = util::json::parse_or_throw(
       rpc("{\"op\": \"metrics\", \"id\": 10}"));

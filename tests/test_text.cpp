@@ -33,11 +33,6 @@ TEST(Text, SplitEmptyString) {
   EXPECT_EQ(parts[0], "");
 }
 
-TEST(Text, StartsWith) {
-  EXPECT_TRUE(starts_with("INPUT(G0)", "INPUT"));
-  EXPECT_FALSE(starts_with("IN", "INPUT"));
-}
-
 TEST(Text, FormatHelpers) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_percent(0.0523, 1), "5.2");

@@ -45,16 +45,33 @@ TEST(VariationModel, ParameterCountMatchesPaperFormula) {
   EXPECT_LE(f.model->covered_regions(), f.spatial->num_regions());
 }
 
+// Dense G rebuilt from the per-path segment lists the model exposes.
+linalg::Matrix dense_g(const VariationModel& model) {
+  linalg::Matrix g(model.num_paths(), model.num_segments());
+  for (std::size_t i = 0; i < model.num_paths(); ++i) {
+    for (int s : model.path_segments()[i]) {
+      g(i, static_cast<std::size_t>(s)) = 1.0;
+    }
+  }
+  return g;
+}
+
+TEST(VariationModel, PathSegmentsAreTheDecompositionLists) {
+  Fixture f("s1196");
+  EXPECT_EQ(&f.model->path_segments(), &f.dec.path_segments);
+}
+
 TEST(VariationModel, AEqualsGTimesSigma) {
   Fixture f("s1196");
-  const linalg::Matrix gs = linalg::multiply(f.model->g(), f.model->sigma());
+  const linalg::Matrix gs =
+      linalg::multiply(dense_g(*f.model), f.model->sigma());
   EXPECT_LT(linalg::max_abs_diff(gs, f.model->a()), 1e-9);
 }
 
 TEST(VariationModel, MuPathsEqualsGTimesMuSegments) {
   Fixture f("s1196");
   const linalg::Vector gm =
-      linalg::matvec(f.model->g(), f.model->mu_segments());
+      linalg::matvec(dense_g(*f.model), f.model->mu_segments());
   for (std::size_t i = 0; i < gm.size(); ++i) {
     EXPECT_NEAR(gm[i], f.model->mu_paths()[i], 1e-9);
   }
