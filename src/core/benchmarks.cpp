@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
@@ -253,29 +255,28 @@ double estimate_circuit_yield(const timing::TimingGraph& graph,
 std::vector<std::unique_ptr<Experiment>> build_experiments(
     const std::vector<ExperimentConfig>& configs) {
   std::vector<std::unique_ptr<Experiment>> out(configs.size());
-  std::vector<std::future<void>> pending;
-  pending.reserve(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    pending.push_back(util::ThreadPool::instance().submit(
-        [&out, &configs, i] { out[i] = std::make_unique<Experiment>(configs[i]); }));
-  }
-  // Wait for everything before rethrowing: the tasks capture `out`/`configs`
-  // by reference, so no future may outlive this frame.
-  std::exception_ptr error;
-  for (auto& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!error) error = std::current_exception();
+  // Each build catches its own failure, so one bad config does not skip the
+  // builds after it; the first failure in input order is rethrown.
+  std::vector<std::exception_ptr> errors(configs.size());
+  util::parallel_for(0, configs.size(), 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      try {
+        out[i] = std::make_unique<Experiment>(configs[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
-  if (error) std::rethrow_exception(error);
   return out;
 }
 
 Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
-  // One span per stage, each opened and closed on the building thread (a
-  // build_experiments task or the caller), never inside a parallel_for body.
+  // One span per stage, each opened and closed on the building thread.
+  // Under build_experiments that thread runs a parallel_for body; a span per
+  // stage, not per element, keeps the registry mutex uncontended there.
   namespace telemetry = util::telemetry;
   const std::uint64_t seed =
       config_.seed != 0 ? config_.seed

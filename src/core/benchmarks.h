@@ -88,11 +88,12 @@ class Experiment {
 ExperimentConfig default_experiment_config(const std::string& benchmark);
 std::size_t default_mc_samples();
 
-// Builds one Experiment per config concurrently through the shared
-// util::ThreadPool (per-circuit sweep fan-out for the table/ablation
-// drivers); results come back in input order and each build is internally
-// deterministic, so the output is independent of the thread count.  The
-// first construction failure is rethrown after all builds finish.
+// Builds one Experiment per config concurrently, one config per
+// util::parallel_for chunk with the calling thread building too (the sweep
+// fan-out of the Fig. 2 and ablation drivers); results come back in input
+// order and each build is internally deterministic, so the output is
+// independent of the thread count.  The first construction failure, in
+// input order, is rethrown after all builds finish.
 std::vector<std::unique_ptr<Experiment>> build_experiments(
     const std::vector<ExperimentConfig>& configs);
 

@@ -30,7 +30,7 @@ void prune_measurements(const linalg::Matrix& a, const linalg::Matrix& sigma,
   }
   // Pivoted QR on M^T (its candidates are the rows of M): pivot candidates =
   // linearly independent measurement rows.
-  const linalg::QrcpResult f = linalg::qr_colpivot(std::move(m));
+  const linalg::QrcpResult f = linalg::qr_colpivot(m);
   const std::size_t rank = linalg::qrcp_rank(f);
   std::vector<char> keep(n_meas, 0);
   for (std::size_t k = 0; k < rank; ++k) {

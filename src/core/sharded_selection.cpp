@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "linalg/simd/kernels.h"
+#include "linalg/residual_basis.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
@@ -32,55 +32,6 @@ constexpr auto better = [](const Candidate& a, const Candidate& b) {
 // Worse than every path: the best candidate of an empty set.
 constexpr Candidate kNone{-std::numeric_limits<double>::infinity(),
                           std::numeric_limits<int>::max()};
-
-// The orthonormal basis of the picked rows, one row of m doubles per pick,
-// with room for `capacity` rows leased up front.
-class Basis {
- public:
-  Basis(std::size_t m, std::size_t capacity, PanelBudget* budget)
-      : m_(m), ops_(linalg::simd::ops()),
-        lease_(budget, panel_bytes(capacity, m)) {
-    q_.reserve(capacity * m);
-  }
-
-  std::size_t size() const { return q_.size() / m_; }
-  const double* row(std::size_t k) const { return q_.data() + k * m_; }
-  double norm_sq(const double* a) const { return ops_.dot(m_, a, a); }
-
-  // d -= (q_k . a)^2 for k in [from, to).  Every residual update, streamed
-  // or cached, goes through here in basis order, so a path's residual has
-  // the same bits whichever route refreshed it and however its folds were
-  // split.
-  void fold(std::size_t from, std::size_t to, const double* a,
-            double& d) const {
-    for (std::size_t k = from; k < to; ++k) {
-      const double c = ops_.dot(m_, row(k), a);
-      d -= c * c;
-    }
-  }
-
-  // Appends the component of `a` orthogonal to the basis, normalized
-  // (two-pass modified Gram-Schmidt).  The caller guarantees a residual
-  // above the rank floor.
-  void add(std::span<const double> a) {
-    const std::size_t r = size();
-    q_.insert(q_.end(), a.begin(), a.end());
-    double* v = q_.data() + r * m_;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t k = 0; k < r; ++k) {
-        ops_.axpy(m_, -ops_.dot(m_, row(k), v), row(k), v);
-      }
-    }
-    const double inv = 1.0 / std::sqrt(norm_sq(v));
-    for (std::size_t j = 0; j < m_; ++j) v[j] *= inv;
-  }
-
- private:
-  std::size_t m_;
-  const linalg::simd::KernelOps& ops_;
-  PanelLease lease_;
-  std::vector<double> q_;
-};
 
 // Per-path residual state.  folded[i] counts the basis rows folded into
 // d[i]: d[i] is exact when folded[i] == basis.size(), else an upper bound.
@@ -161,9 +112,10 @@ struct Cache {
 // d_i = ||a_i||^2; a later one refreshes only the unselected paths whose
 // d_i is stale and at least tau, folding in the basis rows each has not
 // folded yet.  A path it skips keeps a stale bound below tau.
-std::size_t stream_pass(const PathPanelSource& source, const Basis& basis,
-                        bool first, double tau, std::size_t block,
-                        WorkerPanels& panels, Residuals& r) {
+std::size_t stream_pass(const PathPanelSource& source,
+                        const linalg::ResidualBasis& basis, bool first,
+                        double tau, std::size_t block, WorkerPanels& panels,
+                        Residuals& r) {
   const std::size_t n = r.d.size();
   const auto k = static_cast<std::uint32_t>(basis.size());
   return panels.run(
@@ -197,7 +149,8 @@ std::size_t stream_pass(const PathPanelSource& source, const Basis& basis,
 // slots, are sourced in parallel and are folded up to the basis, so every
 // cached d_i is exact.  Returns the rows sourced; `fresh` counts entering
 // paths never cached before.
-std::size_t refill_cache(const PathPanelSource& source, const Basis& basis,
+std::size_t refill_cache(const PathPanelSource& source,
+                         const linalg::ResidualBasis& basis,
                          WorkerPanels& panels, Residuals& r, Cache& cache,
                          std::size_t& fresh) {
   // Bounded heap whose front is the worst kept candidate.
@@ -309,7 +262,9 @@ ShardedSelectionResult select_paths_sharded(
       &budget, panel_bytes(capacity, m) +
                    capacity * (sizeof(Candidate) + 2 * sizeof(int)));
   Cache cache(capacity, m);
-  Basis basis(m, std::min(n, m), &budget);  // rank(A) <= min(n, m)
+  const std::size_t max_rank = std::min(n, m);  // rank(A) <= min(n, m)
+  const PanelLease basis_lease(&budget, panel_bytes(max_rank, m));
+  linalg::ResidualBasis basis(m, max_rank);
 
   // Panels in flight: one per worker, no more than there are blocks, fewer
   // if the cap says so (floor 1).
@@ -382,7 +337,7 @@ ShardedSelectionResult select_paths_sharded(
         done = true;
         break;
       }
-      basis.add(cache.rows.row(best));
+      basis.add(cache.rows.row(best));  // above the floor: adds a row
       r.state[static_cast<std::size_t>(top.second)] |= kSelected;
       result.representatives.push_back(top.second);
       const std::size_t k = basis.size() - 1;

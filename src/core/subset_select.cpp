@@ -37,8 +37,7 @@ SubsetSelector::SubsetSelector(const linalg::Matrix& a, linalg::Matrix gram)
   const double tol = gram_rank_rel_tol(rows_, cols_);
   linalg::PivotedChol pc =
       linalg::pivoted_cholesky(gram_, tol * tol);  // eigenvalue-scale tol
-  greedy_sigma_.resize(pc.rank);
-  for (std::size_t k = 0; k < pc.rank; ++k) greedy_sigma_[k] = pc.l(k, k);
+  greedy_sigma_ = std::move(pc.sigma);
   greedy_order_ = std::move(pc.perm);
   rank_ = pc.rank;
 }
@@ -87,7 +86,7 @@ std::vector<int> SubsetSelector::select(std::size_t r) const {
   for (std::size_t j = 0; j < rows_; ++j) {
     std::copy_n(u_.row(j).data(), r, ur.row(j).data());
   }
-  const linalg::QrcpResult f = linalg::qr_colpivot(std::move(ur), r);
+  const linalg::QrcpResult f = linalg::qr_colpivot(ur, r);
   std::vector<int> rows(f.perm.begin(),
                         f.perm.begin() + static_cast<std::ptrdiff_t>(r));
   return select_memo_.emplace(r, std::move(rows)).first->second;

@@ -196,6 +196,7 @@ PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
     }
     const double lkk = std::sqrt(diag[k]);
     l(k, k) = lkk;
+    out.sigma.push_back(lkk);
     const auto pk = static_cast<std::size_t>(out.perm[k]);
     // Rows below the pivot are independent: each reads its own row of L and
     // the pivot row and writes only its own entries, with the same serial
@@ -261,7 +262,6 @@ PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
     }
   }
   out.rank = k;
-  out.l = l.left_cols(k);
   return out;
 }
 

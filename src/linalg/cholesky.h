@@ -50,11 +50,12 @@ Matrix chol_backward(const CholFactors& f, const Matrix& b);
 // rank in O(n * rank^2) — the cheap way to get rank(A) from the Gram matrix
 // A A^T without any O(n^3) eigendecomposition.  The pivot order greedily
 // maximizes residual variance, i.e. it equals the column-pivot order of a
-// QR factorization of A^T.
+// QR factorization of A^T.  Only the pivot order and L's diagonal leave the
+// factorization; the n x rank factor is working storage.
 struct PivotedChol {
   std::size_t rank = 0;
   std::vector<int> perm;  // perm[k] = original index chosen at step k
-  Matrix l;               // n x rank, lower-trapezoidal in pivot order
+  Vector sigma;           // sigma[k] = L(k,k), pivot k's residual std. dev.
 };
 PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol = -1.0);
 

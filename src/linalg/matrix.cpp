@@ -115,17 +115,6 @@ Matrix Matrix::select_cols(std::span<const int> cols) const {
   return out;
 }
 
-Matrix Matrix::left_cols(std::size_t c) const {
-  if (c > cols_) throw std::out_of_range("left_cols");
-  Matrix out(rows_, c);
-  // Pointer arithmetic: c == 0 (or cols_ == 0) must not index an empty
-  // backing vector.
-  for (std::size_t i = 0; i < rows_; ++i) {
-    std::copy_n(data_.data() + i * cols_, c, out.data_.data() + i * c);
-  }
-  return out;
-}
-
 void Matrix::set_row(std::size_t i, std::span<const double> values) {
   if (values.size() != cols_) throw std::invalid_argument("set_row size");
   std::copy(values.begin(), values.end(), data_.data() + i * cols_);

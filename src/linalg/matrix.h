@@ -63,8 +63,6 @@ class Matrix {
   // Submatrix of the given rows (in the given order).
   Matrix select_rows(std::span<const int> rows) const;
   Matrix select_cols(std::span<const int> cols) const;
-  // First c columns.
-  Matrix left_cols(std::size_t c) const;
 
   void set_row(std::size_t i, std::span<const double> values);
   void swap_rows(std::size_t i, std::size_t j);

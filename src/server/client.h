@@ -29,7 +29,6 @@ class Client {
   // Adopts an already-connected fd (socketpair tests) and sends the
   // preamble.
   bool adopt(util::Fd fd);
-  bool connected() const { return fd_.valid(); }
   void close() {
     fd_.reset();
     reader_.reset();

@@ -147,16 +147,6 @@ bool PayloadReader::get_f64_vector(std::vector<double>& v,
   return true;
 }
 
-bool PayloadReader::get_bytes(std::string& v, std::size_t n) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  v.assign(data_.substr(pos_, n));
-  pos_ += n;
-  return true;
-}
-
 void append_frame(std::string& out, MsgType type, std::uint32_t seq,
                   std::string_view payload) {
   put_u32(out, static_cast<std::uint32_t>(kFrameHeaderTail + payload.size()));

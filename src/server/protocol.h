@@ -147,7 +147,6 @@ class PayloadReader {
   bool get_f64(double& v);
   bool get_string(std::string& v, std::uint32_t max_len);
   bool get_f64_vector(std::vector<double>& v, std::uint32_t max_count);
-  bool get_bytes(std::string& v, std::size_t n);
   bool exhausted() const { return ok_ && pos_ == data_.size(); }
   bool ok() const { return ok_; }
 

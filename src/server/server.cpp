@@ -169,7 +169,7 @@ Server::Server(ServerOptions options) : options_(options) {}
 Server::~Server() { stop(); }
 
 bool Server::listen(const std::string& path) {
-  listener_ = util::unix_listen(path, options_.backlog);
+  listener_ = util::unix_listen(path);
   if (!listener_.valid()) return false;
   path_ = path;
   return true;

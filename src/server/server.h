@@ -39,7 +39,6 @@
 namespace repro::server {
 
 struct ServerOptions {
-  int backlog = 16;
   // Admission ceiling for open_session's pool-size overrides
   // (max_target_paths / max_candidates).  Requests beyond it are rejected
   // with a structured kBadRequest before any pool is built — the operator's

@@ -69,7 +69,7 @@ bool recv_all(int fd, void* data, std::size_t n) {
   return true;
 }
 
-Fd unix_listen(const std::string& path, int backlog) {
+Fd unix_listen(const std::string& path) {
   sockaddr_un addr;
   if (!fill_sockaddr(path, addr)) {
     errno = EINVAL;
@@ -82,7 +82,7 @@ Fd unix_listen(const std::string& path, int backlog) {
              sizeof(addr)) != 0) {
     return Fd();
   }
-  if (::listen(fd.get(), backlog) != 0) return Fd();
+  if (::listen(fd.get(), 16) != 0) return Fd();
   return fd;
 }
 

@@ -60,8 +60,9 @@ bool send_all(int fd, const void* data, std::size_t n);
 bool recv_all(int fd, void* data, std::size_t n);
 
 // AF_UNIX stream endpoints.  All return an invalid Fd on failure with errno
-// set.  unix_listen removes a stale socket file at `path` first.
-Fd unix_listen(const std::string& path, int backlog = 16);
+// set.  unix_listen removes a stale socket file at `path` first and queues
+// up to 16 pending connections.
+Fd unix_listen(const std::string& path);
 Fd unix_connect(const std::string& path);
 // Blocking accept; invalid Fd on error (including the listener being shut
 // down or closed — the accept loop treats that as "stop").

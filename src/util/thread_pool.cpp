@@ -103,9 +103,8 @@ ThreadPool& ThreadPool::instance() {
 void ThreadPool::set_threads(std::size_t n) {
   if (tl_in_parallel_region) {
     throw std::logic_error(
-        "ThreadPool::set_threads: called from inside a parallel region "
-        "(parallel_for body or pool task); reconfiguration joins the "
-        "workers and would deadlock");
+        "ThreadPool::set_threads: called from inside a parallel_for body; "
+        "reconfiguration joins the workers and would deadlock");
   }
   n = std::max<std::size_t>(1, n);
   {
@@ -123,25 +122,6 @@ std::size_t ThreadPool::threads() const {
 }
 
 bool ThreadPool::in_parallel_region() { return tl_in_parallel_region; }
-
-void ThreadPool::enqueue(std::function<void()> task) {
-  telemetry::count("util.pool.tasks");
-  bool inline_run = false;
-  {
-    std::lock_guard<std::mutex> lk(impl_->mutex);
-    if (impl_->configured <= 1) {
-      inline_run = true;
-    } else {
-      impl_->ensure_started_locked();
-      impl_->queue.push_back(std::move(task));
-    }
-  }
-  if (inline_run) {
-    task();
-  } else {
-    impl_->cv.notify_one();
-  }
-}
 
 void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end, std::size_t grain,

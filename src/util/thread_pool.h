@@ -24,11 +24,8 @@
 
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
-#include <type_traits>
-#include <utility>
 
 namespace repro::util {
 
@@ -44,9 +41,8 @@ class ThreadPool {
   // Total concurrency (caller + workers) used by parallel_for; always >= 1.
   // Reconfiguring joins the existing workers first, so it must not race with
   // in-flight parallel work (intended for startup and tests).  Calling it
-  // from inside a parallel region — a parallel_for body or a submitted pool
-  // task — would self-join and deadlock, so that misuse throws
-  // std::logic_error instead.
+  // from inside a parallel_for body would self-join and deadlock, so that
+  // misuse throws std::logic_error instead.
   void set_threads(std::size_t n);
   std::size_t threads() const;
 
@@ -63,24 +59,12 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-  // Queues a task and returns its future.  With a single configured thread
-  // the task runs synchronously.  Do not block on a future from inside a
-  // pool task: workers do not steal while waiting.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    enqueue([task] { (*task)(); });
-    return task->get_future();
-  }
-
   // True when the current thread is executing inside a parallel region
   // (worker thread or a caller participating in parallel_for).
   static bool in_parallel_region();
 
  private:
   ThreadPool();
-  void enqueue(std::function<void()> task);
 
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "linalg/gemm.h"
 #include "util/rng.h"
@@ -143,6 +147,64 @@ TEST(Experiment, RecordsOneSpanPerStage) {
     ASSERT_NE(it, snap.spans.end()) << name;
     EXPECT_EQ(it->count, 2u) << name;
   }
+}
+
+std::uint64_t span_count(const util::telemetry::Snapshot& snap,
+                         const std::string& name) {
+  for (const util::telemetry::SpanSample& sp : snap.spans) {
+    if (sp.name == name) return sp.count;
+  }
+  return 0;
+}
+
+TEST(Experiment, BuildExperimentsMatchesSerialInInputOrder) {
+  const std::vector<ExperimentConfig> cfgs{small_config("s1423"),
+                                           small_config(), small_config()};
+  const std::size_t saved_threads = util::thread_count();
+  util::set_threads(4);
+  const std::vector<std::unique_ptr<Experiment>> built =
+      build_experiments(cfgs);
+  util::set_threads(saved_threads);
+  ASSERT_EQ(built.size(), cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const Experiment serial(cfgs[i]);
+    EXPECT_EQ(built[i]->config().benchmark, cfgs[i].benchmark) << i;
+    EXPECT_EQ(built[i]->circuit_yield(), serial.circuit_yield()) << i;
+    EXPECT_EQ(built[i]->target_paths().size(), serial.target_paths().size());
+    EXPECT_EQ(linalg::max_abs_diff(built[i]->model().a(), serial.model().a()),
+              0.0)
+        << i;
+  }
+}
+
+TEST(Experiment, BuildExperimentsRethrowsAfterTheOthersFinish) {
+  // The failing configs come first: the good ones after them must still be
+  // built, at any thread count, and the first failure in input order is the
+  // one rethrown.
+  const std::vector<ExperimentConfig> cfgs{
+      small_config("no_such_circuit_a"), small_config(),
+      small_config("no_such_circuit_b"), small_config()};
+  const bool was_enabled = util::telemetry::enabled();
+  const std::size_t saved_threads = util::thread_count();
+  util::telemetry::set_enabled(true);
+  for (std::size_t threads : {1u, 4u}) {
+    util::set_threads(threads);
+    util::telemetry::reset();
+    try {
+      (void)build_experiments(cfgs);
+      ADD_FAILURE() << "no exception, threads=" << threads;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("no_such_circuit_a"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(span_count(util::telemetry::snapshot(), "core.experiment.model"),
+              2u)
+        << "threads=" << threads;
+  }
+  util::telemetry::reset();
+  util::telemetry::set_enabled(was_enabled);
+  util::set_threads(saved_threads);
 }
 
 TEST(Experiment, BuildsSmallBenchmark) {

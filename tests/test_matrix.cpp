@@ -117,13 +117,6 @@ TEST(Matrix, SelectCols) {
   EXPECT_DOUBLE_EQ(s(1, 1), 5.0);
 }
 
-TEST(Matrix, LeftCols) {
-  Matrix m{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  const Matrix l = m.left_cols(1);
-  EXPECT_EQ(l.cols(), 1u);
-  EXPECT_DOUBLE_EQ(l(2, 0), 5.0);
-}
-
 TEST(Matrix, SwapRowsAndCols) {
   Matrix m{{1.0, 2.0}, {3.0, 4.0}};
   m.swap_rows(0, 1);

@@ -78,7 +78,6 @@ TEST(Qrcp, ZeroMatrixHasRankZero) {
 
 TEST(Qrcp, MaxStepsLimitsWork) {
   const QrcpResult f = qr_colpivot(random_matrix(20, 20, 6).transposed(), 5);
-  EXPECT_EQ(f.tau.size(), 5u);
   EXPECT_EQ(f.rdiag_abs.size(), 5u);
   // perm still covers all columns.
   EXPECT_EQ(f.perm.size(), 20u);
@@ -110,9 +109,35 @@ TEST(Qrcp, SelectedColumnsSpanRowSpace) {
   EXPECT_LT(max_abs_diff(multiply(a_sel, x), a), 1e-9);
 }
 
-// The Businger–Golub loop as first written, on the column-major layout:
-// candidates are the columns of `a`.  The candidate-major factorization must
-// reproduce it bit for bit (pivots, reflectors and the whole factor).
+TEST(Qrcp, ExactDuplicatesGoToTheLowestIndex) {
+  // Candidates 2 and 3 repeat 0 and 1 bit for bit: each tie goes to the
+  // lower index, and a repeat adds no rank.
+  const Matrix base = random_matrix(3, 6, 9);
+  Matrix c(5, 6);
+  for (std::size_t j = 0; j < 6; ++j) {
+    c(0, j) = 10.0 * base(0, j);
+    c(1, j) = 5.0 * base(1, j);
+    c(2, j) = c(0, j);
+    c(3, j) = c(1, j);
+    c(4, j) = base(2, j);
+  }
+  const QrcpResult f = qr_colpivot(c);
+  EXPECT_EQ(f.perm[0], 0);
+  EXPECT_EQ(f.perm[1], 1);
+  EXPECT_EQ(f.perm[2], 4);
+  EXPECT_EQ(qrcp_rank(f), 3u);
+
+  Matrix same(4, 6);
+  for (std::size_t i = 0; i < 4; ++i) same.set_row(i, base.row(0));
+  const QrcpResult g = qr_colpivot(same);
+  EXPECT_EQ(g.perm[0], 0);
+  EXPECT_EQ(qrcp_rank(g), 1u);
+}
+
+// The Businger–Golub Householder loop, on the column-major layout:
+// candidates are the columns of `a`.  Gram-Schmidt pivoting must agree with
+// it up to the numerical rank: the same pivots and rank, and |R(k,k)| to
+// rounding.
 QrcpResult reference_qr_colpivot(Matrix a, std::size_t max_steps) {
   const std::size_t m = a.rows(), n = a.cols();
   const std::size_t kmax0 = std::min(m, n);
@@ -120,9 +145,9 @@ QrcpResult reference_qr_colpivot(Matrix a, std::size_t max_steps) {
       (max_steps == 0) ? kmax0 : std::min(kmax0, max_steps);
 
   QrcpResult out;
+  out.dim = std::max(m, n);
   out.perm.resize(n);
   std::iota(out.perm.begin(), out.perm.end(), 0);
-  out.tau.assign(kmax, 0.0);
   out.rdiag_abs.assign(kmax, 0.0);
 
   Vector colnorm2(n), colnorm2_ref(n);
@@ -146,11 +171,7 @@ QrcpResult reference_qr_colpivot(Matrix a, std::size_t max_steps) {
 
     double normx = 0.0;
     for (std::size_t i = k; i < m; ++i) normx = std::hypot(normx, a(i, k));
-    if (normx == 0.0) {
-      out.tau[k] = 0.0;
-      out.rdiag_abs[k] = 0.0;
-      continue;
-    }
+    if (normx == 0.0) continue;
     const double alpha = a(k, k);
     const double beta = (alpha >= 0.0) ? -normx : normx;
     const double v0 = alpha - beta;
@@ -158,7 +179,6 @@ QrcpResult reference_qr_colpivot(Matrix a, std::size_t max_steps) {
     const double inv_v0 = 1.0 / v0;
     for (std::size_t i = k + 1; i < m; ++i) a(i, k) *= inv_v0;
     a(k, k) = beta;
-    out.tau[k] = tau;
     out.rdiag_abs[k] = std::abs(beta);
 
     for (std::size_t c = k + 1; c < n; ++c) {
@@ -179,7 +199,6 @@ QrcpResult reference_qr_colpivot(Matrix a, std::size_t max_steps) {
       colnorm2[c] = updated;
     }
   }
-  out.qr = std::move(a);
   return out;
 }
 
@@ -187,18 +206,6 @@ bool same_bits(const Vector& x, const Vector& y) {
   return x.size() == y.size() &&
          (x.empty() ||
           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
-}
-
-bool same_bits(const Matrix& x, const Matrix& y) {
-  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const auto xr = x.row(i), yr = y.row(i);
-    if (!xr.empty() &&
-        std::memcmp(xr.data(), yr.data(), xr.size() * sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // The leading 120 eigenvectors of s1423's Gram at the REPRO_FAST pool caps
@@ -213,7 +220,7 @@ Matrix fast_circuit_eigenvectors() {
   return randomized_eig_psd(gram(e.model().a()), 120).vectors;
 }
 
-TEST(Qrcp, MatchesRowMajorReferenceBits) {
+TEST(Qrcp, MatchesHouseholderReferenceUpToRank) {
   struct Case {
     std::string name;
     Matrix a;  // column-major: candidates are columns
@@ -222,7 +229,7 @@ TEST(Qrcp, MatchesRowMajorReferenceBits) {
   std::vector<Case> cases;
   cases.push_back({"wide 30x400", random_matrix(30, 400, 11), 0});
   cases.push_back({"tall 200x60", random_matrix(200, 60, 12), 0});
-  // Crosses the parallel work floor for most of its steps.
+  // Crosses the parallel work floor.
   cases.push_back({"wide 160x1500", random_matrix(160, 1500, 13), 0});
   cases.push_back(
       {"rank-deficient 40x300",
@@ -244,17 +251,25 @@ TEST(Qrcp, MatchesRowMajorReferenceBits) {
 
   const std::size_t saved_threads = util::thread_count();
   for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
     const QrcpResult want = reference_qr_colpivot(c.a, c.max_steps);
-    for (std::size_t threads : {1u, 4u}) {
-      util::set_threads(threads);
-      const QrcpResult got = qr_colpivot(c.a.transposed(), c.max_steps);
-      EXPECT_EQ(got.perm, want.perm) << c.name << " threads=" << threads;
-      EXPECT_TRUE(same_bits(got.tau, want.tau)) << c.name << " tau";
-      EXPECT_TRUE(same_bits(got.rdiag_abs, want.rdiag_abs))
-          << c.name << " rdiag_abs";
-      EXPECT_TRUE(same_bits(got.qr, want.qr.transposed()))
-          << c.name << " factor, threads=" << threads;
+    const std::size_t rank = qrcp_rank(want);
+    util::set_threads(1);
+    const QrcpResult got = qr_colpivot(c.a.transposed(), c.max_steps);
+    ASSERT_EQ(qrcp_rank(got), rank);
+    ASSERT_EQ(got.perm.size(), want.perm.size());
+    ASSERT_EQ(got.rdiag_abs.size(), want.rdiag_abs.size());
+    for (std::size_t k = 0; k < rank; ++k) {
+      EXPECT_EQ(got.perm[k], want.perm[k]) << "pivot " << k;
+      EXPECT_NEAR(got.rdiag_abs[k], want.rdiag_abs[k],
+                  1e-12 * want.rdiag_abs[k])
+          << "pivot " << k;
     }
+    // The residual updates split over the pool without changing a bit.
+    util::set_threads(4);
+    const QrcpResult threaded = qr_colpivot(c.a.transposed(), c.max_steps);
+    EXPECT_EQ(threaded.perm, got.perm);
+    EXPECT_TRUE(same_bits(threaded.rdiag_abs, got.rdiag_abs));
   }
   util::set_threads(saved_threads);
 }

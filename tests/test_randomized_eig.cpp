@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -119,22 +121,6 @@ TEST(PivotedCholesky, RevealsRank) {
   EXPECT_EQ(pc.rank, 9u);
 }
 
-TEST(PivotedCholesky, FactorReconstructsPermutedMatrix) {
-  const Matrix w = psd_of_rank(40, 12, 8);
-  const PivotedChol pc = pivoted_cholesky(w);
-  ASSERT_EQ(pc.rank, 12u);
-  // (L L^T)_{ab} must equal W(perm[a], perm[b]).
-  const Matrix llt = multiply_bt(pc.l, pc.l);
-  for (std::size_t a = 0; a < 40; ++a) {
-    for (std::size_t b = 0; b < 40; ++b) {
-      EXPECT_NEAR(llt(a, b),
-                  w(static_cast<std::size_t>(pc.perm[a]),
-                    static_cast<std::size_t>(pc.perm[b])),
-                  1e-8 * (1.0 + w.max_abs()));
-    }
-  }
-}
-
 TEST(PivotedCholesky, FullRankIdentity) {
   const PivotedChol pc = pivoted_cholesky(Matrix::identity(8));
   EXPECT_EQ(pc.rank, 8u);
@@ -157,9 +143,14 @@ TEST(PivotedCholesky, NotSquareThrows) {
 }
 
 // The pivoted Cholesky as first written: a zeroed n x n factor, rows
-// updated serially.  The O(n * rank) threaded version must reproduce it bit
-// for bit.
-PivotedChol reference_pivoted_cholesky(const Matrix& s, double rel_tol) {
+// updated serially.  The O(n * rank) threaded version must reproduce its
+// rank, pivots and diagonal bit for bit.
+struct ReferenceChol {
+  PivotedChol pc;
+  Matrix l;  // n x n, zero past column rank
+};
+
+ReferenceChol reference_pivoted_cholesky(const Matrix& s, double rel_tol) {
   const std::size_t n = s.rows();
   PivotedChol out;
   out.perm.resize(n);
@@ -184,6 +175,7 @@ PivotedChol reference_pivoted_cholesky(const Matrix& s, double rel_tol) {
     }
     const double lkk = std::sqrt(diag[k]);
     l(k, k) = lkk;
+    out.sigma.push_back(lkk);
     const auto pk = static_cast<std::size_t>(out.perm[k]);
     for (std::size_t i = k + 1; i < n; ++i) {
       const auto pi = static_cast<std::size_t>(out.perm[i]);
@@ -197,16 +189,37 @@ PivotedChol reference_pivoted_cholesky(const Matrix& s, double rel_tol) {
     }
   }
   out.rank = k;
-  out.l = l.left_cols(k);
-  return out;
+  return {std::move(out), std::move(l)};
 }
 
 void expect_same_bits(const PivotedChol& a, const PivotedChol& b) {
   ASSERT_EQ(a.rank, b.rank);
   EXPECT_EQ(a.perm, b.perm);
-  ASSERT_TRUE(a.l.same_shape(b.l));
-  EXPECT_TRUE(std::equal(a.l.data().begin(), a.l.data().end(),
-                         b.l.data().begin()));
+  ASSERT_EQ(a.sigma.size(), a.rank);
+  ASSERT_EQ(b.sigma.size(), b.rank);
+  EXPECT_TRUE(std::equal(a.sigma.begin(), a.sigma.end(), b.sigma.begin(),
+                         [](double x, double y) {
+                           return std::bit_cast<std::uint64_t>(x) ==
+                                  std::bit_cast<std::uint64_t>(y);
+                         }));
+}
+
+TEST(PivotedCholesky, FactorReconstructsPermutedMatrix) {
+  const Matrix w = psd_of_rank(40, 12, 8);
+  const ReferenceChol ref = reference_pivoted_cholesky(
+      w, 40.0 * std::numeric_limits<double>::epsilon() * 16.0);
+  ASSERT_EQ(ref.pc.rank, 12u);
+  expect_same_bits(pivoted_cholesky(w), ref.pc);
+  // (L L^T)_{ab} must equal W(perm[a], perm[b]).
+  const Matrix llt = multiply_bt(ref.l, ref.l);
+  for (std::size_t a = 0; a < 40; ++a) {
+    for (std::size_t b = 0; b < 40; ++b) {
+      EXPECT_NEAR(llt(a, b),
+                  w(static_cast<std::size_t>(ref.pc.perm[a]),
+                    static_cast<std::size_t>(ref.pc.perm[b])),
+                  1e-8 * (1.0 + w.max_abs()));
+    }
+  }
 }
 
 // Five copies of one 9 x 9 PSD block down the diagonal: every Schur
@@ -234,7 +247,7 @@ TEST(PivotedCholesky, BitIdenticalToReferenceAndAcrossThreadCounts) {
                           psd_of_rank(13, 13, 16), psd_of_rank(67, 30, 17),
                           psd_of_rank(203, 203, 18), tied_block_diagonal()}) {
     const double tol = 1e-14;
-    const PivotedChol ref = reference_pivoted_cholesky(w, tol);
+    const PivotedChol ref = reference_pivoted_cholesky(w, tol).pc;
     for (std::size_t threads : {1u, 4u}) {
       util::set_threads(threads);
       expect_same_bits(pivoted_cholesky(w, tol), ref);
@@ -258,7 +271,7 @@ TEST(PivotedCholesky, BitIdenticalToReferenceOnFastPaperGram) {
       std::sqrt(static_cast<double>(std::max(a.rows(), a.cols())) *
                 std::numeric_limits<double>::epsilon()) *
       4.0;
-  const PivotedChol ref = reference_pivoted_cholesky(w, rel * rel);
+  const PivotedChol ref = reference_pivoted_cholesky(w, rel * rel).pc;
   ASSERT_GT(ref.rank, 8u);
   const std::size_t saved_threads = util::thread_count();
   for (std::size_t threads : {1u, 4u}) {

@@ -12,6 +12,7 @@
 #include "core/error_model.h"
 #include "core/panel_source.h"
 #include "core/path_selection.h"
+#include "linalg/qr_colpivot.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -172,6 +173,27 @@ TEST(ShardedSelection, ExactParityWithMonolithicGreedySweep) {
     EXPECT_NEAR(streamed.eps_r, mono.eps_r, 1e-9 * mono.eps_r);
     EXPECT_TRUE(streamed.tolerance_met);
     EXPECT_EQ(streamed.repair_promotions, 0u);
+  }
+}
+
+// The streamed kernel and qr_colpivot pivot with the same ResidualBasis
+// arithmetic, so the streamed picks are exactly qr_colpivot's first r
+// pivots on the same rows.
+TEST(ShardedSelection, PicksAreTheLeadingQrColpivotPivots) {
+  for (const linalg::Matrix& a : {correlated_rows(1200, 40, 10, 0.05, 101),
+                                  correlated_rows(150, 200, 12, 0.05, 404)}) {
+    SCOPED_TRACE(a.shape_string());
+    ShardedSelectionOptions opt = greedy_options(4e-3);
+    opt.block_rows = 64;  // several passes and refills
+    const ShardedSelectionResult streamed =
+        select_paths_sharded(MatrixPanelSource(a), kTcons, opt);
+    const std::size_t r = streamed.representatives.size();
+    ASSERT_GT(r, 1u);
+    const linalg::QrcpResult f = linalg::qr_colpivot(a, r);
+    EXPECT_EQ(streamed.representatives,
+              ascending(std::vector<int>(
+                  f.perm.begin(),
+                  f.perm.begin() + static_cast<std::ptrdiff_t>(r))));
   }
 }
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/rng.h"
@@ -77,13 +78,6 @@ TEST_F(ThreadPoolTest, TaskExceptionPropagatesToCaller) {
   EXPECT_EQ(covered.load(), 64u);
 }
 
-TEST_F(ThreadPoolTest, SubmitExceptionPropagatesThroughFuture) {
-  set_threads(4);
-  auto f = ThreadPool::instance().submit(
-      []() -> int { throw std::invalid_argument("bad"); });
-  EXPECT_THROW(f.get(), std::invalid_argument);
-}
-
 TEST_F(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   set_threads(4);
   std::atomic<long> total{0};
@@ -100,15 +94,6 @@ TEST_F(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 16 * (31 * 32 / 2));
 }
 
-TEST_F(ThreadPoolTest, SubmitReturnsValues) {
-  set_threads(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(ThreadPool::instance().submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-}
-
 TEST_F(ThreadPoolTest, SetThreadsReconfigures) {
   set_threads(3);
   EXPECT_EQ(thread_count(), 3u);
@@ -118,8 +103,17 @@ TEST_F(ThreadPoolTest, SetThreadsReconfigures) {
   std::size_t covered = 0;
   parallel_for(0, 10, 3, [&](std::size_t b, std::size_t e) { covered += e - b; });
   EXPECT_EQ(covered, 10u);
-  auto f = ThreadPool::instance().submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
+  // ... as one call over the whole range, on the calling thread.
+  std::size_t calls = 0;
+  std::thread::id ran_on;
+  parallel_for(0, 10, 1, [&](std::size_t b, std::size_t e) {
+    ++calls;
+    covered = e - b;
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(covered, 10u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST_F(ThreadPoolTest, SetThreadsInsideParallelRegionThrows) {
@@ -145,16 +139,19 @@ TEST_F(ThreadPoolTest, SetThreadsInsideParallelRegionThrows) {
   });
   EXPECT_EQ(covered.load(), 32u);
 
-  // The same guard protects pool tasks.
-  auto f = ThreadPool::instance().submit([] {
-    try {
-      set_threads(8);
-      return false;
-    } catch (const std::logic_error&) {
-      return true;
-    }
+  // The same guard holds in a nested region, which runs inline.
+  std::atomic<int> nested_threw{0};
+  parallel_for(0, 4, 1, [&](std::size_t, std::size_t) {
+    parallel_for(0, 4, 1, [&](std::size_t, std::size_t) {
+      try {
+        set_threads(8);
+      } catch (const std::logic_error&) {
+        nested_threw.fetch_add(1);
+      }
+    });
   });
-  EXPECT_TRUE(f.get());
+  EXPECT_EQ(nested_threw.load(), 4);
+  EXPECT_EQ(thread_count(), 2u);
 }
 
 TEST_F(ThreadPoolTest, SameResultForAnyThreadCount) {
