@@ -49,7 +49,7 @@ SelectionErrors selection_errors_from_gram(const linalg::Matrix& gram,
                                            double t_cons, double kappa) {
   REPRO_CHECK_DIM(gram.rows(), gram.cols(),
                   "selection_errors_from_gram: square Gram matrix");
-  if (t_cons <= 0.0) throw std::invalid_argument("selection_errors: t_cons");
+  if (!(t_cons > 0.0)) throw std::invalid_argument("selection_errors: t_cons");
   const util::telemetry::Span span("core.error_model");
   const std::size_t n = gram.rows();
   SelectionErrors out;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/cholesky.h"
 #include "linalg/gemm.h"
 #include "util/telemetry.h"
 
@@ -38,14 +39,17 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
   if (q.rows() != ns || q.cols() != ns) {
     throw std::invalid_argument("select_segments: shape mismatch");
   }
-  if (bound <= 0.0) throw std::invalid_argument("select_segments: bound <= 0");
+  if (!(bound > 0.0)) throw std::invalid_argument("select_segments: bound");
   const util::telemetry::Span span("core.hybrid.segment_greedy");
   const double t2 = bound * bound;
 
-  // C: the Schur complement of Q on the chosen segments; T = G_r1 C;
-  // v_i = g_i C g_i^T, row i's achieved WC^2.
-  linalg::Matrix c = q;
-  linalg::Matrix t = linalg::multiply(g_r1, c);
+  // The Schur complement C of Q on the chosen segments is never formed: the
+  // engine's residual is its diagonal, and the column it returns for pick j
+  // is C(:, j) / sqrt(C_jj).  T = G_r1 C; v_i = g_i C g_i^T, row i's
+  // achieved WC^2.
+  linalg::CholeskyPivots engine(q);
+  const linalg::Vector& cdiag = engine.residual();
+  linalg::Matrix t = linalg::multiply(g_r1, q);
   linalg::Vector v(r1);
   for (std::size_t i = 0; i < r1; ++i) {
     v[i] = linalg::dot(g_r1.row(i), t.row(i));
@@ -56,10 +60,9 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
 
   std::vector<char> chosen(ns, 0);
   const auto candidate = [&](std::size_t j) {
-    return !chosen[j] && c(j, j) > 0.0;
+    return !chosen[j] && cdiag[j] > 0.0;
   };
   linalg::Vector score(ns);
-  linalg::Vector cj(ns), tj(r1);
   while (violated()) {
     // Each candidate's score: the violation it removes, row by row, capped
     // at each row's excess over t^2.
@@ -69,7 +72,7 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
       if (excess <= 0.0) continue;
       for (std::size_t j = 0; j < ns; ++j) {
         if (!candidate(j)) continue;
-        score[j] += std::min(excess, t(i, j) * t(i, j) / c(j, j));
+        score[j] += std::min(excess, t(i, j) * t(i, j) / cdiag[j]);
       }
     }
     std::size_t best = ns;
@@ -79,16 +82,17 @@ GroupSparseResult select_segments(const linalg::Matrix& g_r1,
     }
     if (best == ns) break;  // cancellation floor: no candidate left
 
-    // Rank-1 updates conditioning on segment `best`.
-    const double d = c(best, best);
-    std::copy_n(c.row(best).data(), ns, cj.data());  // C symmetric
-    for (std::size_t i = 0; i < r1; ++i) tj[i] = t(i, best);
-    for (std::size_t a = 0; a < ns; ++a) {
-      for (std::size_t b = 0; b < ns; ++b) c(a, b) -= cj[a] * cj[b] / d;
-    }
+    // Condition on segment `best`: with l its column of L and l_kk =
+    // sqrt(C_bb), C(:, best) = l l_kk, so T -= T(:, best) C(best, :) / C_bb
+    // is T -= (T(:, best) / l_kk) l^T.
+    const double d = cdiag[best];
+    const linalg::Vector& l = engine.pivot(best);
+    const double lkk = l[best];
     for (std::size_t i = 0; i < r1; ++i) {
-      for (std::size_t b = 0; b < ns; ++b) t(i, b) -= tj[i] * cj[b] / d;
-      v[i] -= tj[i] * tj[i] / d;
+      double* ti = t.row(i).data();
+      const double tib = ti[best];
+      for (std::size_t b = 0; b < ns; ++b) ti[b] -= tib / lkk * l[b];
+      v[i] -= tib * tib / d;
     }
     chosen[best] = 1;
   }

@@ -20,16 +20,18 @@
 // Solver: greedy conditional-variance pivoting, an l0 heuristic in place of
 // the paper's l1/l-inf convex relaxation (the segment analogue of the greedy
 // path pivoting of Algorithm 2, and of the sensor-selection greedy of
-// Krause, Singh & Guestrin 2008).  It keeps C, T = G_r1 C and
-// v_i = g_i C g_i^T, and each step adds the segment j (C_jj > 0, not yet
-// chosen) maximizing
+// Krause, Singh & Guestrin 2008).  It is the pivoted-Cholesky engine of
+// linalg/cholesky.h run on Q with a coverage pivot rule: each step adds the
+// segment j (C_jj > 0, not yet chosen) maximizing
 //
 //   sum over rows with v_i > t^2 of  min(v_i - t^2, T_ij^2 / C_jj),
 //
-// t = bound, first index on a tie, then applies the rank-1 updates
-// C -= c c^T / C_jj (c = C(:, j)), T -= T(:, j) c^T / C_jj and
-// v_i -= T_ij^2 / C_jj.  It stops once every v_i <= t^2, or when no
-// candidate is left (a row whose whole support is chosen has zero error).
+// t = bound, first index on a tie, where T = G_r1 C and v_i = g_i C g_i^T.
+// C itself is never formed: C_jj is the engine's residual, and the engine's
+// column l for pick j gives C(:, j) = l l_jj, so the updates are
+// T -= (T(:, j) / l_jj) l^T and v_i -= T_ij^2 / C_jj.  It stops once every
+// v_i <= t^2, or when no candidate is left (a row whose whole support is
+// chosen has zero error).
 #pragma once
 
 #include <vector>

@@ -117,8 +117,11 @@ HybridResult sweep_hybrid_selection(const SubsetSelector& selector,
   if (eps_primes.empty()) {
     throw std::invalid_argument("sweep_hybrid_selection: empty sweep");
   }
+  if (!(t_cons > 0.0)) {
+    throw std::invalid_argument("sweep_hybrid_selection: need t_cons > 0");
+  }
   for (double ep : eps_primes) {
-    if (ep <= 0.0 || ep >= options.epsilon) {
+    if (!(ep > 0.0 && ep < options.epsilon)) {
       throw std::invalid_argument("sweep_hybrid_selection: need 0 < eps' < eps");
     }
   }

@@ -52,9 +52,9 @@ struct HybridResult {
 // Algorithm-1 selection at options.epsilon (the fallback).  Keeps the eps'
 // whose Algorithm-3 set minimizes |rep_paths| + |rep_segments| (ties:
 // smaller achieved error).  Throws std::invalid_argument on an empty sweep,
-// an eps' outside (0, eps), a path_only whose eps_r exceeds eps, or a
-// selector whose order is not the model's path count.  Neither the selector
-// nor path_only is changed.
+// a t_cons that is not positive or an eps' outside (0, eps) (NaN included),
+// a path_only whose eps_r exceeds eps, or a selector whose order is not the
+// model's path count.  Neither the selector nor path_only is changed.
 HybridResult sweep_hybrid_selection(const SubsetSelector& selector,
                                     const PathSelectionResult& path_only,
                                     const variation::VariationModel& model,

@@ -238,7 +238,7 @@ std::size_t refill_cache(const PathPanelSource& source,
 ShardedSelectionResult select_paths_sharded(
     const PathPanelSource& source, double t_cons,
     const ShardedSelectionOptions& options) {
-  if (t_cons <= 0.0) {
+  if (!(t_cons > 0.0)) {
     throw std::invalid_argument(
         "select_paths_sharded: t_cons must be positive");
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -144,122 +145,135 @@ Vector chol_backward(const CholFactors& f, Vector b) {
 // Squareness is validated unconditionally below in every build; a contract
 // would duplicate it.
 // repro-lint: allow(contracts)
-PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
+CholeskyPivots::CholeskyPivots(const Matrix& s)
+    : s_(s),
+      residual_(s.rows()),
+      l_(s.rows(), std::min<std::size_t>(s.rows(), 64)),
+      col_(s.rows()) {
   if (s.rows() != s.cols()) {
-    throw std::invalid_argument("pivoted_cholesky: not square");
+    throw std::invalid_argument("CholeskyPivots: not square");
   }
+  for (std::size_t i = 0; i < s.rows(); ++i) residual_[i] = s(i, i);
+  rest_.resize(s.rows());
+  std::iota(rest_.begin(), rest_.end(), std::size_t{0});
+}
+
+const Vector& CholeskyPivots::pivot(std::size_t p) {
+  const auto taken = std::find(rest_.begin(), rest_.end(), p);
+  REPRO_CHECK(taken != rest_.end(), "CholeskyPivots::pivot: row taken");
+  const std::size_t k = s_.rows() - rest_.size();  // pivots taken so far
+  if (k == l_.cols()) {
+    Matrix grown(l_.rows(), std::min(l_.rows(), 2 * k));
+    for (std::size_t i = 0; i < l_.rows(); ++i) {
+      std::copy_n(l_.row(i).data(), k, grown.row(i).data());
+    }
+    l_ = std::move(grown);
+  }
+  rest_.erase(taken);
+  std::fill(col_.begin(), col_.end(), 0.0);
+  const double lkk = std::sqrt(residual_[p]);
+  l_(p, k) = lkk;
+  col_[p] = lkk;
+  residual_[p] = 0.0;
+  // Rows not yet taken are independent: each reads its own row of L and the
+  // pivot row and writes only its own entries, with the same serial dot as a
+  // single-threaded run, so results are thread-count invariant.  Eight rows
+  // run together, so eight of those serial chains are in flight at once;
+  // each row's chain is the single-row loop's, term for term, and the
+  // remainder rows run that loop itself.
+  const auto finish_row = [&](std::size_t i, double v) {
+    const double lik = v / lkk;
+    l_(i, k) = lik;
+    col_[i] = lik;
+    residual_[i] -= lik * lik;
+  };
+  const auto update_rows = [&](std::size_t qb, std::size_t qe) {
+    const double* lp = l_.row(p).data();
+    std::size_t q = qb;
+    for (; q + 8 <= qe; q += 8) {
+      const std::size_t* r = &rest_[q];
+      const double* l0 = l_.row(r[0]).data();
+      const double* l1 = l_.row(r[1]).data();
+      const double* l2 = l_.row(r[2]).data();
+      const double* l3 = l_.row(r[3]).data();
+      const double* l4 = l_.row(r[4]).data();
+      const double* l5 = l_.row(r[5]).data();
+      const double* l6 = l_.row(r[6]).data();
+      const double* l7 = l_.row(r[7]).data();
+      double v0 = s_(r[0], p), v1 = s_(r[1], p), v2 = s_(r[2], p);
+      double v3 = s_(r[3], p), v4 = s_(r[4], p), v5 = s_(r[5], p);
+      double v6 = s_(r[6], p), v7 = s_(r[7], p);
+      for (std::size_t j = 0; j < k; ++j) {
+        v0 -= l0[j] * lp[j];
+        v1 -= l1[j] * lp[j];
+        v2 -= l2[j] * lp[j];
+        v3 -= l3[j] * lp[j];
+        v4 -= l4[j] * lp[j];
+        v5 -= l5[j] * lp[j];
+        v6 -= l6[j] * lp[j];
+        v7 -= l7[j] * lp[j];
+      }
+      finish_row(r[0], v0);
+      finish_row(r[1], v1);
+      finish_row(r[2], v2);
+      finish_row(r[3], v3);
+      finish_row(r[4], v4);
+      finish_row(r[5], v5);
+      finish_row(r[6], v6);
+      finish_row(r[7], v7);
+    }
+    for (; q < qe; ++q) {
+      const std::size_t i = rest_[q];
+      double v = s_(i, p);
+      const double* li = l_.row(i).data();
+      for (std::size_t j = 0; j < k; ++j) v -= li[j] * lp[j];
+      finish_row(i, v);
+    }
+  };
+  const std::size_t rest = rest_.size();
+  const std::size_t nt = util::thread_count();
+  if (nt > 1 && rest * (k + 1) >= 65'536) {
+    util::parallel_for(0, rest, std::max<std::size_t>(64, rest / (4 * nt)),
+                       update_rows);
+  } else {
+    update_rows(0, rest);
+  }
+  return col_;
+}
+
+// Squareness is validated by the engine in every build; a contract would
+// duplicate it.
+// repro-lint: allow(contracts)
+PivotedChol pivoted_cholesky(const Matrix& s, double rel_tol) {
   const util::telemetry::Span span("linalg.pivoted_cholesky");
+  CholeskyPivots engine(s);
   const std::size_t n = s.rows();
   PivotedChol out;
   out.perm.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out.perm[i] = static_cast<int>(i);
-
-  // Running diagonal of the Schur complement and the factor rows built so
-  // far (in pivot order).  Column k of L is formed against the original
-  // matrix, updating only the diagonal eagerly (outer-product-free variant:
-  // l(i,k) = (S(pi,pk) - sum_j l(i,j) l(k,j)) / l(k,k)).
-  Vector diag(n);
-  for (std::size_t i = 0; i < n; ++i) diag[i] = s(i, i);
+  std::iota(out.perm.begin(), out.perm.end(), 0);
+  // Row perm[i]'s residual: the scan below runs in the order the earlier
+  // pivots' swaps left perm in, so the first such row wins a tie.
+  const auto residual = [&](std::size_t i) {
+    return engine.residual()[static_cast<std::size_t>(out.perm[i])];
+  };
   double max_diag0 = 0.0;
-  for (double d : diag) max_diag0 = std::max(max_diag0, d);
+  for (double d : engine.residual()) max_diag0 = std::max(max_diag0, d);
   const double tol =
       (rel_tol >= 0.0 ? rel_tol
                       : static_cast<double>(n) *
                             std::numeric_limits<double>::epsilon() * 16.0) *
       (max_diag0 > 0.0 ? max_diag0 : 1.0);
-
-  // Row i of L lives in l.row(i)[0..k); the storage is n x cap and doubles
-  // when k reaches cap, so it stays O(n * rank) when rank << n.
-  std::size_t cap = std::min<std::size_t>(n, 64);
-  Matrix l(n, cap);
-  const std::size_t nt = util::thread_count();
   std::size_t k = 0;
   for (; k < n; ++k) {
     // Pivot: largest remaining Schur diagonal.
     std::size_t piv = k;
     for (std::size_t i = k + 1; i < n; ++i) {
-      if (diag[i] > diag[piv]) piv = i;
+      if (residual(i) > residual(piv)) piv = i;
     }
-    if (diag[piv] <= tol) break;
-    if (k == cap) {
-      cap = std::min(n, 2 * cap);
-      Matrix grown(n, cap);
-      for (std::size_t i = 0; i < n; ++i) {
-        std::copy_n(l.row(i).data(), k, grown.row(i).data());
-      }
-      l = std::move(grown);
-    }
-    if (piv != k) {
-      std::swap(out.perm[piv], out.perm[k]);
-      std::swap(diag[piv], diag[k]);
-      l.swap_rows(piv, k);
-    }
-    const double lkk = std::sqrt(diag[k]);
-    l(k, k) = lkk;
-    out.sigma.push_back(lkk);
-    const auto pk = static_cast<std::size_t>(out.perm[k]);
-    // Rows below the pivot are independent: each reads its own row of L and
-    // the pivot row and writes only its own entries, with the same serial
-    // dot as a single-threaded run, so results are thread-count invariant.
-    // Eight rows run together, so eight of those serial chains are in
-    // flight at once; each row's chain is the single-row loop's, term for
-    // term, and the remainder rows run that loop itself.
-    const auto finish_row = [&](std::size_t i, double v) {
-      const double lik = v / lkk;
-      l(i, k) = lik;
-      diag[i] -= lik * lik;
-    };
-    const auto update_rows = [&](std::size_t ib, std::size_t ie) {
-      const double* lk = l.row(k).data();
-      std::size_t i = ib;
-      for (; i + 8 <= ie; i += 8) {
-        const double* l0 = l.row(i).data();
-        const double* l1 = l.row(i + 1).data();
-        const double* l2 = l.row(i + 2).data();
-        const double* l3 = l.row(i + 3).data();
-        const double* l4 = l.row(i + 4).data();
-        const double* l5 = l.row(i + 5).data();
-        const double* l6 = l.row(i + 6).data();
-        const double* l7 = l.row(i + 7).data();
-        const auto orig = [&](std::size_t r) {
-          return s(static_cast<std::size_t>(out.perm[i + r]), pk);
-        };
-        double v0 = orig(0), v1 = orig(1), v2 = orig(2), v3 = orig(3);
-        double v4 = orig(4), v5 = orig(5), v6 = orig(6), v7 = orig(7);
-        for (std::size_t j = 0; j < k; ++j) {
-          v0 -= l0[j] * lk[j];
-          v1 -= l1[j] * lk[j];
-          v2 -= l2[j] * lk[j];
-          v3 -= l3[j] * lk[j];
-          v4 -= l4[j] * lk[j];
-          v5 -= l5[j] * lk[j];
-          v6 -= l6[j] * lk[j];
-          v7 -= l7[j] * lk[j];
-        }
-        finish_row(i, v0);
-        finish_row(i + 1, v1);
-        finish_row(i + 2, v2);
-        finish_row(i + 3, v3);
-        finish_row(i + 4, v4);
-        finish_row(i + 5, v5);
-        finish_row(i + 6, v6);
-        finish_row(i + 7, v7);
-      }
-      for (; i < ie; ++i) {
-        const auto pi = static_cast<std::size_t>(out.perm[i]);
-        double v = s(pi, pk);
-        const double* li = l.row(i).data();
-        for (std::size_t j = 0; j < k; ++j) v -= li[j] * lk[j];
-        finish_row(i, v);
-      }
-    };
-    const std::size_t rest = n - k - 1;
-    if (nt > 1 && rest * (k + 1) >= 65'536) {
-      util::parallel_for(k + 1, n, std::max<std::size_t>(64, rest / (4 * nt)),
-                         update_rows);
-    } else {
-      update_rows(k + 1, n);
-    }
+    if (residual(piv) <= tol) break;
+    std::swap(out.perm[piv], out.perm[k]);
+    const auto p = static_cast<std::size_t>(out.perm[k]);
+    out.sigma.push_back(engine.pivot(p)[p]);
   }
   out.rank = k;
   return out;

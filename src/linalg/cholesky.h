@@ -8,6 +8,8 @@
 // what the paper's pseudo-inverse notation permits).
 #pragma once
 
+#include <vector>
+
 #include "linalg/matrix.h"
 
 namespace repro::linalg {
@@ -44,14 +46,52 @@ Vector chol_backward(const CholFactors& f, Vector b);
 Matrix chol_forward(const CholFactors& f, const Matrix& b);
 Matrix chol_backward(const CholFactors& f, const Matrix& b);
 
-// Pivoted (rank-revealing) Cholesky for PSD matrices: P^T S P = L L^T with
-// diagonal pivoting.  Stops when the largest remaining diagonal falls below
-// tol (relative to the largest initial diagonal), revealing the numerical
-// rank in O(n * rank^2) — the cheap way to get rank(A) from the Gram matrix
-// A A^T without any O(n^3) eigendecomposition.  The pivot order greedily
-// maximizes residual variance, i.e. it equals the column-pivot order of a
-// QR factorization of A^T.  Only the pivot order and L's diagonal leave the
-// factorization; the n x rank factor is working storage.
+// The pivoted-Cholesky engine: P^T S P = L L^T for a PSD S, built one
+// column at a time with the caller choosing each pivot.  It borrows S (which
+// must outlive it) and never forms a Schur complement: pivot(p) makes
+// column k of L left-looking against S,
+//
+//   l(i,k) = (S(i,p) - sum_j<k l(i,j) l(p,j)) / l(p,p),
+//
+// and downdates the residual diagonal, residual()[i] -= l(i,k)^2.  Each
+// row's sum is one serial chain in j order whatever the thread count (rows
+// run eight at a time and split over the pool once rest * (k+1) >= 65 536),
+// so every pivot rule driven on it gets the same bits at any thread count.
+// Rows keep their original indices; L is n x k storage that doubles as k
+// grows, so it stays O(n * rank) when rank << n.  pivoted_cholesky drives
+// it with the largest-residual rule, select_segments (core/group_sparse.h)
+// with Eqn (10)'s coverage rule.
+class CholeskyPivots {
+ public:
+  explicit CholeskyPivots(const Matrix& s);
+  explicit CholeskyPivots(Matrix&&) = delete;  // it would borrow a temporary
+
+  // Schur-complement diagonal of S on the pivots taken so far, by row
+  // index; zero at a taken pivot.
+  const Vector& residual() const { return residual_; }
+
+  // Takes row p (not yet taken, residual()[p] > 0) as the next pivot and
+  // returns that column of L by row index: sqrt(residual()[p]) at p, zero at
+  // the earlier pivots.  The column is valid until the next pivot.
+  const Vector& pivot(std::size_t p);
+
+ private:
+  const Matrix& s_;
+  Vector residual_;
+  Matrix l_;                       // row i: l(i, 0..k) in pivot order
+  std::vector<std::size_t> rest_;  // rows not yet taken, ascending
+  Vector col_;
+};
+
+// Pivoted (rank-revealing) Cholesky for PSD matrices with diagonal pivoting:
+// the engine above driven by the largest residual (first in the swapped
+// pivot order on a tie).  Stops when the largest remaining diagonal falls
+// below tol (relative to the largest initial diagonal), revealing the
+// numerical rank in O(n * rank^2) — the cheap way to get rank(A) from the
+// Gram matrix A A^T without any O(n^3) eigendecomposition.  The pivot order
+// greedily maximizes residual variance, i.e. it equals the column-pivot
+// order of a QR factorization of A^T.  Only the pivot order and L's
+// diagonal leave the factorization; the n x rank factor is working storage.
 struct PivotedChol {
   std::size_t rank = 0;
   std::vector<int> perm;  // perm[k] = original index chosen at step k

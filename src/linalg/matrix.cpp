@@ -126,20 +126,10 @@ void Matrix::swap_rows(std::size_t i, std::size_t j) {
                    data_.data() + j * cols_);
 }
 
-void Matrix::swap_cols(std::size_t i, std::size_t j) {
-  if (i == j) return;
-  for (std::size_t r = 0; r < rows_; ++r) std::swap((*this)(r, i), (*this)(r, j));
-}
-
 Vector Matrix::column(std::size_t j) const {
   Vector c(rows_);
   for (std::size_t i = 0; i < rows_; ++i) c[i] = (*this)(i, j);
   return c;
-}
-
-void Matrix::set_column(std::size_t j, std::span<const double> values) {
-  if (values.size() != rows_) throw std::invalid_argument("set_column size");
-  for (std::size_t i = 0; i < rows_; ++i) (*this)(i, j) = values[i];
 }
 
 Matrix& Matrix::operator+=(const Matrix& other) {

@@ -66,10 +66,8 @@ class Matrix {
 
   void set_row(std::size_t i, std::span<const double> values);
   void swap_rows(std::size_t i, std::size_t j);
-  void swap_cols(std::size_t i, std::size_t j);
 
   Vector column(std::size_t j) const;
-  void set_column(std::size_t j, std::span<const double> values);
 
   // Elementwise operations.
   Matrix& operator+=(const Matrix& other);

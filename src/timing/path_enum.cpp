@@ -310,27 +310,4 @@ std::vector<Path> worst_path_through_each_gate(const TimingGraph& graph,
   return out;
 }
 
-double count_paths(const TimingGraph& graph, double cap) {
-  const circuit::Netlist& nl = graph.netlist();
-  std::vector<double> count(nl.size(), 0.0);
-  for (circuit::GateId id : nl.inputs()) {
-    count[static_cast<std::size_t>(id)] = 1.0;
-  }
-  double total = 0.0;
-  for (circuit::GateId id : graph.topological_order()) {
-    const circuit::Gate& g = nl.gate(id);
-    if (!g.fanin.empty()) {
-      double c = 0.0;
-      for (circuit::GateId d : g.fanin) {
-        c += count[static_cast<std::size_t>(d)];
-      }
-      count[static_cast<std::size_t>(id)] = std::min(c, cap);
-    }
-    if (g.type == circuit::GateType::kOutput) {
-      total = std::min(total + count[static_cast<std::size_t>(id)], cap);
-    }
-  }
-  return total;
-}
-
 }  // namespace repro::timing

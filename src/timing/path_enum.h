@@ -48,8 +48,4 @@ std::vector<Path> enumerate_worst_paths_per_endpoint(
 std::vector<Path> worst_path_through_each_gate(
     const TimingGraph& graph, const PathEnumOptions& options = {});
 
-// Total number of launch-to-capture paths (saturating at `cap`), used by
-// tests and diagnostics.  Counted with one pass of dynamic programming.
-double count_paths(const TimingGraph& graph, double cap = 1e18);
-
 }  // namespace repro::timing

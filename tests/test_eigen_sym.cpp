@@ -237,11 +237,13 @@ EigenSymResult reference_eigen_sym(Matrix s) {
     std::size_t j = i;
     while (j > 0 && out.values[j - 1] > val) {
       out.values[j] = out.values[j - 1];
-      out.vectors.set_column(j, out.vectors.column(j - 1));
+      for (std::size_t r = 0; r < n; ++r) {
+        out.vectors(r, j) = out.vectors(r, j - 1);
+      }
       --j;
     }
     out.values[j] = val;
-    out.vectors.set_column(j, col);
+    for (std::size_t r = 0; r < n; ++r) out.vectors(r, j) = col[r];
   }
   return out;
 }

@@ -160,6 +160,8 @@ TEST(ErrorModel, InvalidInputsThrow) {
   EXPECT_THROW((void)selection_errors(a, {0}, 0.0, 3.0),
                std::invalid_argument);
   EXPECT_THROW((void)selection_errors(a, {9}, 100.0, 3.0), std::out_of_range);
+  EXPECT_THROW((void)selection_errors(a, {0}, std::nan(""), 3.0),
+               std::invalid_argument);
 }
 
 TEST(ErrorModel, DuplicateRepresentativeThrows) {

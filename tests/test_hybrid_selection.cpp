@@ -111,6 +111,19 @@ TEST(Hybrid, InvalidEpsPrimeThrows) {
   EXPECT_THROW((void)f.sweep({kEps}), std::invalid_argument);
   EXPECT_THROW((void)f.sweep({0.0}), std::invalid_argument);
   EXPECT_THROW((void)f.sweep({0.04, kEps}), std::invalid_argument);
+  EXPECT_THROW((void)f.sweep({std::nan("")}), std::invalid_argument);
+}
+
+TEST(Hybrid, InvalidTconsThrows) {
+  const Fixture f("s1196", 30);
+  HybridOptions opt;
+  opt.epsilon = kEps;
+  for (double t_cons : {0.0, -1.0, std::nan("")}) {
+    EXPECT_THROW((void)sweep_hybrid_selection(*f.selector, f.path_only,
+                                              *f.model, t_cons, {0.04}, opt),
+                 std::invalid_argument)
+        << t_cons;
+  }
 }
 
 TEST(Hybrid, InvalidCallerStateThrows) {

@@ -117,20 +117,16 @@ TEST(Matrix, SelectCols) {
   EXPECT_DOUBLE_EQ(s(1, 1), 5.0);
 }
 
-TEST(Matrix, SwapRowsAndCols) {
+TEST(Matrix, SwapRows) {
   Matrix m{{1.0, 2.0}, {3.0, 4.0}};
   m.swap_rows(0, 1);
   EXPECT_DOUBLE_EQ(m(0, 0), 3.0);
-  m.swap_cols(0, 1);
-  EXPECT_DOUBLE_EQ(m(0, 0), 4.0);
+  EXPECT_DOUBLE_EQ(m(1, 1), 2.0);
 }
 
-TEST(Matrix, ColumnRoundTrip) {
-  Matrix m(3, 2);
-  Vector c{7.0, 8.0, 9.0};
-  m.set_column(1, c);
-  const Vector got = m.column(1);
-  EXPECT_EQ(got, c);
+TEST(Matrix, Column) {
+  const Matrix m{{1.0, 7.0}, {2.0, 8.0}, {3.0, 9.0}};
+  EXPECT_EQ(m.column(1), (Vector{7.0, 8.0, 9.0}));
 }
 
 TEST(Matrix, ArithmeticOperators) {

@@ -143,27 +143,6 @@ void expect_same_paths(const std::vector<Path>& got,
   }
 }
 
-TEST(PathEnum, CountPathsChain) {
-  const circuit::Netlist nl = test::chain_netlist(6);
-  const circuit::GateLibrary lib;
-  const TimingGraph tg(nl, lib);
-  EXPECT_DOUBLE_EQ(count_paths(tg), 1.0);
-}
-
-TEST(PathEnum, CountPathsDiamond) {
-  const circuit::Netlist nl = test::diamond_netlist(7);
-  const circuit::GateLibrary lib;
-  const TimingGraph tg(nl, lib);
-  EXPECT_DOUBLE_EQ(count_paths(tg), 7.0);
-}
-
-TEST(PathEnum, CountPathsFigure1) {
-  const circuit::Netlist nl = test::figure1_netlist();
-  const circuit::GateLibrary lib;
-  const TimingGraph tg(nl, lib);
-  EXPECT_DOUBLE_EQ(count_paths(tg), 4.0);
-}
-
 TEST(PathEnum, EnumeratesAllPathsWhenBudgetAllows) {
   const circuit::Netlist nl = test::figure1_netlist();
   const circuit::GateLibrary lib;

@@ -163,7 +163,7 @@ QrcpResult reference_qr_colpivot(Matrix a, std::size_t max_steps) {
       if (colnorm2[j] > colnorm2[piv]) piv = j;
     }
     if (piv != k) {
-      a.swap_cols(piv, k);
+      for (std::size_t i = 0; i < m; ++i) std::swap(a(i, piv), a(i, k));
       std::swap(colnorm2[piv], colnorm2[k]);
       std::swap(colnorm2_ref[piv], colnorm2_ref[k]);
       std::swap(out.perm[piv], out.perm[k]);

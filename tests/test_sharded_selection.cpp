@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -378,6 +379,8 @@ TEST(ShardedSelection, RejectsDegenerateInputs) {
   const MatrixPanelSource source(a);
   EXPECT_THROW(select_paths_sharded(source, 0.0, {}), std::invalid_argument);
   EXPECT_THROW(select_paths_sharded(source, -1.0, {}), std::invalid_argument);
+  EXPECT_THROW(select_paths_sharded(source, std::nan(""), {}),
+               std::invalid_argument);
   const linalg::Matrix zeros(6, 3);
   EXPECT_THROW(select_paths_sharded(MatrixPanelSource(zeros), kTcons, {}),
                std::invalid_argument);
